@@ -314,15 +314,16 @@ let write_bench_json ~quick ~quota ~counters_of rows =
   let module J = Fsa_obs.Json in
   let benches =
     List.map
-      (fun (name, ns, r2, runs) ->
+      (fun (name, ns, r2, runs, calls) ->
         J.Obj
           ([ ("name", J.String name); ("ns_per_run", J.Float ns);
              ( "r_square",
                match r2 with Some r -> J.Float r | None -> J.Null );
-             ("runs", J.Int runs) ]
+             ("runs", J.Int runs); ("calls", J.Int calls) ]
           @
           (* Per-bench registry counters (the registry is reset between
-             benches); readers of fsa-bench/1 ignore unknown fields. *)
+             benches), summed over all [calls]; readers of fsa-bench/1
+             ignore unknown fields. *)
           match counters_of name with
           | [] -> []
           | cs ->
@@ -335,7 +336,9 @@ let write_bench_json ~quick ~quota ~counters_of rows =
         ( "config",
           J.Obj
             [ ("quota_s", J.Float quota); ("limit", J.Int 2000);
-              ("quick", J.Bool quick); ("git_rev", J.String (git_rev ()));
+              ("quick", J.Bool quick);
+              ("cores", J.Int (Domain.recommended_domain_count ()));
+              ("git_rev", J.String (git_rev ()));
               ("timestamp", J.String (iso_timestamp ())) ] );
         ("benches", J.List benches) ]
   in
@@ -421,16 +424,24 @@ let run ~quick ~sampler () =
       let ns =
         match Analyze.OLS.estimates ols with Some [ est ] -> est | _ -> nan
       in
-      let runs =
+      (* [runs] counts Bechamel's samples; [calls] counts invocations of
+         the bench body — each sample makes its run-count of them, each
+         KDE measurement one — which is what the counters are summed over. *)
+      let runs, calls =
         match Hashtbl.find_opt raw name with
-        | Some (b : Benchmark.t) -> b.Benchmark.stats.Benchmark.samples
-        | None -> 0
+        | Some (b : Benchmark.t) ->
+            ( b.Benchmark.stats.Benchmark.samples,
+              Array.fold_left
+                (fun n m -> n + int_of_float (Measurement_raw.run m))
+                0 b.Benchmark.lr
+              + Option.fold ~none:0 ~some:Array.length b.Benchmark.kde )
+        | None -> (0, 0)
       in
-      rows := (name, ns, Analyze.OLS.r_square ols, runs) :: !rows)
+      rows := (name, ns, Analyze.OLS.r_square ols, runs, calls) :: !rows)
     results;
   let rows = List.sort compare !rows in
   List.iter
-    (fun (name, ns, r2, _runs) ->
+    (fun (name, ns, r2, _runs, _calls) ->
       let r2 =
         match r2 with Some r -> Printf.sprintf "%.3f" r | None -> "-"
       in

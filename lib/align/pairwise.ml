@@ -379,15 +379,3 @@ let adaptive_global ~score ~s_max ~gap ?(band = 16) ?(band_cap = 2048) ~la ~lb
       end
   in
   go (max band d) 0
-
-let xdrop_extend ~score ~x_drop ~la ~lb ~a_start ~b_start =
-  let rec go k running best best_len =
-    let i = a_start + k and j = b_start + k in
-    if i >= la || j >= lb then (best, best_len)
-    else
-      let running = running +. score i j in
-      if running < best -. x_drop then (best, best_len)
-      else if running > best then go (k + 1) running running (k + 1)
-      else go (k + 1) running best best_len
-  in
-  go 0 0.0 0.0 0

@@ -90,19 +90,6 @@ val adaptive_global :
     [band.certified] counters.
     @raise Invalid_argument if [gap < 0] or [band < 1]. *)
 
-val xdrop_extend :
-  score:(int -> int -> float) ->
-  x_drop:float ->
-  la:int ->
-  lb:int ->
-  a_start:int ->
-  b_start:int ->
-  float * int
-(** Ungapped extension to the right from (a_start, b_start): accumulates
-    [score (a_start+k) (b_start+k)] and stops when the running score falls
-    more than [x_drop] below its maximum or a sequence ends.  Returns the
-    best prefix score and its length (number of aligned pairs). *)
-
 val score_of_ops : score:(int -> int -> float) -> op list -> float
 (** Recomputes an alignment's score from its columns (pads contribute 0).
     Used by tests as an independent check on tracebacks. *)

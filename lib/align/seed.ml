@@ -1,42 +1,89 @@
 open Fsa_seq
 
-type index = { k : int; table : (int, int array) Hashtbl.t; max_occ : int }
+(* Open-addressing k-mer index on flat int arrays.  Slot [s] of a
+   power-of-two table holds k-mer [keys.(s)], or [free].  A kept k-mer's
+   occurrences are one slice of [occ]: its count at [occ.(start.(s))], then
+   its target positions in increasing order.  A repeat past [max_occ] keeps
+   its slot with [start.(s) = -1], so probes for it stop there and find
+   nothing. *)
+type index = {
+  k : int;
+  shift : int;  (** 63 - log2 (table size) *)
+  keys : int array;
+  start : int array;
+  occ : int array;
+}
+
+let free = -1
+
+(* Fibonacci hashing: the slot is the top bits of the product with an odd
+   constant. *)
+let hash kmer = kmer * 0x1E37_79B9_7F4A_7C15
+
+(* The slot holding [kmer], or the free slot ending its probe sequence.
+   The table is at most half full, so a free slot always exists. *)
+let rec probe keys kmer s =
+  let key = Array.unsafe_get keys s in
+  if key = kmer || key = free then s
+  else probe keys kmer ((s + 1) land (Array.length keys - 1))
+
+let slot idx kmer = probe idx.keys kmer (hash kmer lsr idx.shift)
 
 let build_index ?(max_occ = 32) ~k target =
-  (* Two counting passes so occurrence lists land in flat int arrays with no
-     intermediate list cells: count per k-mer, then fill in position order. *)
-  let counts = Hashtbl.create 1024 in
+  if k < 1 || k > 30 then invalid_arg "Seed.build_index: k out of [1,30]";
+  let distinct = min (max 0 (Dna.length target - k + 1)) (1 lsl (2 * k)) in
+  let bits = ref 1 in
+  while 1 lsl !bits < 2 * distinct do
+    incr bits
+  done;
+  let size = 1 lsl !bits in
+  let idx =
+    {
+      k;
+      shift = 63 - !bits;
+      keys = Array.make size free;
+      start = Array.make size 0;
+      occ = [||];
+    }
+  in
+  (* Pass 1 counts each k-mer in [start]; the counts then become slice
+     offsets, and pass 2 fills each slice in position order, using its
+     count cell as the cursor. *)
   Dna.fold_kmers ~k target ~init:() ~f:(fun () ~pos:_ ~kmer ->
-      let c = match Hashtbl.find_opt counts kmer with Some c -> c | None -> 0 in
-      Hashtbl.replace counts kmer (c + 1));
-  let table = Hashtbl.create (Hashtbl.length counts) in
-  let fill = Hashtbl.create (Hashtbl.length counts) in
+      let s = slot idx kmer in
+      Array.unsafe_set idx.keys s kmer;
+      Array.unsafe_set idx.start s (Array.unsafe_get idx.start s + 1));
+  let total = ref 0 in
+  for s = 0 to size - 1 do
+    let c = idx.start.(s) in
+    (* Repeat k-mers seed quadratically many spurious diagonals: drop. *)
+    if c > max_occ then idx.start.(s) <- -1
+    else if c > 0 then begin
+      idx.start.(s) <- !total;
+      total := !total + 1 + c
+    end
+  done;
+  let occ = Array.make !total 0 in
   Dna.fold_kmers ~k target ~init:() ~f:(fun () ~pos ~kmer ->
-      (* Repeat k-mers seed quadratically many spurious diagonals: drop. *)
-      if Hashtbl.find counts kmer <= max_occ then begin
-        let occs =
-          match Hashtbl.find_opt table kmer with
-          | Some occs -> occs
-          | None ->
-              let occs = Array.make (Hashtbl.find counts kmer) 0 in
-              Hashtbl.add table kmer occs;
-              occs
-        in
-        let i =
-          match Hashtbl.find_opt fill kmer with Some i -> i | None -> 0
-        in
-        occs.(i) <- pos;
-        Hashtbl.replace fill kmer (i + 1)
+      let st = Array.unsafe_get idx.start (slot idx kmer) in
+      if st >= 0 then begin
+        let c = occ.(st) + 1 in
+        occ.(st) <- c;
+        occ.(st + c) <- pos
       end);
-  { k; table; max_occ }
+  { idx with occ }
 
-let empty_occs : int array = [||]
 let index_k idx = idx.k
 
+(* Offset of [kmer]'s slice in [idx.occ], or -1 when it has none. *)
+let find idx kmer =
+  let s = slot idx kmer in
+  if kmer = free || Array.unsafe_get idx.keys s <> kmer then -1
+  else Array.unsafe_get idx.start s
+
 let lookup idx kmer =
-  match Hashtbl.find_opt idx.table kmer with
-  | Some occs -> occs
-  | None -> empty_occs
+  let st = find idx kmer in
+  if st < 0 then [||] else Array.sub idx.occ (st + 1) idx.occ.(st)
 
 type anchor = {
   t_lo : int;
@@ -52,124 +99,140 @@ let found_counter = Fsa_obs.Metric.Counter.make "seed.anchors_found"
 let filtered_counter = Fsa_obs.Metric.Counter.make "seed.anchors_filtered"
 let dominated_counter = Fsa_obs.Metric.Counter.make "seed.anchors_dominated"
 
+let check_lengths ~target ~query =
+  if target + query > 1 lsl 31 then
+    invalid_arg
+      (Printf.sprintf "Seed: target (%d) + query (%d) bases exceed 2^31" target query)
+
+(* The running and best scores stay in unboxed float locals: a [~score]
+   closure would box a float per cell. *)
+let xdrop_extend ?(params = Dna_align.default) ~x_drop ~target ~query ~t_pos ~q_pos
+    ~step () =
+  if step <> 1 && step <> -1 then invalid_arg "Seed.xdrop_extend: step must be 1 or -1";
+  let tb = Dna.unsafe_bytes target and qb = Dna.unsafe_bytes query in
+  let n =
+    if step > 0 then min (Bytes.length tb - t_pos) (Bytes.length qb - q_pos)
+    else min (t_pos + 1) (q_pos + 1)
+  in
+  let hit = params.Dna_align.match_score and miss = params.Dna_align.mismatch in
+  let running = ref 0.0 and best = ref 0.0 and best_len = ref 0 and c = ref 0 in
+  while !c < n do
+    let off = step * !c in
+    let same = Bytes.get tb (t_pos + off) = Bytes.get qb (q_pos + off) in
+    running := !running +. if same then hit else miss;
+    if !running < !best -. x_drop then c := n
+    else begin
+      incr c;
+      if !running > !best then begin
+        best := !running;
+        best_len := !c
+      end
+    end
+  done;
+  (!best, !best_len)
+
 (* One strand: seeds as (diagonal, query-pos) pairs, merged into runs along
    each diagonal, each run extended with x-drop.  Query coordinates here are
-   in the possibly reverse-complemented sequence [q]; the caller converts.
+   in the possibly reverse-complemented sequence [q]; [anchor_of] converts.
 
    Hits are packed one per int — (diag + ql) in the bits above 31, query
-   position in the low 31 — so collection is a growable int array and
-   ordering by (diagonal, position) is a single monomorphic int sort.  Valid
-   for sequences shorter than 2^30 bases, comfortably past chromosome
-   scale. *)
-let strand_runs ?(params = Dna_align.default) ~max_gap ~x_drop ~min_score idx
-    ~target ~q =
+   position in the low 31, which [check_lengths] guarantees fits — so
+   collection is a growable int array and ordering by (diagonal, position)
+   is a single monomorphic int sort.  Anchors come out in decreasing
+   (diagonal, position) order, which [anchors]' stable score sort keeps
+   among equal scores. *)
+let strand_anchors ~params ~max_gap ~x_drop ~min_score idx ~target ~q ~anchor_of =
   let k = idx.k in
   let ql = Dna.length q in
+  let occ = idx.occ in
   let buf = ref (Array.make 256 0) and len = ref 0 in
   Dna.fold_kmers ~k q ~init:() ~f:(fun () ~pos ~kmer ->
-      let occs = lookup idx kmer in
-      for i = 0 to Array.length occs - 1 do
-        let cap = Array.length !buf in
-        if !len = cap then begin
-          let bigger = Array.make (2 * cap) 0 in
-          Array.blit !buf 0 bigger 0 cap;
+      let st = find idx kmer in
+      if st >= 0 then begin
+        let c = occ.(st) in
+        if !len + c > Array.length !buf then begin
+          let bigger = Array.make (2 * (!len + c)) 0 in
+          Array.blit !buf 0 bigger 0 !len;
           buf := bigger
         end;
-        !buf.(!len) <- ((occs.(i) - pos + ql) lsl 31) lor pos;
-        incr len
-      done);
+        let b = !buf in
+        for i = 1 to c do
+          b.(!len) <- ((occ.(st + i) - pos + ql) lsl 31) lor pos;
+          incr len
+        done
+      end);
   let hits = Array.sub !buf 0 !len in
-  Array.sort Int.compare hits;
-  (* Merge hits on a common diagonal whose starts are within k + max_gap. *)
-  let runs = ref [] in
-  let nruns = ref 0 in
-  let cur_d = ref 0 and cur_j0 = ref 0 and cur_j1 = ref 0 in
-  let have = ref false in
-  let flush () =
-    if !have then begin
-      runs := (!cur_d, !cur_j0, !cur_j1) :: !runs;
-      incr nruns
-    end
+  (* Merge sort, faster here than [Array.sort]'s heap sort; the keys are
+     distinct, so both give the same order. *)
+  Array.stable_sort Int.compare hits;
+  let tb = Dna.unsafe_bytes target and qb = Dna.unsafe_bytes q in
+  let hit = params.Dna_align.match_score and miss = params.Dna_align.mismatch in
+  let nruns = ref 0 and found = ref [] in
+  (* The run covers query [j0, j1 + k - 1] on diagonal d.  Extend right
+     from the run end and left from the run start. *)
+  let extend d j0 j1 =
+    incr nruns;
+    let q_end = j1 + k in
+    let right_score, right_len =
+      xdrop_extend ~params ~x_drop ~target ~query:q ~t_pos:(q_end + d) ~q_pos:q_end
+        ~step:1 ()
+    in
+    let left_score, left_len =
+      xdrop_extend ~params ~x_drop ~target ~query:q ~t_pos:(j0 + d - 1) ~q_pos:(j0 - 1)
+        ~step:(-1) ()
+    in
+    let core_score = ref 0.0 in
+    for j = j0 to q_end - 1 do
+      let same = Bytes.get tb (j + d) = Bytes.get qb j in
+      core_score := !core_score +. if same then hit else miss
+    done;
+    let score = !core_score +. left_score +. right_score in
+    if score >= min_score then
+      found := anchor_of d (j0 - left_len) (q_end - 1 + right_len) score :: !found
+    else Fsa_obs.Metric.Counter.incr filtered_counter
   in
+  (* Merge hits on a common diagonal whose starts are within k + max_gap. *)
+  let cur_d = ref 0 and cur_j0 = ref 0 and cur_j1 = ref (-1) in
   for i = 0 to Array.length hits - 1 do
-    let key = hits.(i) in
-    let d = (key asr 31) - ql and j = key land 0x7FFF_FFFF in
-    if !have && !cur_d = d && j <= !cur_j1 + k + max_gap then begin
+    let d = (hits.(i) asr 31) - ql and j = hits.(i) land 0x7FFF_FFFF in
+    if !cur_j1 >= 0 && !cur_d = d && j <= !cur_j1 + k + max_gap then begin
       if j > !cur_j1 then cur_j1 := j
     end
     else begin
-      flush ();
-      have := true;
+      if !cur_j1 >= 0 then extend !cur_d !cur_j0 !cur_j1;
       cur_d := d;
       cur_j0 := j;
       cur_j1 := j
     end
   done;
-  flush ();
-  let tl = Dna.length target in
-  let pair_score i j =
-    if Dna.get target i = Dna.get q j then params.Dna_align.match_score
-    else params.Dna_align.mismatch
-  in
-  let extend (d, j0, j1) =
-    (* The run covers query [j0, j1 + k - 1] on diagonal d.  Extend right
-       from the run end and left from the run start. *)
-    let q_end = j1 + k in
-    let right_score, right_len =
-      Pairwise.xdrop_extend ~score:pair_score ~x_drop ~la:tl ~lb:ql
-        ~a_start:(q_end + d) ~b_start:q_end
-    in
-    (* Left extension = right extension on reversed coordinates. *)
-    let rev_score i j = pair_score (j0 + d - 1 - i) (j0 - 1 - j) in
-    let left_score, left_len =
-      if j0 = 0 || j0 + d = 0 then (0.0, 0)
-      else
-        Pairwise.xdrop_extend ~score:rev_score ~x_drop ~la:(min (j0 + d) tl)
-          ~lb:j0 ~a_start:0 ~b_start:0
-    in
-    let core_lo = j0 and core_hi = q_end - 1 in
-    let q_lo = core_lo - left_len and q_hi = core_hi + right_len in
-    let core_score = ref 0.0 in
-    for j = core_lo to core_hi do
-      core_score := !core_score +. pair_score (j + d) j
-    done;
-    let score = !core_score +. left_score +. right_score in
-    (d, q_lo, q_hi, score)
-  in
+  if !cur_j1 >= 0 then extend !cur_d !cur_j0 !cur_j1;
   Fsa_obs.Metric.Counter.incr ~by:!nruns runs_counter;
-  List.filter_map
-    (fun run ->
-      let d, q_lo, q_hi, score = extend run in
-      if score >= min_score then Some (d, q_lo, q_hi, score)
-      else begin
-        Fsa_obs.Metric.Counter.incr filtered_counter;
-        None
-      end)
-    !runs
+  !found
 
 let anchors ?(params = Dna_align.default) ?(max_gap = 4) ?(x_drop = 10.0)
     ?(min_score = 20.0) idx ~target ~query =
   Fsa_obs.Span.with_ ~name:"seed.anchors" @@ fun () ->
-  let fwd =
-    strand_runs ~params ~max_gap ~x_drop ~min_score idx ~target ~q:query
-    |> List.map (fun (d, q_lo, q_hi, score) ->
-           { t_lo = q_lo + d; t_hi = q_hi + d; q_lo; q_hi; forward = true; score })
-  in
-  let qrc = Dna.reverse_complement query in
   let ql = Dna.length query in
+  check_lengths ~target:(Dna.length target) ~query:ql;
+  let strand q ~anchor_of =
+    strand_anchors ~params ~max_gap ~x_drop ~min_score idx ~target ~q ~anchor_of
+  in
+  let fwd =
+    strand query ~anchor_of:(fun d q_lo q_hi score ->
+        { t_lo = q_lo + d; t_hi = q_hi + d; q_lo; q_hi; forward = true; score })
+  in
   let rev =
-    strand_runs ~params ~max_gap ~x_drop ~min_score idx ~target ~q:qrc
-    |> List.map (fun (d, q_lo, q_hi, score) ->
-           (* Positions in qrc map back to forward-query coordinates by
-              j ↦ ql - 1 - j, flipping the interval. *)
-           {
-             t_lo = q_lo + d;
-             t_hi = q_hi + d;
-             q_lo = ql - 1 - q_hi;
-             q_hi = ql - 1 - q_lo;
-             forward = false;
-             score;
-           })
+    strand (Dna.reverse_complement query) ~anchor_of:(fun d q_lo q_hi score ->
+        (* Positions in the reverse complement map back to forward-query
+           coordinates by j ↦ ql - 1 - j, flipping the interval. *)
+        {
+          t_lo = q_lo + d;
+          t_hi = q_hi + d;
+          q_lo = ql - 1 - q_hi;
+          q_hi = ql - 1 - q_lo;
+          forward = false;
+          score;
+        })
   in
   let all = fwd @ rev in
   Fsa_obs.Metric.Counter.incr ~by:(List.length all) found_counter;

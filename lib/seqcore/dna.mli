@@ -46,4 +46,10 @@ val fold_kmers : k:int -> t -> init:'a -> f:('a -> pos:int -> kmer:int -> 'a) ->
     bits first).  Requires [1 <= k <= 30]. *)
 
 val pack_kmer : t -> pos:int -> k:int -> int
+
+val unsafe_bytes : t -> Bytes.t
+(** The bases themselves, shared, not copied: for kernels that read one
+    base per inner-loop step and cannot afford a cross-module {!get} call
+    for each.  Do not mutate. *)
+
 val pp : Format.formatter -> t -> unit

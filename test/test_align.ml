@@ -304,21 +304,43 @@ let test_adaptive_similar_stays_narrow () =
   let full = Dna_align.global a b in
   check_float "score equal" full.Pairwise.score ad.Pairwise.result.Pairwise.score
 
-let test_xdrop_stops () =
-  (* matches then a long run of mismatches: extension must stop early. *)
-  let score i j = if i = j && i < 5 then 1.0 else -1.0 in
-  let best, len = Pairwise.xdrop_extend ~score ~x_drop:2.0 ~la:100 ~lb:100 ~a_start:0 ~b_start:0 in
-  check_float "best is the 5 matches" 5.0 best;
-  check_int "length" 5 len
-
-let test_xdrop_empty () =
-  let score _ _ = -1.0 in
-  let best, len = Pairwise.xdrop_extend ~score ~x_drop:1.5 ~la:10 ~lb:10 ~a_start:0 ~b_start:0 in
-  check_float "best" 0.0 best;
-  check_int "len" 0 len
-
 (* ------------------------------------------------------------------ *)
 (* Seed and extend                                                      *)
+
+let test_xdrop_stops () =
+  (* matches then a long run of mismatches: extension must stop early. *)
+  let target = Dna.of_string ("ACGTA" ^ String.make 95 'A') in
+  let query = Dna.of_string ("ACGTA" ^ String.make 95 'C') in
+  let best, len =
+    Seed.xdrop_extend ~x_drop:2.0 ~target ~query ~t_pos:0 ~q_pos:0 ~step:1 ()
+  in
+  check_float "best is the 5 matches" 5.0 best;
+  check_int "length" 5 len;
+  (* The same pair read leftwards from its last cells: mismatches only. *)
+  let best, len =
+    Seed.xdrop_extend ~x_drop:2.0 ~target ~query ~t_pos:99 ~q_pos:99 ~step:(-1) ()
+  in
+  check_float "leftwards best" 0.0 best;
+  check_int "leftwards length" 0 len
+
+let test_xdrop_empty () =
+  let target = Dna.of_string (String.make 10 'A') in
+  let query = Dna.of_string (String.make 10 'C') in
+  let best, len =
+    Seed.xdrop_extend ~x_drop:1.5 ~target ~query ~t_pos:0 ~q_pos:0 ~step:1 ()
+  in
+  check_float "best" 0.0 best;
+  check_int "len" 0 len;
+  match Seed.xdrop_extend ~x_drop:1.5 ~target ~query ~t_pos:0 ~q_pos:0 ~step:2 () with
+  | _ -> Alcotest.fail "step 2 accepted"
+  | exception Invalid_argument _ -> ()
+
+let test_hit_packing_guard () =
+  (* Checked on the lengths alone: no 2 GiB sequence is built. *)
+  Seed.check_lengths ~target:(1 lsl 30) ~query:(1 lsl 30);
+  match Seed.check_lengths ~target:(1 lsl 30) ~query:((1 lsl 30) + 1) with
+  | () -> Alcotest.fail "2^31 + 1 bases accepted"
+  | exception Invalid_argument _ -> ()
 
 let test_index_lookup () =
   let t = Dna.of_string "ACGTACGT" in
@@ -431,6 +453,225 @@ let test_filter_dominated_sweep_qcheck =
     (fun seed ->
       let anchors = random_anchor_set seed in
       Seed.filter_dominated anchors = filter_dominated_quadratic anchors)
+
+(* Reference model of the seed kernel: the Hashtbl index and the closure
+   x-drop that the flat kernel replaced, verbatim except for telemetry.
+   The flat kernel must agree with it exactly, floats included. *)
+module Seed_reference = struct
+  type index = { k : int; table : (int, int array) Hashtbl.t; max_occ : int }
+
+  let build_index ?(max_occ = 32) ~k target =
+    (* Two counting passes so occurrence lists land in flat int arrays with no
+       intermediate list cells: count per k-mer, then fill in position order. *)
+    let counts = Hashtbl.create 1024 in
+    Dna.fold_kmers ~k target ~init:() ~f:(fun () ~pos:_ ~kmer ->
+        let c = match Hashtbl.find_opt counts kmer with Some c -> c | None -> 0 in
+        Hashtbl.replace counts kmer (c + 1));
+    let table = Hashtbl.create (Hashtbl.length counts) in
+    let fill = Hashtbl.create (Hashtbl.length counts) in
+    Dna.fold_kmers ~k target ~init:() ~f:(fun () ~pos ~kmer ->
+        (* Repeat k-mers seed quadratically many spurious diagonals: drop. *)
+        if Hashtbl.find counts kmer <= max_occ then begin
+          let occs =
+            match Hashtbl.find_opt table kmer with
+            | Some occs -> occs
+            | None ->
+                let occs = Array.make (Hashtbl.find counts kmer) 0 in
+                Hashtbl.add table kmer occs;
+                occs
+          in
+          let i =
+            match Hashtbl.find_opt fill kmer with Some i -> i | None -> 0
+          in
+          occs.(i) <- pos;
+          Hashtbl.replace fill kmer (i + 1)
+        end);
+    { k; table; max_occ }
+
+  let empty_occs : int array = [||]
+
+  let lookup idx kmer =
+    match Hashtbl.find_opt idx.table kmer with
+    | Some occs -> occs
+    | None -> empty_occs
+
+  let xdrop_extend ~score ~x_drop ~la ~lb ~a_start ~b_start =
+    let rec go k running best best_len =
+      let i = a_start + k and j = b_start + k in
+      if i >= la || j >= lb then (best, best_len)
+      else
+        let running = running +. score i j in
+        if running < best -. x_drop then (best, best_len)
+        else if running > best then go (k + 1) running running (k + 1)
+        else go (k + 1) running best best_len
+    in
+    go 0 0.0 0.0 0
+
+  let strand_runs ?(params = Dna_align.default) ~max_gap ~x_drop ~min_score idx
+      ~target ~q =
+    let k = idx.k in
+    let ql = Dna.length q in
+    let buf = ref (Array.make 256 0) and len = ref 0 in
+    Dna.fold_kmers ~k q ~init:() ~f:(fun () ~pos ~kmer ->
+        let occs = lookup idx kmer in
+        for i = 0 to Array.length occs - 1 do
+          let cap = Array.length !buf in
+          if !len = cap then begin
+            let bigger = Array.make (2 * cap) 0 in
+            Array.blit !buf 0 bigger 0 cap;
+            buf := bigger
+          end;
+          !buf.(!len) <- ((occs.(i) - pos + ql) lsl 31) lor pos;
+          incr len
+        done);
+    let hits = Array.sub !buf 0 !len in
+    Array.sort Int.compare hits;
+    (* Merge hits on a common diagonal whose starts are within k + max_gap. *)
+    let runs = ref [] in
+    let cur_d = ref 0 and cur_j0 = ref 0 and cur_j1 = ref 0 in
+    let have = ref false in
+    let flush () = if !have then runs := (!cur_d, !cur_j0, !cur_j1) :: !runs in
+    for i = 0 to Array.length hits - 1 do
+      let key = hits.(i) in
+      let d = (key asr 31) - ql and j = key land 0x7FFF_FFFF in
+      if !have && !cur_d = d && j <= !cur_j1 + k + max_gap then begin
+        if j > !cur_j1 then cur_j1 := j
+      end
+      else begin
+        flush ();
+        have := true;
+        cur_d := d;
+        cur_j0 := j;
+        cur_j1 := j
+      end
+    done;
+    flush ();
+    let tl = Dna.length target in
+    let pair_score i j =
+      if Dna.get target i = Dna.get q j then params.Dna_align.match_score
+      else params.Dna_align.mismatch
+    in
+    let extend (d, j0, j1) =
+      (* The run covers query [j0, j1 + k - 1] on diagonal d.  Extend right
+         from the run end and left from the run start. *)
+      let q_end = j1 + k in
+      let right_score, right_len =
+        xdrop_extend ~score:pair_score ~x_drop ~la:tl ~lb:ql
+          ~a_start:(q_end + d) ~b_start:q_end
+      in
+      (* Left extension = right extension on reversed coordinates. *)
+      let rev_score i j = pair_score (j0 + d - 1 - i) (j0 - 1 - j) in
+      let left_score, left_len =
+        if j0 = 0 || j0 + d = 0 then (0.0, 0)
+        else
+          xdrop_extend ~score:rev_score ~x_drop ~la:(min (j0 + d) tl)
+            ~lb:j0 ~a_start:0 ~b_start:0
+      in
+      let core_lo = j0 and core_hi = q_end - 1 in
+      let q_lo = core_lo - left_len and q_hi = core_hi + right_len in
+      let core_score = ref 0.0 in
+      for j = core_lo to core_hi do
+        core_score := !core_score +. pair_score (j + d) j
+      done;
+      let score = !core_score +. left_score +. right_score in
+      (d, q_lo, q_hi, score)
+    in
+    List.filter_map
+      (fun run ->
+        let d, q_lo, q_hi, score = extend run in
+        if score >= min_score then Some (d, q_lo, q_hi, score) else None)
+      !runs
+
+  let anchors ?(params = Dna_align.default) ?(max_gap = 4) ?(x_drop = 10.0)
+      ?(min_score = 20.0) idx ~target ~query =
+    let fwd =
+      strand_runs ~params ~max_gap ~x_drop ~min_score idx ~target ~q:query
+      |> List.map (fun (d, q_lo, q_hi, score) ->
+             { Seed.t_lo = q_lo + d; t_hi = q_hi + d; q_lo; q_hi; forward = true; score })
+    in
+    let qrc = Dna.reverse_complement query in
+    let ql = Dna.length query in
+    let rev =
+      strand_runs ~params ~max_gap ~x_drop ~min_score idx ~target ~q:qrc
+      |> List.map (fun (d, q_lo, q_hi, score) ->
+             {
+               Seed.t_lo = q_lo + d;
+               t_hi = q_hi + d;
+               q_lo = ql - 1 - q_hi;
+               q_hi = ql - 1 - q_lo;
+               forward = false;
+               score;
+             })
+    in
+    List.sort (fun (a : Seed.anchor) b -> compare b.score a.score) (fwd @ rev)
+end
+
+(* One seed-kernel case: k, index and extension knobs, and a target/query
+   pair mixing uniform DNA, low-complexity tandem repeats (a 1–6 bp unit, so
+   k-mers exceed max_occ and cluster in the table), and mutated copies of
+   target stretches, some reverse-complemented. *)
+let seed_kernel_case seed =
+  let rng = Fsa_util.Rng.create seed in
+  let pick xs = Fsa_util.Rng.choose rng (Array.of_list xs) in
+  let k = pick [ 4; 8; 12; 16 ] in
+  let tandem n =
+    let u = Dna.random rng (1 + Fsa_util.Rng.int rng 6) in
+    let copies = (n / Dna.length u) + 1 in
+    Dna.sub (Dna.concat (List.init copies (fun _ -> u))) ~pos:0 ~len:n
+  in
+  let piece () =
+    let n = Fsa_util.Rng.int rng 300 in
+    if Fsa_util.Rng.int rng 3 = 0 then tandem n else Dna.random rng n
+  in
+  let target = Dna.concat (List.init (1 + Fsa_util.Rng.int rng 4) (fun _ -> piece ())) in
+  let copy () =
+    let n = Dna.length target in
+    if n = 0 then piece ()
+    else begin
+      let pos = Fsa_util.Rng.int rng n in
+      let len = min (n - pos) (10 + Fsa_util.Rng.int rng 300) in
+      let c =
+        Dna.point_mutate rng ~rate:(pick [ 0.0; 0.03; 0.1 ]) (Dna.sub target ~pos ~len)
+      in
+      if Fsa_util.Rng.bool rng then Dna.reverse_complement c else c
+    end
+  in
+  let query =
+    Dna.concat
+      (List.init (1 + Fsa_util.Rng.int rng 4) (fun _ ->
+           if Fsa_util.Rng.bool rng then copy () else piece ()))
+  in
+  let max_occ = pick [ 1; 3; 32 ] and max_gap = pick [ 0; 4; 30 ] in
+  let x_drop = pick [ 2.0; 10.0 ] and min_score = pick [ 6.0; 20.0 ] in
+  (k, max_occ, max_gap, x_drop, min_score, target, query)
+
+let test_seed_oracle_qcheck =
+  QCheck.Test.make ~name:"seed kernel = Hashtbl reference" ~count:400
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let k, max_occ, max_gap, x_drop, min_score, target, query = seed_kernel_case seed in
+      let idx = Seed.build_index ~max_occ ~k target in
+      let ref_idx = Seed_reference.build_index ~max_occ ~k target in
+      (* Every k-mer of either sequence, plus a few drawn at random. *)
+      let rng = Fsa_util.Rng.create (seed + 1) in
+      let kmers =
+        List.init 20 (fun _ -> Fsa_util.Rng.int rng (1 lsl (2 * k)))
+        @ List.concat_map
+            (fun s ->
+              Dna.fold_kmers ~k s ~init:[] ~f:(fun acc ~pos:_ ~kmer -> kmer :: acc))
+            [ target; query ]
+      in
+      let lookups_agree =
+        List.for_all
+          (fun kmer -> Seed.lookup idx kmer = Seed_reference.lookup ref_idx kmer)
+          kmers
+      in
+      let found = Seed.anchors ~max_gap ~x_drop ~min_score idx ~target ~query in
+      let expected =
+        Seed_reference.anchors ~max_gap ~x_drop ~min_score ref_idx ~target ~query
+      in
+      lookups_agree && found = expected
+      && Seed.filter_dominated found = filter_dominated_quadratic expected)
 
 (* ------------------------------------------------------------------ *)
 (* Chaining and stitching                                               *)
@@ -569,11 +810,13 @@ let () =
             test_adaptive_branches_covered;
           Alcotest.test_case "adaptive similar stays narrow" `Quick
             test_adaptive_similar_stays_narrow;
-          Alcotest.test_case "xdrop stops" `Quick test_xdrop_stops;
-          Alcotest.test_case "xdrop empty" `Quick test_xdrop_empty;
         ] );
       ( "seed",
         [
+          Alcotest.test_case "xdrop stops" `Quick test_xdrop_stops;
+          Alcotest.test_case "xdrop empty" `Quick test_xdrop_empty;
+          Alcotest.test_case "hit packing guard" `Quick test_hit_packing_guard;
+          qtest test_seed_oracle_qcheck;
           Alcotest.test_case "index lookup" `Quick test_index_lookup;
           Alcotest.test_case "repeat filtering" `Quick test_index_max_occ;
           Alcotest.test_case "forward anchor" `Quick test_anchor_forward;

@@ -68,7 +68,8 @@ let attempts inst candidates sol =
     List.map
       (fun (b : Cmatch.t) ->
         {
-          Improve.label = Printf.sprintf "I2(h%d,m%d)" b.Cmatch.h_frag b.Cmatch.m_frag;
+          Improve.label =
+            (fun () -> Printf.sprintf "I2(h%d,m%d)" b.Cmatch.h_frag b.Cmatch.m_frag);
           apply = apply_i2 b;
         })
       candidates
@@ -101,7 +102,7 @@ let attempts inst candidates sol =
             List.map
               (fun b2 ->
                 {
-                  Improve.label = Printf.sprintf "I3(h%d,m%d)" h1 m1;
+                  Improve.label = (fun () -> Printf.sprintf "I3(h%d,m%d)" h1 m1);
                   apply = apply_i3 ~island:(h1, m1) ~b1 ~b2;
                 })
               b2s)

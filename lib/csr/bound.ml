@@ -214,7 +214,8 @@ let pair_viable inst ~full_side idx ~other_frag ~threshold =
 let border_viable inst ~h_frag ~m_frag ~threshold =
   pair_viable inst ~full_side:Species.H h_frag ~other_frag:m_frag ~threshold
 
-(* Both touch only the calling domain's cache; other domains' stale entries
-   are harmless (uids are never reused) and age out by LRU weight. *)
+(* Both touch only the calling domain's cache; Cmatch.invalidate runs the
+   former on every domain.  Stale entries are harmless (uids are never
+   reused) and otherwise age out by LRU weight. *)
 let invalidate inst = Lru.remove (summaries ()) inst.Instance.uid
 let clear_cache () = Lru.clear (summaries ())

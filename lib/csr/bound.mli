@@ -47,6 +47,7 @@ val set_enabled : bool -> unit
     verify bit-identical outputs with pruning on vs off). *)
 
 val invalidate : Instance.t -> unit
-(** Drop the instance's cached summary. *)
+(** Drop the instance's cached summary on the calling domain
+    ({!Cmatch.invalidate} does it on every domain). *)
 
 val clear_cache : unit -> unit

@@ -86,8 +86,9 @@ let default_table_budget =
    single-domain by construction — see Fsa_util.Lru).  Each domain's cache
    re-reads the shared budget cell on access and trims itself when the knob
    changed.  Caches are keyed by instance uid and uids are never reused, so
-   stale entries for another domain's instances can never collide — they
-   just age out by LRU weight. *)
+   stale entries for another domain's instances can never collide; a
+   finished instance's entries are dropped on every domain by [invalidate],
+   anything else ages out by LRU weight. *)
 let table_budget_cell = Atomic.make default_table_budget
 
 type caches = {
@@ -136,12 +137,17 @@ let clear_cache () =
   Lru.clear c.dense;
   Bound.clear_cache ()
 
+(* Every domain that probed the instance holds its own tables, σ snapshot
+   and bound summary, and no later probe can hit them (uids are never
+   reused): only eviction would free them, and a stream of small instances
+   never fills the budget. *)
 let invalidate inst =
   let uid = inst.Instance.uid in
-  let c = caches () in
-  Lru.filter_out c.tables (fun (u, _, _, _) -> u = uid);
-  Lru.remove c.dense uid;
-  Bound.invalidate inst
+  Fsa_parallel.Pool.each_domain (fun () ->
+      let c = caches () in
+      Lru.filter_out c.tables (fun (u, _, _, _) -> u = uid);
+      Lru.remove c.dense uid;
+      Bound.invalidate inst)
 
 let sigma_get inst =
   let dense_cache = (caches ()).dense in

@@ -73,14 +73,18 @@ val table_ms : site_table -> lo:int -> hi:int -> float * bool
 val clear_cache : unit -> unit
 (** Drops the MS memo tables, σ snapshots, and {!Bound} summaries — on the
     {e calling domain}.  Caches are per-domain (keyed by instance uid; uids
-    are never reused, so cross-domain staleness cannot collide — entries
-    just age out by LRU weight). *)
+    are never reused, so cross-domain staleness cannot collide — other
+    domains' entries age out by LRU weight). *)
 
 val invalidate : Instance.t -> unit
-(** Drops only this instance's memoized tables, σ snapshot, and bound
-    summary on the calling domain — for callers that construct short-lived
-    derived instances ({!Instance.with_sigma}) and want to release their
-    cache share early. *)
+(** Drops this instance's memoized tables, σ snapshot, and bound summary
+    on {e every} domain that may hold them: the caller and each live pool
+    worker ({!Fsa_parallel.Pool.each_domain}; inside a fan-out chunk, the
+    current domain only).  For callers done with an instance — short-lived
+    derived instances ({!Instance.with_sigma}), or a finished solve
+    ({!Csr_improve.solve_best}) — whose entries would otherwise stay
+    resident until evicted by LRU weight.  The instance stays usable: a
+    later probe rebuilds what it needs. *)
 
 val set_table_budget : int -> unit
 (** Override the table-cache cell budget.  The knob is process-wide; the

@@ -91,7 +91,10 @@ let apply_i3 ~island:(h1, m1) ~b1 ~b2 sol =
           make_border_general sol b2 ~ch:b2.Cmatch.h_site ~cm:b2.Cmatch.m_site)
   | Some _ | None -> None
 
-let attempts config inst candidates sol =
+(* I1 and I2 attempts do not depend on the solution, so partially applying
+   [attempts config inst candidates] builds them once per solve; only the
+   I3 tail — one family per current 2-island — is rebuilt every round. *)
+let attempts config inst candidates =
   let i1 = Full_improve.attempts ~site_mode:config.site_mode inst in
   let i2 =
     List.concat_map
@@ -104,47 +107,50 @@ let attempts config inst candidates sol =
               (fun cm ->
                 {
                   Improve.label =
-                    Printf.sprintf "I2'(h%d,m%d)" b.Cmatch.h_frag b.Cmatch.m_frag;
+                    (fun () ->
+                      Printf.sprintf "I2'(h%d,m%d)" b.Cmatch.h_frag b.Cmatch.m_frag);
                   apply = apply_i2 b ~ch ~cm;
                 })
               cms)
           chs)
       candidates
   in
-  let islands =
-    List.filter_map
-      (fun (m : Cmatch.t) ->
-        match Cmatch.classify inst m with
-        | Some Cmatch.Border_match -> Some (m.Cmatch.h_frag, m.Cmatch.m_frag)
-        | Some Cmatch.Full_match | None -> None)
-      (Solution.matches sol)
-  in
-  let i3 =
-    List.concat_map
-      (fun (h1, m1) ->
-        let b1s =
-          List.filter
-            (fun (b : Cmatch.t) -> b.Cmatch.h_frag = h1 && b.Cmatch.m_frag <> m1)
-            candidates
-        in
-        let b2s =
-          List.filter
-            (fun (b : Cmatch.t) -> b.Cmatch.m_frag = m1 && b.Cmatch.h_frag <> h1)
-            candidates
-        in
-        List.concat_map
-          (fun b1 ->
-            List.map
-              (fun b2 ->
-                {
-                  Improve.label = Printf.sprintf "I3'(h%d,m%d)" h1 m1;
-                  apply = apply_i3 ~island:(h1, m1) ~b1 ~b2;
-                })
-              b2s)
-          b1s)
-      islands
-  in
-  i2 @ i1 @ i3
+  let fixed = i2 @ i1 in
+  fun sol ->
+    let islands =
+      List.filter_map
+        (fun (m : Cmatch.t) ->
+          match Cmatch.classify inst m with
+          | Some Cmatch.Border_match -> Some (m.Cmatch.h_frag, m.Cmatch.m_frag)
+          | Some Cmatch.Full_match | None -> None)
+        (Solution.matches sol)
+    in
+    let i3 =
+      List.concat_map
+        (fun (h1, m1) ->
+          let b1s =
+            List.filter
+              (fun (b : Cmatch.t) -> b.Cmatch.h_frag = h1 && b.Cmatch.m_frag <> m1)
+              candidates
+          in
+          let b2s =
+            List.filter
+              (fun (b : Cmatch.t) -> b.Cmatch.m_frag = m1 && b.Cmatch.h_frag <> h1)
+              candidates
+          in
+          List.concat_map
+            (fun b1 ->
+              List.map
+                (fun b2 ->
+                  {
+                    Improve.label = (fun () -> Printf.sprintf "I3'(h%d,m%d)" h1 m1);
+                    apply = apply_i3 ~island:(h1, m1) ~b1 ~b2;
+                  })
+                b2s)
+            b1s)
+        islands
+    in
+    fixed @ i3
 
 let candidate_counter = Fsa_obs.Metric.Counter.make "csr_improve.border_candidates"
 
@@ -160,11 +166,14 @@ let solve ?(config = default_config) inst =
 let solve_budgeted ?(config = default_config) budget inst =
   Fsa_obs.Span.with_ ~name:"csr_improve.solve" @@ fun () ->
   (* Same two-stage structure as Full_improve.solve_budgeted: border
-     candidate enumeration and the local search share one budget. *)
+     candidate enumeration with the fixed I2/I1 attempt space, then the
+     local search, share one budget. *)
   match
     Fsa_obs.Budget.run budget
-      ~partial:(fun () -> [])
-      (fun () -> Border_improve.border_candidates inst)
+      ~partial:(fun () -> ([], fun _ -> []))
+      (fun () ->
+        let candidates = Border_improve.border_candidates inst in
+        (candidates, attempts config inst candidates))
   with
   | Error (`Budget_exceeded (_, reason)) ->
       Error
@@ -172,11 +181,10 @@ let solve_budgeted ?(config = default_config) budget inst =
            ( ( Solution.empty inst,
                { Improve.rounds = 0; improvements = 0; evaluated = 0 } ),
              reason ))
-  | Ok candidates ->
+  | Ok (candidates, attempts) ->
       Fsa_obs.Metric.Counter.incr ~by:(List.length candidates) candidate_counter;
       Improve.run_budgeted ~min_gain:config.min_gain
-        ~max_improvements:config.max_improvements ~name:"csr_improve"
-        ~attempts:(attempts config inst candidates)
+        ~max_improvements:config.max_improvements ~name:"csr_improve" ~attempts
         ~init:(Solution.empty inst) budget ()
 
 let solve_scaled ?config ?epsilon inst =
@@ -184,6 +192,8 @@ let solve_scaled ?config ?epsilon inst =
 
 let solve_best inst =
   Fsa_obs.Span.with_ ~name:"csr_improve.solve_best" @@ fun () ->
+  (* The three solvers share the instance's memo; nothing needs it after. *)
+  Fun.protect ~finally:(fun () -> Cmatch.invalidate inst) @@ fun () ->
   let sols =
     [
       fst (solve inst);

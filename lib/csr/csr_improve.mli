@@ -20,6 +20,12 @@ type config = {
 val default_config : config
 
 val attempts : config -> Instance.t -> Cmatch.t list -> Solution.t -> Improve.attempt list
+(** [attempts config inst candidates] is the per-round attempt function
+    for {!Improve.run}, over the given border candidates.  Partially
+    applied, it builds the solution-independent part once — the I2
+    attempts, then {!Full_improve.attempts}' I1 — and each call on a
+    solution only appends that solution's I3 attempts (one family per
+    current 2-island).  Scan order: I2, I1, I3. *)
 
 val solve : ?config:config -> Instance.t -> Solution.t * Improve.stats
 
@@ -37,4 +43,7 @@ val solve_scaled : ?config:config -> ?epsilon:float -> Instance.t -> Solution.t
 val solve_best : Instance.t -> Solution.t
 (** Convenience used by examples and the genome pipeline: the best of
     CSR_Improve, the ISP 4-approximation and the matching baseline (each
-    individually keeps its guarantee, so the maximum does too). *)
+    individually keeps its guarantee, so the maximum does too).  On exit,
+    normal or not, it releases the instance's memo on every domain
+    ({!Cmatch.invalidate}), so a stream of fresh instances keeps a flat
+    heap; a later solve of the same instance rebuilds its tables. *)

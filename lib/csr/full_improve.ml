@@ -58,6 +58,14 @@ let apply_i1 ~f_side ~f ~g ~target ~container sol =
                 in
                 Some (List.fold_left fill sol (freed_g @ freed_f))))
 
+(* Formatted only when a traced run commits the attempt (Improve.attempt). *)
+let i1_label ~f_side ~f ~g ~target ~container () =
+  Printf.sprintf "I1(%s%d -> %s%d%s in %s)"
+    (Species.to_string f_side) f
+    (Species.to_string (Species.other f_side)) g
+    (Format.asprintf "%a" Site.pp target)
+    (Format.asprintf "%a" Site.pp container)
+
 let attempts ?(site_mode = `Extremes) inst =
   let acc = ref [] in
   let per_direction f_side =
@@ -70,14 +78,11 @@ let attempts ?(site_mode = `Extremes) inst =
             Fsa_obs.Budget.check ();
             List.iter
               (fun container ->
-                let label =
-                  Printf.sprintf "I1(%s%d -> %s%d%s in %s)"
-                    (Species.to_string f_side) f (Species.to_string g_side) g
-                    (Format.asprintf "%a" Site.pp target)
-                    (Format.asprintf "%a" Site.pp container)
-                in
                 acc :=
-                  { Improve.label; apply = apply_i1 ~f_side ~f ~g ~target ~container }
+                  {
+                    Improve.label = i1_label ~f_side ~f ~g ~target ~container;
+                    apply = apply_i1 ~f_side ~f ~g ~target ~container;
+                  }
                   :: !acc)
               (containing_sites site_mode inst g_side g target))
           (Site.all_subsites glen)

@@ -1,6 +1,6 @@
 open Fsa_seq
 
-type attempt = { label : string; apply : Solution.t -> Solution.t option }
+type attempt = { label : unit -> string; apply : Solution.t -> Solution.t option }
 type stats = { rounds : int; improvements : int; evaluated : int }
 
 let evaluated_counter = Fsa_obs.Metric.Counter.make "improve.evaluated"
@@ -119,7 +119,7 @@ let run_tracked ~track ~min_gain ~max_improvements ~name ~attempts ~init () =
                    {
                      solver = name;
                      round = rounds;
-                     label = a.label;
+                     label = a.label ();
                      accepted = true;
                      score_before = base;
                      score_after = Solution.score sol';

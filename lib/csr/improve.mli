@@ -8,7 +8,11 @@
     bounds the number of improvements. *)
 
 type attempt = {
-  label : string;
+  label : unit -> string;
+      (** Human-readable name of the attempt, formatted on demand: {!run}
+          forces it only for a committed attempt, and only while tracing
+          (for its [Move] event), so an attempt space of thousands of
+          entries pays for no string it never prints. *)
   apply : Solution.t -> Solution.t option;
       (** The candidate successor solution, or [None] when the attempt is
           not applicable to the current solution (hidden target, missing
@@ -42,7 +46,8 @@ val run :
 
     Telemetry (no-op unless [Fsa_obs] observation is on): the whole loop is
     wrapped in a span [<name>.run] ([name] defaults to ["improve"]); every
-    committed attempt emits a [Move] event with its label and score delta;
+    committed attempt emits a [Move] event with its label (the one place a
+    label is forced) and score delta;
     every exhausted scan emits a [Step] event; counters
     [improve.evaluated]/[improve.accepted]/[improve.rejected] aggregate
     across rounds.  Every attempt evaluation passes a {!Fsa_obs.Budget}

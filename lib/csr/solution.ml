@@ -326,6 +326,13 @@ type freed = { side : Species.t; frag : int; site : Site.t }
 
 let prepare t side frag site =
   if is_hidden t side frag site then None
+  else if
+    List.for_all
+      (fun m -> Site.disjoint (Cmatch.site_of m side) site)
+      (index t side).(frag)
+  then
+    (* Nothing to detach or shrink: the rebuild below would reproduce [t]. *)
+    Some (t, [])
   else begin
     let involves side frag (m : Cmatch.t) = Cmatch.frag_of m side = frag in
     let other_side = Species.other side in

@@ -85,7 +85,9 @@ val prepare : t -> Species.t -> int -> Site.t -> (t * freed list) option
     fragment is detached outright; a multiple fragment's overlapping
     matches are restricted to their part outside the site (removed when
     nothing remains).  Restriction recomputes scores.  Freed full-match
-    hosts and orphaned border partners are reported for follow-up fills. *)
+    hosts and orphaned border partners are reported for follow-up fills.
+    When no match on the fragment overlaps the site, the result is
+    [Some (t, [])] — the argument itself, not a copy. *)
 
 val to_text : t -> string
 (** Line-oriented serialization, one match per line:

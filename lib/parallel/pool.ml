@@ -355,6 +355,50 @@ let fan_out ~n ~chunk =
         results
     end
 
+(* Per-domain housekeeping (dropping a dead instance's memo from every
+   domain-local cache).  It reaches every live worker, not just the
+   [domains ()] the next fan-out would use, so a cache warmed at a higher
+   domain count is not missed.  It records no pool metrics and ignores
+   budgets: it is bookkeeping, not work.  Inside a batch it runs on the
+   current domain only — the other workers are busy with the batch and the
+   caller is waiting on it — which is also every domain a nested,
+   inline-run computation could have touched. *)
+let each_domain f =
+  let slots =
+    if Domain.DLS.get inside then [||]
+    else begin
+      Mutex.lock lock;
+      let s = !worker_slots in
+      Mutex.unlock lock;
+      s
+    end
+  in
+  let n = Array.length slots in
+  let errors = Array.make (n + 1) None in
+  let attempt i =
+    try f () with e -> errors.(i) <- Some (e, Printexc.get_raw_backtrace ())
+  in
+  let m = Mutex.create () and cv = Condition.create () in
+  let pending = ref n in
+  Array.iteri
+    (fun i w ->
+      push w (fun () ->
+          attempt (i + 1);
+          Mutex.lock m;
+          decr pending;
+          if !pending = 0 then Condition.signal cv;
+          Mutex.unlock m))
+    slots;
+  attempt 0;
+  Mutex.lock m;
+  while !pending > 0 do
+    Condition.wait cv m
+  done;
+  Mutex.unlock m;
+  Array.iter
+    (Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt))
+    errors
+
 let prepend_chunks ~n f =
   (* Sequential prepend-accumulation over 0..n-1 yields the items in
      reverse iteration order; each chunk reproduces that locally, so

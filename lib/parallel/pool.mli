@@ -88,6 +88,16 @@ val prepend_chunks : n:int -> (lo:int -> hi:int -> 'a list) -> 'a list
     in reverse slot order, which reproduces the sequential list exactly
     (items in reverse index order). *)
 
+val each_domain : (unit -> unit) -> unit
+(** [each_domain f] runs [f] once on the calling domain and once on every
+    live pool worker (however many {!fan_out} would use now), and returns
+    when all have finished.  Meant for per-domain housekeeping such as
+    releasing one instance's domain-local caches; spawns no workers,
+    records no [pool.*] metrics and runs regardless of an installed
+    budget.  Inside a fan-out chunk it runs [f] on the current domain
+    only.  If [f] raises anywhere, the exception from the caller (else
+    the lowest worker) is re-raised after all have finished. *)
+
 val stop : unit -> unit
 (** Join all pool workers.  Called automatically [at_exit]; exposed for
     tests.  The pool respawns workers lazily on the next fan-out. *)

@@ -304,7 +304,6 @@ let solve ?deadline ?probes ?(epsilon = 0.05) inst =
                   in
                   let sol = Option.map (Improve.rescore inst) sol in
                   Cmatch.invalidate truncated;
-                  Bound.invalidate truncated;
                   (sol, outcome)))
       | _ ->
           (* Unscaled: enough budget, or nothing positive to scale against. *)

@@ -2,6 +2,8 @@
 
    - Improve.run round accounting: stats pinned for 0- and 1-improvement
      runs, and the emitted Move/Step events carry the same round numbers;
+   - attempt labels: forced only for committed moves of traced runs, and
+     the traced Move labels pinned on the paper example;
    - indexed Solution vs a naive list oracle (score, contribution,
      free_sites, is_hidden) over random add/prepare sequences;
    - array-backed Isp.tpa/greedy vs the original list-backed
@@ -90,7 +92,7 @@ let test_rounds_one_improvement () =
   let m = positive_full_match inst in
   let attempt =
     {
-      Improve.label = "add-once";
+      Improve.label = (fun () -> "add-once");
       apply =
         (fun sol ->
           if Solution.size sol > 0 then None
@@ -111,7 +113,7 @@ let test_rounds_cut_by_max_improvements () =
   let m = positive_full_match inst in
   let attempt =
     {
-      Improve.label = "add-once";
+      Improve.label = (fun () -> "add-once");
       apply =
         (fun sol ->
           if Solution.size sol > 0 then None
@@ -127,6 +129,62 @@ let test_rounds_cut_by_max_improvements () =
   check_int "evaluated" 1 stats.Improve.evaluated;
   check_bool "Move in round 1" true (move_rounds evs = [ 1 ]);
   check_bool "no Step event" true (step_rounds evs = [])
+
+(* ------------------------------------------------------------------ *)
+(* Attempt labels are formatted on demand                               *)
+
+let move_labels evs =
+  List.filter_map
+    (function Fsa_obs.Event.Move { label; _ } -> Some label | _ -> None)
+    evs
+
+let test_labels_forced_on_demand () =
+  let inst = paper () in
+  let forced = ref 0 in
+  let counting =
+    List.map
+      (fun (a : Improve.attempt) ->
+        { a with Improve.label = (fun () -> incr forced; a.Improve.label ()) })
+      (Full_improve.attempts inst)
+  in
+  let attempts _ = counting in
+  let _, plain = Improve.run ~attempts ~init:(Solution.empty inst) () in
+  check_bool "the run commits moves" true (plain.Improve.improvements > 0);
+  check_int "untraced: no label forced" 0 !forced;
+  ignore
+    (Fsa_obs.Runtime.with_observation ~registry:(Fsa_obs.Registry.create ())
+       (fun () -> Improve.run ~attempts ~init:(Solution.empty inst) ()));
+  check_int "counters only: no label forced" 0 !forced;
+  let (_, traced), evs = run_with_events ~attempts inst in
+  check_int "traced: one label per committed move" traced.Improve.improvements
+    !forced;
+  check_int "one Move per committed move" traced.Improve.improvements
+    (List.length (move_labels evs))
+
+(* The Move labels of traced solves on the paper example, pinned to the
+   strings the eagerly formatted labels produced. *)
+let test_move_labels_pinned () =
+  let labels solve =
+    let sink, events = Fsa_obs.Sink.memory () in
+    ignore (Fsa_obs.Runtime.with_observation ~sink solve);
+    move_labels (events ())
+  in
+  let inst = paper () in
+  Alcotest.(check (list string))
+    "Csr_improve" [ "I2'(h0,m1)"; "I2'(h0,m1)"; "I2'(h0,m1)" ]
+    (labels (fun () -> Csr_improve.solve inst));
+  Alcotest.(check (list string))
+    "Full_improve"
+    [
+      "I1(H0 -> M0[0,0] in [0,0])";
+      "I1(H0 -> M0[0,0] in [0,1])";
+      "I1(H0 -> M1[0,0] in [0,0])";
+      "I1(M0 -> H0[0,0] in [0,2])";
+    ]
+    (labels (fun () -> Full_improve.solve inst));
+  Alcotest.(check (list string))
+    "Border_improve" [ "I2(h0,m1)" ]
+    (labels (fun () -> Border_improve.solve inst))
 
 (* ------------------------------------------------------------------ *)
 (* Indexed Solution vs naive list oracle (S5)                           *)
@@ -441,6 +499,12 @@ let () =
           Alcotest.test_case "one improvement" `Quick test_rounds_one_improvement;
           Alcotest.test_case "cut by max_improvements" `Quick
             test_rounds_cut_by_max_improvements;
+        ] );
+      ( "labels",
+        [
+          Alcotest.test_case "forced on demand" `Quick test_labels_forced_on_demand;
+          Alcotest.test_case "traced Move labels pinned" `Quick
+            test_move_labels_pinned;
         ] );
       ( "solution",
         [ qtest test_solution_oracle_qcheck ] );

@@ -207,8 +207,9 @@ let test_fig13_i3_swap () =
   check_bool "some improving attempt exists (it must be an I3)" true (improving <> []);
   List.iter
     (fun (a : Improve.attempt) ->
+      let label = a.Improve.label () in
       check_bool "the improving attempts are I3 swaps" true
-        (String.length a.Improve.label >= 2 && String.sub a.Improve.label 0 2 = "I3"))
+        (String.length label >= 2 && String.sub label 0 2 = "I3"))
     improving;
   (* The full local search reaches the swapped optimum 12. *)
   let final, _ = Border_improve.solve inst in

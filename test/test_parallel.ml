@@ -503,6 +503,89 @@ let test_corpus_parallel () =
                 c.Fsa_check.Fuzz.detail)
         Fsa_check.Fuzz.corpus)
 
+(* ------------------------------------------------------------------ *)
+(* Releasing an instance's memo on every domain                        *)
+
+let test_each_domain_reaches_workers () =
+  Pool.with_domains 3 (fun () ->
+      (* Spawn the workers, and learn which domain each slot runs on. *)
+      let pool_ids =
+        Array.map snd
+          (Pool.fan_out ~n:3 ~chunk:(fun ~slot ~lo:_ ~hi:_ ->
+               (slot, (Domain.self () :> int))))
+      in
+      let seen = ref [] and m = Mutex.create () in
+      let record () =
+        Mutex.lock m;
+        seen := (Domain.self () :> int) :: !seen;
+        Mutex.unlock m
+      in
+      Pool.each_domain record;
+      List.iter
+        (fun id ->
+          check_int
+            (Printf.sprintf "domain %d ran it once" id)
+            1
+            (List.length (List.filter (( = ) id) !seen)))
+        (Array.to_list pool_ids);
+      (* Inside a chunk only the current domain runs it. *)
+      seen := [];
+      let inner =
+        Pool.fan_out ~n:3 ~chunk:(fun ~slot ~lo:_ ~hi:_ ->
+            if slot = 1 then Pool.each_domain record;
+            (Domain.self () :> int))
+      in
+      check_bool "nested: the calling worker only" true (!seen = [ inner.(1) ]))
+
+let count_builds reg =
+  int_of_float
+    (Option.value ~default:0.0 (Registry.counter_value reg "cmatch.table_builds"))
+
+let test_invalidate_reaches_workers () =
+  (* A table built on a worker domain must be dropped there too: the probe
+     after [invalidate] rebuilds it. *)
+  let inst = planted_instance () in
+  Pool.with_domains 2 (fun () ->
+      let probe_on_worker () =
+        ignore
+          (Pool.fan_out ~n:2 ~chunk:(fun ~slot ~lo:_ ~hi:_ ->
+               if slot = 1 then
+                 ignore (Cmatch.full_table inst ~full_side:Species.H 0 ~other_frag:0)))
+      in
+      let reg = Registry.create () in
+      Fsa_obs.Runtime.with_observation ~registry:reg (fun () ->
+          probe_on_worker ();
+          probe_on_worker ();
+          Cmatch.invalidate inst;
+          probe_on_worker ());
+      check_int "built, hit, rebuilt after invalidate" 2 (count_builds reg))
+
+let test_solve_best_heap_flat () =
+  (* A finished instance's site tables, σ snapshot and bound summary stay
+     on every domain that probed it until released (keys are uids, never
+     reused, so nothing hits them again).  Csr_improve.solve_best releases
+     them on exit: after warm-up, live words stay put. *)
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  Pool.with_domains 2 (fun () ->
+      let warm = ref 0 in
+      for i = 1 to 60 do
+        let inst =
+          Instance.random_planted (Rng.create (1000 + i)) ~regions:12
+            ~h_fragments:3 ~m_fragments:3 ~inversion_rate:0.2 ~noise_pairs:12
+        in
+        ignore (Csr_improve.solve_best inst);
+        if i = 10 then warm := live ()
+      done;
+      let grown = live () - !warm in
+      (* Without the release this grows by ~3.7k words per instance. *)
+      check_bool
+        (Printf.sprintf "live words grew by %d over 50 instances (slack 16384)"
+           grown)
+        true (grown <= 16_384))
+
 let () =
   Alcotest.run "parallel"
     [
@@ -552,6 +635,15 @@ let () =
             test_pool_metrics_recorded;
           Alcotest.test_case "inline fallback counters" `Quick
             test_inline_fallback_counters;
+        ] );
+      ( "memo release",
+        [
+          Alcotest.test_case "each_domain reaches every worker" `Quick
+            test_each_domain_reaches_workers;
+          Alcotest.test_case "invalidate reaches workers" `Quick
+            test_invalidate_reaches_workers;
+          Alcotest.test_case "solve_best keeps the heap flat" `Quick
+            test_solve_best_heap_flat;
         ] );
       ( "determinism",
         [

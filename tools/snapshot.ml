@@ -1,4 +1,12 @@
-(* Temporary: snapshot exact solver outputs for bit-identity comparison. *)
+(* Exact solver outputs — scores to 17 digits, Solution.to_text, and the
+   rounds/improvements/evaluated stats of the local searches — on the paper
+   example and small planted and uniform instances.  `dune runtest` diffs
+   the output against snapshot.expected, so any change in what a solver
+   returns, or in how it gets there, shows up as a diff:
+
+     dune exec tools/snapshot.exe > tools/snapshot.expected
+
+   re-records it after a deliberate change. *)
 module Rng = Fsa_util.Rng
 open Fsa_csr
 

@@ -45,14 +45,16 @@ type summary = {
   max_sigma : float;
   h_frags : frag_summary array;
   m_frags : frag_summary array;
-  pair_bounds : (bool * int * int, float) Hashtbl.t;
-      (** memoized [ms_bound] per (full_side = H, idx, other_frag) *)
+  h_full_cols : float array array;
+      (** memoized [ms_bound] with an H fragment full: one column per host
+          M fragment, indexed by the H fragment; [[||]] until first use *)
+  m_full_cols : float array array;  (** the same with an M fragment full *)
 }
 
 let summary_weight s = (s.stride * s.stride) + 1
 
 (* One summary cache per domain: summaries hold internal mutable state (the
-   lazy [best_vs] arrays and the [pair_bounds] memo), so sharing one across
+   lazy [best_vs] arrays and the bound columns), so sharing one across
    domains would race.  The cache is keyed by instance uid, uids are never
    reused, and summaries are pure functions of the instance, so each domain
    rebuilding its own copy changes no observable result — only (bounded,
@@ -99,7 +101,8 @@ let build_summary inst =
     max_sigma = !max_sigma;
     h_frags = Array.map (frag_summary stride) (Instance.fragments inst Species.H);
     m_frags = Array.map (frag_summary stride) (Instance.fragments inst Species.M);
-    pair_bounds = Hashtbl.create 64;
+    h_full_cols = Array.make (Instance.fragment_count inst Species.M) [||];
+    m_full_cols = Array.make (Instance.fragment_count inst Species.H) [||];
   }
 
 let summary inst =
@@ -170,15 +173,26 @@ let compute_bound inst s ~full_side idx ~other_frag =
   done;
   Float.min !sum !cap
 
-let ms_bound inst ~full_side idx ~other_frag =
+(* Every bound against one host, filled on the column's first use: the
+   callers sweep a host's jobs together, so one fill serves the sweep. *)
+let host_column inst ~full_side ~other_frag =
   let s = summary inst in
-  let key = (full_side = Species.H, idx, other_frag) in
-  match Hashtbl.find_opt s.pair_bounds key with
-  | Some b -> b
-  | None ->
-      let b = compute_bound inst s ~full_side idx ~other_frag in
-      Hashtbl.add s.pair_bounds key b;
-      b
+  let cols =
+    match full_side with Species.H -> s.h_full_cols | Species.M -> s.m_full_cols
+  in
+  let col = cols.(other_frag) in
+  if Array.length col > 0 then col
+  else begin
+    let col =
+      Array.init (Instance.fragment_count inst full_side) (fun idx ->
+          compute_bound inst s ~full_side idx ~other_frag)
+    in
+    cols.(other_frag) <- col;
+    col
+  end
+
+let ms_bound inst ~full_side idx ~other_frag =
+  (host_column inst ~full_side ~other_frag).(idx)
 
 (* ------------------------------------------------------------------ *)
 (* Pruning switch and counters *)
@@ -208,6 +222,10 @@ let pair_viable inst ~full_side idx ~other_frag ~threshold =
       false
     end
   end
+
+let count_checks ~checks ~pruned =
+  if checks > 0 then Counter.incr ~by:checks checks_counter;
+  if pruned > 0 then Counter.incr ~by:pruned pruned_counter
 
 (* A border match aligns a sub-word of h against an oriented sub-word of m;
    the pair bound with the H fragment in the row role dominates it. *)

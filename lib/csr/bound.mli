@@ -19,7 +19,14 @@ val ms_bound :
   Instance.t -> full_side:Species.t -> int -> other_frag:int -> float
 (** Upper bound on [fst (Cmatch.table_ms tbl ~lo ~hi)] over every site
     [lo, hi] of the host fragment, i.e. on the best full-match MS of the
-    pair.  Always [>= 0].  Memoized per (instance uid, side, pair). *)
+    pair.  Always [>= 0].  Memoized per instance uid in {!host_column}. *)
+
+val host_column :
+  Instance.t -> full_side:Species.t -> other_frag:int -> float array
+(** [ms_bound] of every fragment on [full_side] against the host fragment
+    [other_frag], indexed by fragment: the memo unit.  The whole column is
+    computed on its first use; later reads, including {!ms_bound}'s, are
+    array loads.  The array is the memo itself and must not be mutated. *)
 
 val pair_viable :
   Instance.t ->
@@ -32,6 +39,12 @@ val pair_viable :
     [threshold] — the caller may then skip the pair entirely.  Always
     [true] when pruning is disabled.  Increments [cmatch.bound_checks] and,
     on a prune, [cmatch.pruned]. *)
+
+val count_checks : checks:int -> pruned:int -> unit
+(** Adds a batch of checks to [cmatch.bound_checks] and [cmatch.pruned],
+    for callers that test [col.(idx) > threshold] on a {!host_column}
+    themselves instead of calling {!pair_viable} per pair.  Such a caller
+    must skip the checks, and count none, when pruning is disabled. *)
 
 val border_viable :
   Instance.t -> h_frag:int -> m_frag:int -> threshold:float -> bool

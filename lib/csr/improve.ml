@@ -170,16 +170,33 @@ let tpa_fill sol ~host:(side, frag) ~zones ~exclude =
   let inst = Solution.instance sol in
   let other = Species.other side in
   let jobs = Instance.fragment_count inst other in
-  let cands = ref [] in
-  for job = 0 to jobs - 1 do
+  (* A candidate needs ms > opportunity_cost; if even the admissible bound
+     cannot beat it, the whole (job, host) table is dead work.  The bounds
+     are read from the host's column, and the call's checks are counted
+     once, before the site scan, so a budget trip inside the scan leaves
+     the counter totals [Bound.pair_viable] would have reached. *)
+  let pruning = Bound.enabled () in
+  let col =
+    if pruning then Bound.host_column inst ~full_side:other ~other_frag:frag
+    else [||]
+  in
+  let checks = ref 0 and pruned = ref 0 and viable = ref [] in
+  for job = jobs - 1 downto 0 do
     if not (List.mem job exclude) then begin
       let opportunity_cost = Solution.contribution sol other job in
-      (* A candidate needs ms > opportunity_cost; if even the admissible
-         bound cannot beat it, the whole (job, host) table is dead work. *)
-      if
-        Bound.pair_viable inst ~full_side:other job ~other_frag:frag
-          ~threshold:opportunity_cost
-      then begin
+      if not pruning then viable := (job, opportunity_cost) :: !viable
+      else begin
+        incr checks;
+        if col.(job) > opportunity_cost then
+          viable := (job, opportunity_cost) :: !viable
+        else incr pruned
+      end
+    end
+  done;
+  Bound.count_checks ~checks:!checks ~pruned:!pruned;
+  let cands = ref [] in
+  List.iter
+    (fun (job, opportunity_cost) ->
       (* One site-table probe per candidate: the (job, host) pair's MS
          values for every (lo, hi) come from a single shared precompute. *)
       let tbl = Cmatch.full_table inst ~full_side:other job ~other_frag:frag in
@@ -200,10 +217,8 @@ let tpa_fill sol ~host:(side, frag) ~zones ~exclude =
                   :: !cands
             done
           done)
-        zones
-      end
-    end
-  done;
+        zones)
+    !viable;
   if !cands = [] then sol
   else begin
     let isp = Fsa_intervals.Isp.create ~jobs !cands in

@@ -41,6 +41,16 @@ let site_insert side m lst =
 
 let site_remove m lst = List.filter (fun m' -> not (Cmatch.equal m m')) lst
 
+(* A match is filed in the buckets of both its fragments.  Both helpers
+   edit the given arrays in place: callers pass fresh or copied ones. *)
+let file by_h by_m (m : Cmatch.t) =
+  by_h.(m.Cmatch.h_frag) <- site_insert Species.H m by_h.(m.Cmatch.h_frag);
+  by_m.(m.Cmatch.m_frag) <- site_insert Species.M m by_m.(m.Cmatch.m_frag)
+
+let unfile by_h by_m (m : Cmatch.t) =
+  by_h.(m.Cmatch.h_frag) <- site_remove m by_h.(m.Cmatch.h_frag);
+  by_m.(m.Cmatch.m_frag) <- site_remove m by_m.(m.Cmatch.m_frag)
+
 let empty inst =
   {
     inst;
@@ -54,11 +64,7 @@ let empty inst =
 (* Rebuild every cache from a master list (no validation). *)
 let rebuild inst ms =
   let t = empty inst in
-  List.iter
-    (fun (m : Cmatch.t) ->
-      t.by_h.(m.Cmatch.h_frag) <- site_insert Species.H m t.by_h.(m.Cmatch.h_frag);
-      t.by_m.(m.Cmatch.m_frag) <- site_insert Species.M m t.by_m.(m.Cmatch.m_frag))
-    ms;
+  List.iter (fun m -> file t.by_h t.by_m m) ms;
   { t with matches = ms; score = sum_scores ms; size = List.length ms }
 
 let instance t = t.inst
@@ -287,10 +293,7 @@ let add t (m : Cmatch.t) =
               then err "border matches form a cycle at %a" (Cmatch.pp t.inst) m
               else begin
                 let by_h = Array.copy t.by_h and by_m = Array.copy t.by_m in
-                by_h.(m.Cmatch.h_frag) <-
-                  site_insert Species.H m by_h.(m.Cmatch.h_frag);
-                by_m.(m.Cmatch.m_frag) <-
-                  site_insert Species.M m by_m.(m.Cmatch.m_frag);
+                file by_h by_m m;
                 let matches = m :: t.matches in
                 Ok
                   {
@@ -311,8 +314,7 @@ let add_exn t m =
 let remove t m =
   let matches = List.filter (fun m' -> not (Cmatch.equal m m')) t.matches in
   let by_h = Array.copy t.by_h and by_m = Array.copy t.by_m in
-  by_h.(m.Cmatch.h_frag) <- site_remove m by_h.(m.Cmatch.h_frag);
-  by_m.(m.Cmatch.m_frag) <- site_remove m by_m.(m.Cmatch.m_frag);
+  unfile by_h by_m m;
   {
     t with
     matches;
@@ -337,39 +339,39 @@ let prepare t side frag site =
     let involves side frag (m : Cmatch.t) = Cmatch.frag_of m side = frag in
     let other_side = Species.other side in
     let full = Fragment.full_site (Instance.fragment t.inst side frag) in
+    (* Only the buckets of the two fragments of each dropped or restricted
+       match change.  Sites on one fragment are disjoint, so a bucket's
+       sorted order is unique and the edited buckets equal the ones a
+       rebuild from the new master list would produce. *)
+    let by_h = Array.copy t.by_h and by_m = Array.copy t.by_m in
+    let file m = file by_h by_m m and unfile m = unfile by_h by_m m in
+    let partner (m : Cmatch.t) =
+      {
+        side = other_side;
+        frag = Cmatch.frag_of m other_side;
+        site = Cmatch.site_of m other_side;
+      }
+    in
     let process (kept, freed) (m : Cmatch.t) =
       if not (involves side frag m) then (m :: kept, freed)
       else begin
         let s = Cmatch.site_of m side in
         if Site.disjoint s site then (m :: kept, freed)
-        else if Site.equal s full then
+        else if Site.equal s full then begin
           (* The fragment itself is plugged somewhere as a unit: detach it,
              freeing its host site on the partner. *)
-          ( kept,
-            {
-              side = other_side;
-              frag = Cmatch.frag_of m other_side;
-              site = Cmatch.site_of m other_side;
-            }
-            :: freed )
+          unfile m;
+          (kept, partner m :: freed)
+        end
         else begin
           match Site.subtract s site with
           | [] ->
-              (* The whole matched site is being prepared away. *)
-              let freed =
-                if is_border_match t m then
-                  (* The partner's border site is orphaned; report it so the
-                     caller can try to refill it (the paper's combined
-                     attempts). *)
-                  {
-                    side = other_side;
-                    frag = Cmatch.frag_of m other_side;
-                    site = Cmatch.site_of m other_side;
-                  }
-                  :: freed
-                else freed
-              in
-              (kept, freed)
+              (* The whole matched site is being prepared away.  A border
+                 match orphans the partner's border site; report it so the
+                 caller can try to refill it (the paper's combined
+                 attempts). *)
+              unfile m;
+              (kept, if is_border_match t m then partner m :: freed else freed)
           | [ s' ] ->
               if is_border_match t m then begin
                 let h_frag, h_site, m_frag, m_site =
@@ -377,20 +379,17 @@ let prepare t side frag site =
                   | Species.H -> (frag, s', m.Cmatch.m_frag, m.Cmatch.m_site)
                   | Species.M -> (m.Cmatch.h_frag, m.Cmatch.h_site, frag, s')
                 in
+                unfile m;
                 match Cmatch.border t.inst ~h_frag ~h_site ~m_frag ~m_site with
-                | Some r -> (r :: kept, freed)
+                | Some r ->
+                    file r;
+                    (r :: kept, freed)
                 | None ->
                     (* Cutting from the outer end left an inner-shaped
                        remainder: the border match cannot be restricted, so
                        the 2-island is broken instead (the paper's rule) and
                        the partner's site reported as refillable. *)
-                    ( kept,
-                      {
-                        side = other_side;
-                        frag = Cmatch.frag_of m other_side;
-                        site = Cmatch.site_of m other_side;
-                      }
-                      :: freed )
+                    (kept, partner m :: freed)
               end
               else begin
                 (* Full match hosted on this fragment: shrink the host site
@@ -399,6 +398,8 @@ let prepare t side frag site =
                   Cmatch.full t.inst ~full_side:other_side
                     (Cmatch.frag_of m other_side) ~other_frag:frag ~other_site:s'
                 in
+                unfile m;
+                file m';
                 (m' :: kept, freed)
               end
           | _ :: _ :: _ ->
@@ -408,7 +409,17 @@ let prepare t side frag site =
       end
     in
     let kept, freed = List.fold_left process ([], []) t.matches in
-    Some (rebuild t.inst (List.rev kept), freed)
+    let matches = List.rev kept in
+    Some
+      ( {
+          t with
+          matches;
+          score = sum_scores matches;
+          size = List.length matches;
+          by_h;
+          by_m;
+        },
+        freed )
   end
 
 let to_text t =

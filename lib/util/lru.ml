@@ -77,14 +77,20 @@ let push_front t n =
   (match t.head with Some h -> h.prev <- Some n | None -> t.tail <- Some n);
   t.head <- Some n
 
+(* A hit on the head needs neither the Hashtbl probe nor a relink:
+   promoting the most recent entry changes nothing.  Keys compare as the
+   Hashtbl compares them. *)
 let find t key =
   check_owner t;
-  match Hashtbl.find_opt t.table key with
-  | None -> None
-  | Some n ->
-      unlink t n;
-      push_front t n;
-      Some n.value
+  match t.head with
+  | Some n when compare n.key key = 0 -> Some n.value
+  | Some _ | None -> (
+      match Hashtbl.find_opt t.table key with
+      | None -> None
+      | Some n ->
+          unlink t n;
+          push_front t n;
+          Some n.value)
 
 let mem t key =
   check_owner t;

@@ -32,7 +32,9 @@ val create :
     replacement of an existing key by {!add}. *)
 
 val find : ('k, 'v) t -> 'k -> 'v option
-(** Promotes the entry to most-recently-used. *)
+(** Promotes the entry to most-recently-used.  A hit on the current
+    most-recently-used entry is answered from the list head, without
+    hashing the key. *)
 
 val mem : ('k, 'v) t -> 'k -> bool
 (** Does not promote. *)

@@ -159,7 +159,32 @@ let test_prune_counters () =
   check_bool "bound checks recorded" true (c "cmatch.bound_checks" > 0.0);
   check_bool "sparse instance prunes pairs" true (c "cmatch.pruned" > 0.0);
   check_bool "pruned <= checked" true
-    (c "cmatch.pruned" <= c "cmatch.bound_checks")
+    (c "cmatch.pruned" <= c "cmatch.bound_checks");
+  (* CSR_Improve's tpa_fill counts a host column of checks per call; the
+     totals must still come to one check per tested (job, host) pair.  At
+     one domain the scan is sequential, so every count below is exact. *)
+  let csr_counters on =
+    let reg = Fsa_obs.Registry.create () in
+    Fsa_parallel.Pool.with_domains 1 (fun () ->
+        Fsa_obs.Runtime.with_observation ~registry:reg (fun () ->
+            with_pruning on (fun () -> ignore (Csr_improve.solve inst))));
+    fun name ->
+      match Fsa_obs.Registry.counter_value reg name with
+      | Some v -> int_of_float v
+      | None -> 0
+  in
+  let on = csr_counters true in
+  check_int "csr_improve bound checks" 244511 (on "cmatch.bound_checks");
+  check_int "csr_improve pruned" 191921 (on "cmatch.pruned");
+  check_int "csr_improve tpa_fill calls" 33370 (on "improve.tpa_fill_calls");
+  check_int "csr_improve evaluated" 28148 (on "improve.evaluated");
+  let off = csr_counters false in
+  check_int "no checks with pruning off" 0 (off "cmatch.bound_checks");
+  check_int "no prunes with pruning off" 0 (off "cmatch.pruned");
+  check_int "pruning leaves tpa_fill calls alone" (on "improve.tpa_fill_calls")
+    (off "improve.tpa_fill_calls");
+  check_int "pruning leaves evaluated alone" (on "improve.evaluated")
+    (off "improve.evaluated")
 
 (* ------------------------------------------------------------------ *)
 (* LRU table cache: one solve never rebuilds the same table twice, and a
@@ -276,6 +301,39 @@ let test_lru_evicts_lru_first () =
   check_bool "c resident" true (Lru.mem t "c");
   check_int "evictions counted" 1 (Lru.evictions t)
 
+(* [find] of the most recent key answers from the list head without a
+   relink; recency, evictions and their order must be what promoting it
+   again would give. *)
+let test_lru_mru_hit () =
+  let evicted = ref [] in
+  let t =
+    Lru.create ~budget:12
+      ~on_evict:(fun k _ -> evicted := k :: !evicted)
+      ~weight:(fun _ -> 4) ()
+  in
+  let recency () = Lru.fold (fun k _ acc -> k :: acc) t [] |> List.rev in
+  Lru.add t "a" 1;
+  Lru.add t "b" 2;
+  Lru.add t "c" 3;
+  for _ = 1 to 3 do
+    check_bool "head hit" true (Lru.find t "c" = Some 3)
+  done;
+  check_bool "head hits keep the order" true (recency () = [ "c"; "b"; "a" ]);
+  Lru.add t "d" 4;
+  Lru.add t "e" 5;
+  check_bool "LRU end evicted first" true (List.rev !evicted = [ "a"; "b" ]);
+  check_int "two evictions" 2 (Lru.evictions t);
+  (* A non-head key is still promoted: c moves ahead of e and d. *)
+  check_bool "non-head hit" true (Lru.find t "c" = Some 3);
+  check_bool "non-head hit promotes" true (recency () = [ "c"; "e"; "d" ]);
+  check_bool "new head hit" true (Lru.find t "c" = Some 3);
+  Lru.add t "f" 6;
+  check_bool "d is now the LRU entry" true
+    (List.rev !evicted = [ "a"; "b"; "d" ]);
+  check_int "three evictions" 3 (Lru.evictions t);
+  check_bool "final order" true (recency () = [ "f"; "c"; "e" ]);
+  check_bool "missing key" true (Lru.find t "a" = None)
+
 let test_lru_oversized_entry_kept () =
   let t = Lru.create ~budget:3 ~weight:(fun v -> v) () in
   Lru.add t "big" 100;
@@ -375,6 +433,7 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_lru_basic;
           Alcotest.test_case "evicts LRU first" `Quick test_lru_evicts_lru_first;
+          Alcotest.test_case "most-recent hits" `Quick test_lru_mru_hit;
           Alcotest.test_case "oversized entry kept" `Quick
             test_lru_oversized_entry_kept;
           Alcotest.test_case "replace same key" `Quick test_lru_replace_same_key;

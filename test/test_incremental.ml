@@ -5,7 +5,9 @@
    - attempt labels: forced only for committed moves of traced runs, and
      the traced Move labels pinned on the paper example;
    - indexed Solution vs a naive list oracle (score, contribution,
-     free_sites, is_hidden) over random add/prepare sequences;
+     free_sites, is_hidden, and every bucket against a rebuild) over random
+     sequences that add full and border matches and prepare sites that
+     shrink or break them;
    - array-backed Isp.tpa/greedy vs the original list-backed
      implementations (identical values and selections);
    - the all-windows MS kernel vs per-window p_score calls (bit equality);
@@ -221,17 +223,28 @@ let naive_free inst ms side frag =
 let solution_oracle_prop seed =
   let rng = Fsa_util.Rng.create seed in
   let inst = small_instance seed in
+  let borders = Array.of_list (Border_improve.border_candidates inst) in
   let sol = ref (Solution.empty inst) in
   let ok = ref true in
+  let random_site n =
+    let lo = Fsa_util.Rng.int rng n in
+    Site.make lo (lo + Fsa_util.Rng.int rng (n - lo))
+  in
   let check_consistent () =
     let ms = Solution.matches !sol in
     (* The cached score is the exact fold over the master list. *)
     ok := !ok && Solution.score !sol = naive_score ms;
     ok := !ok && Solution.size !sol = List.length ms;
     ok := !ok && Result.is_ok (Solution.validate !sol);
+    (* Every bucket equals the one a rebuild from the master list files. *)
+    let rebuilt = Solution.unchecked_of_matches inst ms in
     List.iter
       (fun side ->
         for frag = 0 to Instance.fragment_count inst side - 1 do
+          ok :=
+            !ok
+            && Solution.matches_on !sol side frag
+               = Solution.matches_on rebuilt side frag;
           let here = on_frag ms side frag in
           ok :=
             !ok
@@ -240,9 +253,7 @@ let solution_oracle_prop seed =
           ok := !ok && Solution.free_sites !sol side frag = naive_free inst ms side frag;
           let n = Fragment.length (Instance.fragment inst side frag) in
           for _ = 1 to 3 do
-            let lo = Fsa_util.Rng.int rng n in
-            let hi = lo + Fsa_util.Rng.int rng (n - lo) in
-            let site = Site.make lo hi in
+            let site = random_site n in
             let naive_hidden =
               List.exists (fun m -> Site.hides (Cmatch.site_of m side) site) here
             in
@@ -251,30 +262,47 @@ let solution_oracle_prop seed =
         done)
       [ Species.H; Species.M ]
   in
+  let add m = match Solution.add !sol m with Ok s -> sol := s | Error _ -> () in
+  let prepare side frag site =
+    match Solution.prepare !sol side frag site with
+    | Some (s, _) -> sol := s
+    | None -> ()
+  in
   for _ = 1 to 25 do
     let full_side = if Fsa_util.Rng.bool rng then Species.H else Species.M in
     let other = Species.other full_side in
     let job = Fsa_util.Rng.int rng (Instance.fragment_count inst full_side) in
     let target = Fsa_util.Rng.int rng (Instance.fragment_count inst other) in
     let n = Fragment.length (Instance.fragment inst other target) in
-    let lo = Fsa_util.Rng.int rng n in
-    let hi = lo + Fsa_util.Rng.int rng (n - lo) in
-    let site = Site.make lo hi in
-    if Fsa_util.Rng.bool rng then begin
-      let m = Cmatch.full inst ~full_side job ~other_frag:target ~other_site:site in
-      match Solution.add !sol m with Ok s -> sol := s | Error _ -> ()
-    end
-    else begin
-      match Solution.prepare !sol other target site with
-      | Some (s, _) -> sol := s
-      | None -> ()
-    end;
+    let site = random_site n in
+    let border_sol =
+      List.filter
+        (fun m -> Cmatch.classify inst m = Some Cmatch.Border_match)
+        (Solution.matches !sol)
+    in
+    (match Fsa_util.Rng.int rng 4 with
+    | 0 -> add (Cmatch.full inst ~full_side job ~other_frag:target ~other_site:site)
+    | 2 when Array.length borders > 0 ->
+        add borders.(Fsa_util.Rng.int rng (Array.length borders))
+    | 3 when border_sol <> [] ->
+        (* A site through a border match's site on one of its fragments:
+           covering the inner end shrinks the match, covering the outer
+           end breaks the 2-island. *)
+        let b = List.nth border_sol (Fsa_util.Rng.int rng (List.length border_sol)) in
+        let frag = Cmatch.frag_of b full_side in
+        let n = Fragment.length (Instance.fragment inst full_side frag) in
+        let bs = Cmatch.site_of b full_side in
+        let p = bs.Site.lo + Fsa_util.Rng.int rng (bs.Site.hi - bs.Site.lo + 1) in
+        let lo = Fsa_util.Rng.int rng (p + 1) in
+        let hi = p + Fsa_util.Rng.int rng (n - p) in
+        prepare full_side frag (Site.make lo hi)
+    | _ -> prepare other target site);
     check_consistent ()
   done;
   !ok
 
 let test_solution_oracle_qcheck =
-  QCheck.Test.make ~name:"indexed solution agrees with list oracle" ~count:40
+  QCheck.Test.make ~name:"indexed solution agrees with list oracle" ~count:200
     seed_gen solution_oracle_prop
 
 (* ------------------------------------------------------------------ *)

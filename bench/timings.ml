@@ -106,21 +106,6 @@ let sparse_greedy_bench ~regions ~frags =
     ~name:(Printf.sprintf "sparse greedy (%dr %df)" regions frags)
     (Staged.stage (fun () -> ignore (Fsa_csr.Greedy.solve inst)))
 
-(* Parallel tier: the same sparse 4-approx workload fanned out over the
-   domain pool.  The "(Nd)" suffix is load-bearing: tools/benchgate groups
-   these rows by base name, reports each row's speedup over its "(1d)"
-   sibling, and (opt-in, --min-speedup) gates on it.  Outputs are
-   bit-identical across rows — only the wall clock may differ.  On a
-   single-core runner the >1 rows measure pool overhead, not speedup;
-   the gate is opt-in for exactly that reason. *)
-let sparse_parallel_bench ~regions ~frags ~domains =
-  let inst = sparse_inst ~regions ~frags in
-  Test.make
-    ~name:(Printf.sprintf "sparse 4-approx (%dr %df) (%dd)" regions frags domains)
-    (Staged.stage (fun () ->
-         Fsa_parallel.Pool.with_domains domains (fun () ->
-             ignore (Fsa_csr.One_csr.four_approx inst))))
-
 (* Latency-budget tier: the anytime portfolio under a wall deadline shorter
    than a converged improvement run.  The "@Nms" suffix is load-bearing:
    tools/benchgate parses it and enforces an absolute 2×deadline ceiling on
@@ -269,9 +254,6 @@ let test_list () =
     sparse_four_approx_bench ~regions:64 ~frags:16;
     sparse_four_approx_bench ~regions:128 ~frags:32;
     sparse_greedy_bench ~regions:64 ~frags:16;
-    sparse_parallel_bench ~regions:128 ~frags:32 ~domains:1;
-    sparse_parallel_bench ~regions:128 ~frags:32 ~domains:2;
-    sparse_parallel_bench ~regions:128 ~frags:32 ~domains:4;
     portfolio_bench ~regions:64 ~frags:16 ~deadline_ms:5;
     portfolio_bench ~regions:128 ~frags:32 ~deadline_ms:10;
     discovery_bench ~engine:`Chained ~label:"chained";

@@ -70,41 +70,23 @@ let resolve_rows ~get orient a w =
 (* Shared fwd/rev driver.  Forward anchors [lo] and appends columns upward;
    the reversed orientation aligns (w[lo..hi])ᴿ = wᴿ(hi), …, wᴿ(lo), so it
    anchors [hi] and appends [lo] *downward* — the exact column order a
-   per-window [p_score a (reverse_word …)] sees.
-
-   Anchors are independent: each anchor's sweep reads only [rows] (frozen)
-   and its own column buffer, and writes a disjoint set of [out] cells
-   (column [anchor] going down, row [anchor] going up).  So the anchor loop
-   fans out across domains — each slot gets its own [col] buffer and a
-   contiguous anchor range — and every cell still holds the exact float the
-   sequential sweep computes.  Small tables stay sequential: below
-   ~[la·lw²] = 64k DP cells the fan-out handshake costs more than the
-   kernel. *)
-let parallel_cells_threshold = 1 lsl 16
-
+   per-window [p_score a (reverse_word …)] sees. *)
 let all_windows rows la lw ~down =
   let out = Array.make (max 1 (lw * lw)) 0.0 in
-  let sweep ~lo:a0 ~hi:a1 =
-    let col = Array.make (la + 1) 0.0 in
-    for anchor = a0 to a1 - 1 do
-      Array.fill col 0 (la + 1) 0.0;
-      if down then
-        for lo = anchor downto 0 do
-          extend_column rows.(lo) la col;
-          out.((lo * lw) + anchor) <- col.(la)
-        done
-      else
-        for hi = anchor to lw - 1 do
-          extend_column rows.(hi) la col;
-          out.((anchor * lw) + hi) <- col.(la)
-        done
-    done
-  in
-  if la * lw * lw >= parallel_cells_threshold then
-    ignore
-      (Fsa_parallel.Pool.fan_out ~n:lw ~chunk:(fun ~slot:_ ~lo ~hi ->
-           sweep ~lo ~hi))
-  else sweep ~lo:0 ~hi:lw;
+  let col = Array.make (la + 1) 0.0 in
+  for anchor = 0 to lw - 1 do
+    Array.fill col 0 (la + 1) 0.0;
+    if down then
+      for lo = anchor downto 0 do
+        extend_column rows.(lo) la col;
+        out.((lo * lw) + anchor) <- col.(la)
+      done
+    else
+      for hi = anchor to lw - 1 do
+        extend_column rows.(hi) la col;
+        out.((anchor * lw) + hi) <- col.(la)
+      done
+  done;
   out
 
 let ms_windows_fwd ~get a w =

@@ -53,17 +53,10 @@ type summary = {
 
 let summary_weight s = (s.stride * s.stride) + 1
 
-(* One summary cache per domain: summaries hold internal mutable state (the
-   lazy [best_vs] arrays and the bound columns), so sharing one across
-   domains would race.  The cache is keyed by instance uid, uids are never
-   reused, and summaries are pure functions of the instance, so each domain
-   rebuilding its own copy changes no observable result — only (bounded,
-   per-domain) memory. *)
-let summaries_key : (int, summary) Lru.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      Lru.create ~budget:4_000_000 ~weight:summary_weight ())
-
-let summaries () = Domain.DLS.get summaries_key
+(* Keyed by instance uid, owned by the domain that loads this module, like
+   Cmatch's caches. *)
+let summaries : (int, summary) Lru.t =
+  Lru.create ~budget:4_000_000 ~weight:summary_weight ()
 
 let frag_summary stride f =
   let regions = Bitset.create stride in
@@ -106,7 +99,6 @@ let build_summary inst =
   }
 
 let summary inst =
-  let summaries = summaries () in
   match Lru.find summaries inst.Instance.uid with
   | Some s -> s
   | None ->
@@ -197,23 +189,20 @@ let ms_bound inst ~full_side idx ~other_frag =
 (* ------------------------------------------------------------------ *)
 (* Pruning switch and counters *)
 
-(* Atomic, not a plain ref: the switch is read from every domain's probe
-   loops, and [set_enabled] from the caller must be visible to workers
-   spawned afterwards without tearing. *)
 let enabled_cell =
-  Atomic.make
+  ref
     (match Sys.getenv_opt "FSA_NO_PRUNE" with
     | Some v when String.trim v <> "" -> false
     | Some _ | None -> true)
 
-let enabled () = Atomic.get enabled_cell
-let set_enabled b = Atomic.set enabled_cell b
+let enabled () = !enabled_cell
+let set_enabled b = enabled_cell := b
 
 let pruned_counter = Counter.make "cmatch.pruned"
 let checks_counter = Counter.make "cmatch.bound_checks"
 
 let pair_viable inst ~full_side idx ~other_frag ~threshold =
-  if not (Atomic.get enabled_cell) then true
+  if not !enabled_cell then true
   else begin
     Counter.incr checks_counter;
     if ms_bound inst ~full_side idx ~other_frag > threshold then true
@@ -232,8 +221,5 @@ let count_checks ~checks ~pruned =
 let border_viable inst ~h_frag ~m_frag ~threshold =
   pair_viable inst ~full_side:Species.H h_frag ~other_frag:m_frag ~threshold
 
-(* Both touch only the calling domain's cache; Cmatch.invalidate runs the
-   former on every domain.  Stale entries are harmless (uids are never
-   reused) and otherwise age out by LRU weight. *)
-let invalidate inst = Lru.remove (summaries ()) inst.Instance.uid
-let clear_cache () = Lru.clear (summaries ())
+let invalidate inst = Lru.remove summaries inst.Instance.uid
+let clear_cache () = Lru.clear summaries

@@ -12,8 +12,10 @@
     output-preserving bit for bit (see DESIGN.md §12 for the soundness and
     tie argument).
 
-    Summaries are memoized per instance uid in a weight-bounded LRU (σ must
-    not be mutated after construction, as for {!Cmatch.full_table}). *)
+    Summaries are memoized per instance uid in one process-wide,
+    weight-bounded LRU owned by the domain that loads this module, like
+    {!Cmatch}'s caches (σ must not be mutated after construction, as for
+    {!Cmatch.full_table}). *)
 
 val ms_bound :
   Instance.t -> full_side:Species.t -> int -> other_frag:int -> float
@@ -60,7 +62,6 @@ val set_enabled : bool -> unit
     verify bit-identical outputs with pruning on vs off). *)
 
 val invalidate : Instance.t -> unit
-(** Drop the instance's cached summary on the calling domain
-    ({!Cmatch.invalidate} does it on every domain). *)
+(** Drop the instance's cached summary ({!Cmatch.invalidate} calls it). *)
 
 val clear_cache : unit -> unit

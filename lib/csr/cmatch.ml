@@ -82,81 +82,50 @@ let default_table_budget =
             msg fallback_table_budget;
           fallback_table_budget)
 
-(* The budget is a process-wide knob; the caches are per-domain (an Lru is
-   single-domain by construction — see Fsa_util.Lru).  Each domain's cache
-   re-reads the shared budget cell on access and trims itself when the knob
-   changed.  Caches are keyed by instance uid and uids are never reused, so
-   stale entries for another domain's instances can never collide; a
-   finished instance's entries are dropped on every domain by [invalidate],
-   anything else ages out by LRU weight. *)
-let table_budget_cell = Atomic.make default_table_budget
+(* One process-wide set of caches, owned by the domain that loads this
+   module: the solvers run on the calling domain, and an Lru raises
+   [Cross_domain_use] when a solve is started from any other (see
+   Fsa_util.Lru).  Keys embed the instance uid. *)
+let tables : (int * bool * int * int, site_table) Lru.t =
+  Lru.create ~budget:default_table_budget
+    ~on_evict:(fun _ _ -> Counter.incr evictions_counter)
+    ~weight:(fun t -> 2 * t.host_len * t.host_len)
+    ()
 
-type caches = {
-  tables : (int * bool * int * int, site_table) Lru.t;
-  dense : (int, Scoring.dense option) Lru.t;
-      (* σ probes dominate the kernel inner loop; use the dense snapshot
-         unless the region-id range is too large for it (then fall back to
-         the hashed table).  Snapshots are memoized per instance uid like
-         the site tables, LRU-bounded by snapshot count. *)
-  mutable synced_budget : int;
-}
-
-let caches_key : caches Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let budget = Atomic.get table_budget_cell in
-      {
-        tables =
-          Lru.create ~budget
-            ~on_evict:(fun _ _ -> Counter.incr evictions_counter)
-            ~weight:(fun t -> 2 * t.host_len * t.host_len)
-            ();
-        dense = Lru.create ~budget:64 ~weight:(fun _ -> 1) ();
-        synced_budget = budget;
-      })
-
-let caches () =
-  let c = Domain.DLS.get caches_key in
-  let budget = Atomic.get table_budget_cell in
-  if budget <> c.synced_budget then begin
-    Lru.set_budget c.tables budget;
-    c.synced_budget <- budget
-  end;
-  c
+(* σ probes dominate the kernel inner loop; use the dense snapshot unless
+   the region-id range is too large for it (then fall back to the hashed
+   table).  Snapshots are memoized per instance uid like the site tables,
+   LRU-bounded by snapshot count. *)
+let dense : (int, Scoring.dense option) Lru.t =
+  Lru.create ~budget:64 ~weight:(fun _ -> 1) ()
 
 let set_table_budget cells =
   if cells < 0 then invalid_arg "Cmatch.set_table_budget: negative budget";
-  Atomic.set table_budget_cell cells;
-  (* Trim the calling domain's cache now; other domains trim on next access. *)
-  ignore (caches ())
+  Lru.set_budget tables cells
 
-let table_budget () = Atomic.get table_budget_cell
+let table_budget () = Lru.budget tables
 
 let clear_cache () =
-  let c = caches () in
-  Lru.clear c.tables;
-  Lru.clear c.dense;
+  Lru.clear tables;
+  Lru.clear dense;
   Bound.clear_cache ()
 
-(* Every domain that probed the instance holds its own tables, σ snapshot
-   and bound summary, and no later probe can hit them (uids are never
-   reused): only eviction would free them, and a stream of small instances
-   never fills the budget. *)
+(* No later probe can hit a finished instance's tables, σ snapshot or bound
+   summary (uids are never reused): only eviction would free them, and a
+   stream of small instances never fills the budget. *)
 let invalidate inst =
   let uid = inst.Instance.uid in
-  Fsa_parallel.Pool.each_domain (fun () ->
-      let c = caches () in
-      Lru.filter_out c.tables (fun (u, _, _, _) -> u = uid);
-      Lru.remove c.dense uid;
-      Bound.invalidate inst)
+  Lru.filter_out tables (fun (u, _, _, _) -> u = uid);
+  Lru.remove dense uid;
+  Bound.invalidate inst
 
 let sigma_get inst =
-  let dense_cache = (caches ()).dense in
   let d =
-    match Lru.find dense_cache inst.Instance.uid with
+    match Lru.find dense inst.Instance.uid with
     | Some d -> d
     | None ->
         let d = Scoring.dense inst.Instance.sigma in
-        Lru.add dense_cache inst.Instance.uid d;
+        Lru.add dense inst.Instance.uid d;
         d
   in
   match d with
@@ -164,9 +133,8 @@ let sigma_get inst =
   | None -> fun a b -> Scoring.get inst.Instance.sigma a b
 
 let full_table inst ~full_side idx ~other_frag =
-  let table_cache = (caches ()).tables in
   let key = (inst.Instance.uid, full_side = Species.H, idx, other_frag) in
-  match Lru.find table_cache key with
+  match Lru.find tables key with
   | Some t ->
       Counter.incr hits_counter;
       t
@@ -199,7 +167,7 @@ let full_table inst ~full_side idx ~other_frag =
       in
       let t = { host_len = Array.length host_word; fwd; rev } in
       Counter.incr builds_counter;
-      Lru.add table_cache key t;
+      Lru.add tables key t;
       t
 
 let table_ms t ~lo ~hi =

@@ -71,25 +71,23 @@ val table_ms : site_table -> lo:int -> hi:int -> float * bool
     attains it (ties prefer forward, as in {!Fsa_align.Region_align.ms_full}). *)
 
 val clear_cache : unit -> unit
-(** Drops the MS memo tables, σ snapshots, and {!Bound} summaries — on the
-    {e calling domain}.  Caches are per-domain (keyed by instance uid; uids
-    are never reused, so cross-domain staleness cannot collide — other
-    domains' entries age out by LRU weight). *)
+(** Drops the MS memo tables, σ snapshots, and {!Bound} summaries.  The
+    caches are process-wide and single-domain: they belong to the domain
+    that loads this module, and any use from another domain raises
+    [Fsa_util.Lru.Cross_domain_use]. *)
 
 val invalidate : Instance.t -> unit
-(** Drops this instance's memoized tables, σ snapshot, and bound summary
-    on {e every} domain that may hold them: the caller and each live pool
-    worker ({!Fsa_parallel.Pool.each_domain}; inside a fan-out chunk, the
-    current domain only).  For callers done with an instance — short-lived
-    derived instances ({!Instance.with_sigma}), or a finished solve
+(** Drops this instance's memoized tables, σ snapshot, and bound summary.
+    For callers done with an instance — short-lived derived instances
+    ({!Instance.with_sigma}), or a finished solve
     ({!Csr_improve.solve_best}) — whose entries would otherwise stay
-    resident until evicted by LRU weight.  The instance stays usable: a
-    later probe rebuilds what it needs. *)
+    resident until evicted by LRU weight (uids are never reused, so nothing
+    hits them again).  The instance stays usable: a later probe rebuilds
+    what it needs. *)
 
 val set_table_budget : int -> unit
-(** Override the table-cache cell budget.  The knob is process-wide; the
-    calling domain's cache trims immediately, other domains trim on their
-    next cache access.  @raise Invalid_argument on a negative budget. *)
+(** Override the table-cache cell budget; the cache trims immediately.
+    @raise Invalid_argument on a negative budget. *)
 
 val table_budget : unit -> int
 

@@ -44,6 +44,6 @@ val solve_best : Instance.t -> Solution.t
 (** Convenience used by examples and the genome pipeline: the best of
     CSR_Improve, the ISP 4-approximation and the matching baseline (each
     individually keeps its guarantee, so the maximum does too).  On exit,
-    normal or not, it releases the instance's memo on every domain
+    normal or not, it releases the instance's memo
     ({!Cmatch.invalidate}), so a stream of fresh instances keeps a flat
     heap; a later solve of the same instance rebuilds its tables. *)

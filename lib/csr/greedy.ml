@@ -27,80 +27,64 @@ let free_border_sites inst sol side frag =
   in
   prefixes @ suffixes
 
-(* Each candidate probe reads only the frozen instance and the persistent
-   [sol], and writes only per-domain caches, so the (fragment, fragment)
-   pair sweeps fan out over the flattened pair index.
-   [Pool.prepend_chunks] rebuilds the exact sequential prepend order, so
-   the candidate list — and therefore the stable sort and tie-breaking in
-   [solve_tracked] — is identical at any domain count. *)
+(* Both sweeps prepend, so candidates come out in reverse (fragment,
+   fragment) order; the stable sort in [solve_tracked] breaks ties by that
+   order. *)
 let candidate_matches inst sol =
   let full_candidates side =
     let other = Species.other side in
-    let others = Instance.fragment_count inst other in
-    Fsa_parallel.Pool.prepend_chunks
-      ~n:(Instance.fragment_count inst side * others)
-      (fun ~lo ~hi ->
-        let acc = ref [] in
-        for p = lo to hi - 1 do
-          let f = p / others and g = p mod others in
-          if
-            Solution.role sol side f = Solution.Unmatched
-            (* Candidates need score > 0; skip pairs whose bound is <= 0. *)
-            && Bound.pair_viable inst ~full_side:side f ~other_frag:g
-                 ~threshold:0.0
-          then
-            List.iter
-              (fun free ->
-                List.iter
-                  (fun site ->
-                    Fsa_obs.Budget.check ();
-                    let m =
-                      Cmatch.full inst ~full_side:side f ~other_frag:g
-                        ~other_site:site
-                    in
-                    if m.Cmatch.score > 0.0 then acc := m :: !acc)
-                  (subsites_of free))
-              (Solution.free_sites sol other g)
-        done;
-        !acc)
+    let acc = ref [] in
+    for f = 0 to Instance.fragment_count inst side - 1 do
+      for g = 0 to Instance.fragment_count inst other - 1 do
+        if
+          Solution.role sol side f = Solution.Unmatched
+          (* Candidates need score > 0; skip pairs whose bound is <= 0. *)
+          && Bound.pair_viable inst ~full_side:side f ~other_frag:g
+               ~threshold:0.0
+        then
+          List.iter
+            (fun free ->
+              List.iter
+                (fun site ->
+                  Fsa_obs.Budget.check ();
+                  let m =
+                    Cmatch.full inst ~full_side:side f ~other_frag:g
+                      ~other_site:site
+                  in
+                  if m.Cmatch.score > 0.0 then acc := m :: !acc)
+                (subsites_of free))
+            (Solution.free_sites sol other g)
+      done
+    done;
+    !acc
   in
   let border_candidates () =
-    let m_count = Instance.fragment_count inst Species.M in
-    Fsa_parallel.Pool.prepend_chunks
-      ~n:(Instance.fragment_count inst Species.H * m_count)
-      (fun ~lo ~hi ->
-        let acc = ref [] in
-        let cached_hf = ref (-1) and cached_sites = ref [] in
-        for p = lo to hi - 1 do
-          let hf = p / m_count and mf = p mod m_count in
-          (* Chunks walk pairs in hf-major order, so one slot recomputes
-             each hf's site list at most once, like the sequential loop. *)
-          if !cached_hf <> hf then begin
-            cached_hf := hf;
-            cached_sites := free_border_sites inst sol Species.H hf
-          end;
-          let h_sites = !cached_sites in
-          if
-            h_sites <> []
-            && Bound.border_viable inst ~h_frag:hf ~m_frag:mf ~threshold:0.0
-          then begin
-            let m_sites = free_border_sites inst sol Species.M mf in
-            List.iter
-              (fun hs ->
-                List.iter
-                  (fun ms ->
-                    Fsa_obs.Budget.check ();
-                    match
-                      Cmatch.border inst ~h_frag:hf ~h_site:hs ~m_frag:mf
-                        ~m_site:ms
-                    with
-                    | Some m when m.Cmatch.score > 0.0 -> acc := m :: !acc
-                    | Some _ | None -> ())
-                  m_sites)
-              h_sites
-          end
-        done;
-        !acc)
+    let acc = ref [] in
+    for hf = 0 to Instance.fragment_count inst Species.H - 1 do
+      let h_sites = free_border_sites inst sol Species.H hf in
+      for mf = 0 to Instance.fragment_count inst Species.M - 1 do
+        if
+          h_sites <> []
+          && Bound.border_viable inst ~h_frag:hf ~m_frag:mf ~threshold:0.0
+        then begin
+          let m_sites = free_border_sites inst sol Species.M mf in
+          List.iter
+            (fun hs ->
+              List.iter
+                (fun ms ->
+                  Fsa_obs.Budget.check ();
+                  match
+                    Cmatch.border inst ~h_frag:hf ~h_site:hs ~m_frag:mf
+                      ~m_site:ms
+                  with
+                  | Some m when m.Cmatch.score > 0.0 -> acc := m :: !acc
+                  | Some _ | None -> ())
+                m_sites)
+            h_sites
+        end
+      done
+    done;
+    !acc
   in
   full_candidates Species.H @ full_candidates Species.M @ border_candidates ()
 

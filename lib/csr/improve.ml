@@ -7,80 +7,20 @@ let evaluated_counter = Fsa_obs.Metric.Counter.make "improve.evaluated"
 let accepted_counter = Fsa_obs.Metric.Counter.make "improve.accepted"
 let rejected_counter = Fsa_obs.Metric.Counter.make "improve.rejected"
 
-(* Attempts actually evaluated beyond what the sequential scan would have
-   touched: pure CAS-cancellation waste.  Slots below the winner evaluate
-   only indices the sequential scan evaluates too, so the difference is
-   provably >= 0; it depends on cancellation timing, so — like the pool
-   metrics — it is excluded from the deterministic-counters contract. *)
-let waste_counter = Fsa_obs.Metric.Counter.make "improve.speculation_waste"
-
-(* First-improvement scan over one round's attempt list.
-
-   Attempts are evaluated speculatively across domains; the winner is the
-   {e minimum-index} improvement, which is exactly the attempt the
-   sequential scan commits (no improvement exists below it, by
-   definition), so the committed solution sequence is identical at any
-   domain count.  Slots cancel early once some slot has found an
-   improvement below their current index ([best] only ever decreases, so
-   the slot owning the true winner can never be cancelled before reaching
-   it).  The reported scan length is the sequential one — winner index + 1,
-   or the full list — so [stats] and the improve.* counters are
-   deterministic; speculative probes beyond the winner still show up
-   truthfully in the cmatch.* cache counters.
-
-   Each attempt reads only the frozen instance and the persistent [sol]
-   (Cmatch/Bound memos are per-domain), which is what makes speculation
-   safe. *)
+(* First-improvement scan over one round's attempt list: commits the first
+   attempt whose gain exceeds [min_gain], and reports how many attempts it
+   evaluated — the winner's index + 1, or the whole list. *)
 let scan_attempts ~min_gain sol base attempt_list =
-  let arr = Array.of_list attempt_list in
-  let n = Array.length arr in
-  let best = Atomic.make max_int in
-  let improving i =
-    Fsa_obs.Budget.check ();
-    match arr.(i).apply sol with
-    | Some sol' when Solution.score sol' -. base > min_gain -> Some sol'
-    | Some _ | None -> None
+  let rec go k = function
+    | [] -> (None, k)
+    | a :: rest -> (
+        Fsa_obs.Budget.check ();
+        match a.apply sol with
+        | Some sol' when Solution.score sol' -. base > min_gain ->
+            (Some (a, sol'), k + 1)
+        | Some _ | None -> go (k + 1) rest)
   in
-  let slots =
-    Fsa_parallel.Pool.fan_out ~n ~chunk:(fun ~slot:_ ~lo ~hi ->
-        let evaluated = ref 0 in
-        let rec go i =
-          if i >= hi || Atomic.get best < i then None
-          else begin
-            incr evaluated;
-            match improving i with
-            | Some sol' ->
-                let rec publish () =
-                  let cur = Atomic.get best in
-                  if i < cur && not (Atomic.compare_and_set best cur i) then
-                    publish ()
-                in
-                publish ();
-                Some (i, arr.(i), sol')
-            | None -> go (i + 1)
-          end
-        in
-        (go lo, !evaluated))
-  in
-  let winner =
-    Array.fold_left
-      (fun acc (slot, _) ->
-        match (acc, slot) with
-        | None, s -> s
-        | s, None -> s
-        | Some (i, _, _), Some (j, _, _) -> if j < i then slot else acc)
-      None slots
-  in
-  let result = match winner with
-    | Some (i, a, sol') -> (Some (a, sol'), i + 1)
-    | None -> (None, n)
-  in
-  if Fsa_obs.Runtime.observing () then begin
-    let total = Array.fold_left (fun acc (_, e) -> acc + e) 0 slots in
-    let waste = total - snd result in
-    if waste > 0 then Fsa_obs.Metric.Counter.incr ~by:waste waste_counter
-  end;
-  result
+  go 0 attempt_list
 
 (* [track] publishes (solution, stats so far) after every committed
    improvement, so a budgeted run can surface the latest state as its

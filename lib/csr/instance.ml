@@ -8,9 +8,9 @@ type t = {
   sigma : Scoring.t;
 }
 
-(* Atomic so instances can be built from any domain; uids are never reused,
-   which is what lets per-domain caches keyed by uid age out stale entries
-   instead of ever colliding (DESIGN.md §14). *)
+(* Atomic so two domains building instances at once never mint the same
+   uid: the solver caches are keyed by uid, and uids are never reused
+   (DESIGN.md §14). *)
 let next_uid = Atomic.make 0
 let fresh_uid () = Atomic.fetch_and_add next_uid 1 + 1
 

@@ -20,54 +20,44 @@ let isp_of inst ~jobs_side =
   let off = offsets inst sites_side in
   let jobs = Instance.fragment_count inst jobs_side in
   let targets = Instance.fragment_count inst sites_side in
-  (* The (job, target) pairs are independent probes (per-domain MS/bound
-     caches; the instance is frozen), so the pair sweep fans out over the
-     flattened index.  [prepend_chunks] rebuilds the exact sequential
-     prepend order, so the ISP sees the candidates in the same order at
-     [FSA_DOMAINS]=1 and =N. *)
-  let cands =
-    Fsa_parallel.Pool.prepend_chunks ~n:(jobs * targets) (fun ~lo ~hi ->
-        let cands = ref [] in
-        for p = lo to hi - 1 do
-          let job = p / targets and target = p mod targets in
-          Fsa_obs.Budget.check ();
-          (* Candidates need ms > 0, so a pair whose admissible bound is <= 0
-             contributes nothing — skip its whole table. *)
-          if
-            Bound.pair_viable inst ~full_side:jobs_side job ~other_frag:target
-              ~threshold:0.0
-          then begin
-            let len =
-              Fragment.length (Instance.fragment inst sites_side target)
+  let cands = ref [] in
+  for job = 0 to jobs - 1 do
+    for target = 0 to targets - 1 do
+      Fsa_obs.Budget.check ();
+      (* Candidates need ms > 0, so a pair whose admissible bound is <= 0
+         contributes nothing — skip its whole table. *)
+      if
+        Bound.pair_viable inst ~full_side:jobs_side job ~other_frag:target
+          ~threshold:0.0
+      then begin
+        let len = Fragment.length (Instance.fragment inst sites_side target) in
+        (* All sites of this (job, target) pair share one MS precompute. *)
+        let tbl =
+          Cmatch.full_table inst ~full_side:jobs_side job ~other_frag:target
+        in
+        List.iter
+          (fun (site : Site.t) ->
+            Fsa_obs.Budget.check ();
+            let ms, _rev =
+              Cmatch.table_ms tbl ~lo:site.Site.lo ~hi:site.Site.hi
             in
-            (* All sites of this (job, target) pair share one MS precompute. *)
-            let tbl =
-              Cmatch.full_table inst ~full_side:jobs_side job ~other_frag:target
-            in
-            List.iter
-              (fun (site : Site.t) ->
-                Fsa_obs.Budget.check ();
-                let ms, _rev =
-                  Cmatch.table_ms tbl ~lo:site.Site.lo ~hi:site.Site.hi
-                in
-                if ms > 0.0 then
-                  cands :=
-                    {
-                      Fsa_intervals.Isp.job;
-                      interval =
-                        Fsa_intervals.Interval.make
-                          (off.(target) + site.Site.lo)
-                          (off.(target) + site.Site.hi);
-                      profit = ms;
-                    }
-                    :: !cands)
-              (Site.all_subsites len)
-          end
-        done;
-        !cands)
-  in
-  Fsa_obs.Metric.Counter.incr ~by:(List.length cands) isp_candidate_counter;
-  Fsa_intervals.Isp.create ~jobs cands
+            if ms > 0.0 then
+              cands :=
+                {
+                  Fsa_intervals.Isp.job;
+                  interval =
+                    Fsa_intervals.Interval.make
+                      (off.(target) + site.Site.lo)
+                      (off.(target) + site.Site.hi);
+                  profit = ms;
+                }
+                :: !cands)
+          (Site.all_subsites len)
+      end
+    done
+  done;
+  Fsa_obs.Metric.Counter.incr ~by:(List.length !cands) isp_candidate_counter;
+  Fsa_intervals.Isp.create ~jobs !cands
 
 let solve_side ?(algorithm = Tpa) inst ~jobs_side =
   Fsa_obs.Span.with_

@@ -29,8 +29,7 @@
 
    Nesting: a fan-out inside a chunk (on any domain) runs inline.  One
    level of parallelism keeps the merge order — and the worker count —
-   trivially deterministic, and the inner kernels (e.g. the all-windows
-   column kernel) stay parallel for top-level callers. *)
+   trivially deterministic. *)
 
 let max_domains = 512
 
@@ -74,15 +73,11 @@ let with_domains n f =
 
 (* One private mailbox per worker.  Slot [s > 0] of every batch is pushed
    to worker [s - 1]'s mailbox, so the slot → domain mapping is *static*
-   across batches (the contract the mli documents).  This is load-bearing
-   for the domain-local caches (Cmatch/Bound site tables, Budget state):
-   with a shared job queue, whichever worker woke first took the job, so a
-   repeat of an identical fan-out could land chunk [s] on a different
-   domain whose cache had never seen those tables — rebuild churn and a
-   nondeterministic cache-hit profile (the test_bound "repeat solve
-   rebuilds nothing" flake at FSA_DOMAINS=4).  Workers live for the whole
-   process (parked in [Condition.wait] between batches) and are joined by
-   an at_exit hook so the runtime shuts down cleanly. *)
+   across batches (the contract the mli documents): a repeat of an
+   identical fan-out runs chunk [s] on the same domain, with the same
+   domain-local state (Budget, ambient observation).  Workers live for the
+   whole process (parked in [Condition.wait] between batches) and are
+   joined by an at_exit hook so the runtime shuts down cleanly. *)
 type worker = {
   jobs : (unit -> unit) Queue.t; (* under [wm] *)
   wm : Mutex.t;
@@ -354,55 +349,3 @@ let fan_out ~n ~chunk =
         (function Some v -> v | None -> assert false (* no result, no error *))
         results
     end
-
-(* Per-domain housekeeping (dropping a dead instance's memo from every
-   domain-local cache).  It reaches every live worker, not just the
-   [domains ()] the next fan-out would use, so a cache warmed at a higher
-   domain count is not missed.  It records no pool metrics and ignores
-   budgets: it is bookkeeping, not work.  Inside a batch it runs on the
-   current domain only — the other workers are busy with the batch and the
-   caller is waiting on it — which is also every domain a nested,
-   inline-run computation could have touched. *)
-let each_domain f =
-  let slots =
-    if Domain.DLS.get inside then [||]
-    else begin
-      Mutex.lock lock;
-      let s = !worker_slots in
-      Mutex.unlock lock;
-      s
-    end
-  in
-  let n = Array.length slots in
-  let errors = Array.make (n + 1) None in
-  let attempt i =
-    try f () with e -> errors.(i) <- Some (e, Printexc.get_raw_backtrace ())
-  in
-  let m = Mutex.create () and cv = Condition.create () in
-  let pending = ref n in
-  Array.iteri
-    (fun i w ->
-      push w (fun () ->
-          attempt (i + 1);
-          Mutex.lock m;
-          decr pending;
-          if !pending = 0 then Condition.signal cv;
-          Mutex.unlock m))
-    slots;
-  attempt 0;
-  Mutex.lock m;
-  while !pending > 0 do
-    Condition.wait cv m
-  done;
-  Mutex.unlock m;
-  Array.iter
-    (Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt))
-    errors
-
-let prepend_chunks ~n f =
-  (* Sequential prepend-accumulation over 0..n-1 yields the items in
-     reverse iteration order; each chunk reproduces that locally, so
-     concatenating the slot lists in *reverse* slot order rebuilds the
-     exact sequential list. *)
-  let slots = fan_out ~n ~chunk:(fun ~slot:_ ~lo ~hi -> f ~lo ~hi) in
-  Array.fold_left (fun acc l -> l @ acc) [] slots

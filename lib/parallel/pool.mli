@@ -1,19 +1,16 @@
 (** A process-wide domain pool with a deterministic fan-out/merge
-    combinator.
+    combinator, used by discovery ([Fsa_genome.Pipeline.discovery_instance]).
+    The CSR solvers do not use it: they run on the calling domain.
 
-    The pool exists to make parallel solver runs {e bit-identical} to
-    sequential ones.  Work items are chunked by index: with [d] domains
-    over [n] items, slot [s] owns the contiguous range
-    [(s*n/d, (s+1)*n/d)].  Slot assignment is static — slot 0 runs on the
-    calling domain, slot [s > 0] on worker [s-1] via that worker's private
-    mailbox; there is no work stealing or shared queue — and {!fan_out}
-    returns the slot results in index order, so any order-sensitive merge
-    (list concatenation, fold, min-index selection) reproduces the
-    sequential result exactly.  [d = 1] {e is} the sequential code path,
-    not a simulation of it.  Because slot [s] always lands on the same
-    domain, domain-local caches (Cmatch/Bound site tables) warmed by one
-    fan-out are hit again by the next identical fan-out — repeat solves
-    rebuild nothing, deterministically, at any domain count.
+    The pool exists to make parallel runs {e bit-identical} to sequential
+    ones.  Work items are chunked by index: with [d] domains over [n]
+    items, slot [s] owns the contiguous range [(s*n/d, (s+1)*n/d)].  Slot
+    assignment is static — slot 0 runs on the calling domain, slot [s > 0]
+    on worker [s-1] via that worker's private mailbox; there is no work
+    stealing or shared queue — and {!fan_out} returns the slot results in
+    index order, so any order-sensitive merge (list concatenation, fold,
+    min-index selection) reproduces the sequential result exactly.
+    [d = 1] {e is} the sequential code path, not a simulation of it.
 
     Domain count comes from the [FSA_DOMAINS] environment variable
     (default 1; malformed or out-of-range values are rejected with a
@@ -31,12 +28,11 @@
     worker gets a fresh scratch registry for the batch; after the join
     the scratches are merged into the caller's registry in slot order
     (see [Fsa_obs.Registry.merge_into]).  Because chunking is static,
-    merged {e solver} counters equal the sequential run's counters
-    exactly — the exceptions are the pool's own [pool.*] metrics
-    (wall-clock derived: per-slot busy ns, busy skew, merge time,
-    fan-out/inline counters, dropped-event counts) and counters
-    documented as speculation-dependent ([improve.speculation_waste]),
-    which exist only to describe the parallel execution itself.
+    merged counters equal the sequential run's counters exactly — the
+    exceptions are the pool's own [pool.*] metrics (wall-clock derived:
+    per-slot busy ns, busy skew, merge time, fan-out/inline counters,
+    dropped-event counts), which exist only to describe the parallel
+    execution itself.
 
     When the caller has a trace sink, each worker gets a bounded
     in-memory buffer sink; buffered events are stamped with the worker's
@@ -80,23 +76,6 @@ val fan_out : n:int -> chunk:(slot:int -> lo:int -> hi:int -> 'a) -> 'a array
     If any chunk raises, the exception from the {e lowest} slot is
     re-raised on the caller (with its backtrace) after all slots finish —
     deterministic regardless of which domain faulted first. *)
-
-val prepend_chunks : n:int -> (lo:int -> hi:int -> 'a list) -> 'a list
-(** Parallel replacement for the prepend-accumulation idiom
-    [for i = 0 to n-1 do acc := f i :: !acc done; !acc].  Each chunk
-    returns its own prepend-built list; the slot lists are concatenated
-    in reverse slot order, which reproduces the sequential list exactly
-    (items in reverse index order). *)
-
-val each_domain : (unit -> unit) -> unit
-(** [each_domain f] runs [f] once on the calling domain and once on every
-    live pool worker (however many {!fan_out} would use now), and returns
-    when all have finished.  Meant for per-domain housekeeping such as
-    releasing one instance's domain-local caches; spawns no workers,
-    records no [pool.*] metrics and runs regardless of an installed
-    budget.  Inside a fan-out chunk it runs [f] on the current domain
-    only.  If [f] raises anywhere, the exception from the caller (else
-    the lowest worker) is re-raised after all have finished. *)
 
 val stop : unit -> unit
 (** Join all pool workers.  Called automatically [at_exit]; exposed for

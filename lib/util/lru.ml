@@ -33,7 +33,7 @@ let () =
         Some
           (Printf.sprintf
              "Lru.Cross_domain_use: cache owned by domain %d touched from \
-              domain %d (caches are domain-local; see DESIGN.md §14)"
+              domain %d (caches are single-domain; see DESIGN.md §14)"
              owner caller)
     | _ -> None)
 

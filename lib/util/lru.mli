@@ -12,8 +12,10 @@
     cache is owned by the domain that created it, and {e any} operation
     from another domain — including [find], which rewires the intrusive
     recency list — raises {!Cross_domain_use} instead of silently
-    corrupting the structure.  Domain-parallel callers keep one cache per
-    domain (e.g. in [Domain.DLS]) rather than sharing one. *)
+    corrupting the structure.  The solver caches ([Fsa_csr.Cmatch],
+    [Fsa_csr.Bound]) are module-level, so they belong to the domain that
+    loads them, and a solve started from any other domain fails with this
+    exception. *)
 
 type ('k, 'v) t
 

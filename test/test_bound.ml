@@ -161,13 +161,13 @@ let test_prune_counters () =
   check_bool "pruned <= checked" true
     (c "cmatch.pruned" <= c "cmatch.bound_checks");
   (* CSR_Improve's tpa_fill counts a host column of checks per call; the
-     totals must still come to one check per tested (job, host) pair.  At
-     one domain the scan is sequential, so every count below is exact. *)
+     totals must still come to one check per tested (job, host) pair.  The
+     scan is sequential at any domain count, so every count below is
+     exact. *)
   let csr_counters on =
     let reg = Fsa_obs.Registry.create () in
-    Fsa_parallel.Pool.with_domains 1 (fun () ->
-        Fsa_obs.Runtime.with_observation ~registry:reg (fun () ->
-            with_pruning on (fun () -> ignore (Csr_improve.solve inst))));
+    Fsa_obs.Runtime.with_observation ~registry:reg (fun () ->
+        with_pruning on (fun () -> ignore (Csr_improve.solve inst)));
     fun name ->
       match Fsa_obs.Registry.counter_value reg name with
       | Some v -> int_of_float v
@@ -202,12 +202,10 @@ let test_no_rebuild_within_solve () =
     Instance.random_planted rng ~regions:48 ~h_fragments:8 ~m_fragments:8
       ~inversion_rate:0.2 ~noise_pairs:24
   in
-  (* Distinct table keys: (side, full fragment, host fragment).  Caches are
-     per-domain, so with FSA_DOMAINS > 1 each domain may build its own copy
-     of a pair's table — the bound scales with the domain count. *)
+  (* Distinct table keys: (side, full fragment, host fragment). *)
   let nh = Instance.fragment_count inst Species.H in
   let nm = Instance.fragment_count inst Species.M in
-  let distinct = 2 * nh * nm * Fsa_parallel.Pool.domains () in
+  let distinct = 2 * nh * nm in
   let reg = Fsa_obs.Registry.create () in
   Fsa_obs.Runtime.with_observation ~registry:reg (fun () ->
       with_pruning false (fun () ->

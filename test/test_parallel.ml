@@ -1,9 +1,10 @@
 (* Domain pool and domain-safety tests: the fan-out/merge contract
    (chunk coverage, slot order, exception propagation, inline fallbacks),
-   the cross-domain determinism suite (every CSR solver bit-identical at
-   FSA_DOMAINS ∈ {1, 2, 4}), the pinned fuzz corpus under parallelism,
-   and the regression tests for the shared-mutable-state bug class:
-   budget isolation, Lru owner checks, knob validation, registry merge. *)
+   the cross-domain determinism suite (every CSR solver's output and
+   counters identical at FSA_DOMAINS ∈ {1, 2, 4}), the pinned fuzz corpus
+   under parallelism, and the regression tests for the shared-mutable-state
+   bug class: budget isolation, Lru owner checks (a solve from another
+   domain fails loudly), knob validation, registry merge. *)
 
 open Fsa_csr
 module Pool = Fsa_parallel.Pool
@@ -81,40 +82,10 @@ let test_fan_out_empty () =
       check_int "n=0 yields no slots" 0
         (Array.length (Pool.fan_out ~n:0 ~chunk:(fun ~slot ~lo:_ ~hi:_ -> slot))))
 
-let prepend_reference n =
-  let acc = ref [] in
-  for i = 0 to n - 1 do
-    acc := i :: !acc
-  done;
-  !acc
-
-let test_prepend_chunks_deterministic () =
-  List.iter
-    (fun n ->
-      let reference = prepend_reference n in
-      List.iter
-        (fun d ->
-          Pool.with_domains d (fun () ->
-              let got =
-                Pool.prepend_chunks ~n (fun ~lo ~hi ->
-                    let acc = ref [] in
-                    for i = lo to hi - 1 do
-                      acc := i :: !acc
-                    done;
-                    !acc)
-              in
-              check_bool
-                (Printf.sprintf "n=%d d=%d: sequential prepend order" n d)
-                true (got = reference)))
-        [ 1; 2; 4 ])
-    [ 0; 1; 5; 37; 128 ]
-
 let test_static_slot_domain_mapping () =
-  (* Slot s must land on the same domain in every batch: the domain-local
-     Cmatch/Bound caches warmed by one fan-out are only reusable if a
-     repeat of the same fan-out routes chunk s to the same worker.  The
-     old shared job queue let any free worker grab any slot (the
-     test_bound "repeat solve rebuilds nothing" flake at FSA_DOMAINS=4). *)
+  (* Slot s must land on the same domain in every batch, so a repeat of
+     the same fan-out runs chunk s with the same domain-local state.  The
+     old shared job queue let any free worker grab any slot. *)
   Pool.with_domains 4 (fun () ->
       let mapping () =
         Array.map
@@ -457,32 +428,49 @@ let test_improve_stats_determinism () =
   check_bool "stats identical at 2 domains" true (at 2 = r1);
   check_bool "stats identical at 4 domains" true (at 4 = r1)
 
-let test_region_align_kernel_determinism () =
-  (* A word pair big enough to cross the all-windows parallel threshold. *)
-  let rng = Rng.create 3 in
-  let inst =
-    Instance.random_planted rng ~regions:96 ~h_fragments:2 ~m_fragments:2
-      ~inversion_rate:0.3 ~noise_pairs:300
-  in
-  let probe () =
+(* Solvers run on the calling domain, so every counter they record — the
+   cmatch.* cache and bound counters included — is the same at any domain
+   count; only the pool's own pool.* metrics may differ.  Each run starts
+   from empty caches, so the cache counters are comparable. *)
+let test_counter_determinism () =
+  let counters inst solve d =
     Cmatch.clear_cache ();
-    let tbl = Cmatch.full_table inst ~full_side:Species.H 0 ~other_frag:0 in
-    let len =
-      Fsa_seq.Fragment.length (Instance.fragment inst Species.M 0)
-    in
-    let buf = Buffer.create 4096 in
-    for lo = 0 to len - 1 do
-      for hi = lo to len - 1 do
-        let ms, rev = Cmatch.table_ms tbl ~lo ~hi in
-        Buffer.add_string buf (Printf.sprintf "%d %d %.17g %b\n" lo hi ms rev)
-      done
-    done;
-    Buffer.contents buf
+    let reg = Registry.create () in
+    Pool.with_domains d (fun () ->
+        Fsa_obs.Runtime.with_observation ~registry:reg (fun () ->
+            ignore (solve inst)));
+    Registry.counters reg
+    |> List.filter (fun (name, _) -> not (String.starts_with ~prefix:"pool." name))
+    |> List.map (fun (name, v) -> Printf.sprintf "%s %.17g" name v)
+    |> String.concat "\n"
   in
-  let at d = Pool.with_domains d probe in
-  let s1 = at 1 in
-  check_bool "kernel identical at 2 domains" true (s1 = at 2);
-  check_bool "kernel identical at 4 domains" true (s1 = at 4)
+  List.iter
+    (fun (inst_name, inst) ->
+      List.iter
+        (fun (solver_name, solve) ->
+          let c1 = counters inst solve 1 in
+          List.iter
+            (fun d ->
+              check_string
+                (Printf.sprintf "%s on %s: counters at %d domains == 1"
+                   solver_name inst_name d)
+                c1 (counters inst solve d))
+            [ 2; 4 ])
+        solvers)
+    [ ("planted", planted_instance ()); ("sparse", sparse_instance ()) ]
+
+(* The solver caches belong to the domain that loaded Cmatch and Bound:
+   a solve started from any other domain must fail loudly, not race. *)
+let test_solve_from_other_domain_fails () =
+  let inst = planted_instance () in
+  let d =
+    Domain.spawn (fun () ->
+        match One_csr.four_approx inst with
+        | _ -> `No_exception
+        | exception Lru.Cross_domain_use _ -> `Raised)
+  in
+  check_bool "solve from a spawned domain raises Cross_domain_use" true
+    (Domain.join d = `Raised)
 
 (* The pinned fuzz corpus, replayed with the pool active: every oracle
    property must still hold, and the runs must examine the same number of
@@ -504,87 +492,32 @@ let test_corpus_parallel () =
         Fsa_check.Fuzz.corpus)
 
 (* ------------------------------------------------------------------ *)
-(* Releasing an instance's memo on every domain                        *)
-
-let test_each_domain_reaches_workers () =
-  Pool.with_domains 3 (fun () ->
-      (* Spawn the workers, and learn which domain each slot runs on. *)
-      let pool_ids =
-        Array.map snd
-          (Pool.fan_out ~n:3 ~chunk:(fun ~slot ~lo:_ ~hi:_ ->
-               (slot, (Domain.self () :> int))))
-      in
-      let seen = ref [] and m = Mutex.create () in
-      let record () =
-        Mutex.lock m;
-        seen := (Domain.self () :> int) :: !seen;
-        Mutex.unlock m
-      in
-      Pool.each_domain record;
-      List.iter
-        (fun id ->
-          check_int
-            (Printf.sprintf "domain %d ran it once" id)
-            1
-            (List.length (List.filter (( = ) id) !seen)))
-        (Array.to_list pool_ids);
-      (* Inside a chunk only the current domain runs it. *)
-      seen := [];
-      let inner =
-        Pool.fan_out ~n:3 ~chunk:(fun ~slot ~lo:_ ~hi:_ ->
-            if slot = 1 then Pool.each_domain record;
-            (Domain.self () :> int))
-      in
-      check_bool "nested: the calling worker only" true (!seen = [ inner.(1) ]))
-
-let count_builds reg =
-  int_of_float
-    (Option.value ~default:0.0 (Registry.counter_value reg "cmatch.table_builds"))
-
-let test_invalidate_reaches_workers () =
-  (* A table built on a worker domain must be dropped there too: the probe
-     after [invalidate] rebuilds it. *)
-  let inst = planted_instance () in
-  Pool.with_domains 2 (fun () ->
-      let probe_on_worker () =
-        ignore
-          (Pool.fan_out ~n:2 ~chunk:(fun ~slot ~lo:_ ~hi:_ ->
-               if slot = 1 then
-                 ignore (Cmatch.full_table inst ~full_side:Species.H 0 ~other_frag:0)))
-      in
-      let reg = Registry.create () in
-      Fsa_obs.Runtime.with_observation ~registry:reg (fun () ->
-          probe_on_worker ();
-          probe_on_worker ();
-          Cmatch.invalidate inst;
-          probe_on_worker ());
-      check_int "built, hit, rebuilt after invalidate" 2 (count_builds reg))
+(* Releasing a finished instance's memo                                 *)
 
 let test_solve_best_heap_flat () =
   (* A finished instance's site tables, σ snapshot and bound summary stay
-     on every domain that probed it until released (keys are uids, never
-     reused, so nothing hits them again).  Csr_improve.solve_best releases
-     them on exit: after warm-up, live words stay put. *)
+     cached until released (keys are uids, never reused, so nothing hits
+     them again).  Csr_improve.solve_best releases them on exit: after
+     warm-up, live words stay put. *)
   let live () =
     Gc.full_major ();
     (Gc.stat ()).Gc.live_words
   in
-  Pool.with_domains 2 (fun () ->
-      let warm = ref 0 in
-      for i = 1 to 60 do
-        let inst =
-          Instance.random_planted (Rng.create (1000 + i)) ~regions:12
-            ~h_fragments:3 ~m_fragments:3 ~inversion_rate:0.2 ~noise_pairs:12
-        in
-        ignore (Csr_improve.solve_best inst);
-        if i = 10 then warm := live ()
-      done;
-      let grown = live () - !warm in
-      (* Without the release this grows by ~3.7k words per instance. *)
-      check_bool
-        (Printf.sprintf "live words grew by %d over 50 instances (slack 16384)"
-           grown)
-        true (grown <= 16_384))
+  let warm = ref 0 in
+  for i = 1 to 60 do
+    let inst =
+      Instance.random_planted (Rng.create (1000 + i)) ~regions:12
+        ~h_fragments:3 ~m_fragments:3 ~inversion_rate:0.2 ~noise_pairs:12
+    in
+    ignore (Csr_improve.solve_best inst);
+    if i = 10 then warm := live ()
+  done;
+  let grown = live () - !warm in
+  (* Without the release this grows by ~3.7k words per instance. *)
+  check_bool
+    (Printf.sprintf "live words grew by %d over 50 instances (slack 16384)"
+       grown)
+    true (grown <= 16_384)
 
 let () =
   Alcotest.run "parallel"
@@ -600,8 +533,6 @@ let () =
           Alcotest.test_case "fan_out empty" `Quick test_fan_out_empty;
           Alcotest.test_case "static slot->domain mapping" `Quick
             test_static_slot_domain_mapping;
-          Alcotest.test_case "prepend_chunks order" `Quick
-            test_prepend_chunks_deterministic;
           Alcotest.test_case "lowest-slot exception wins" `Quick
             test_exception_lowest_slot_wins;
           Alcotest.test_case "nested fan-out inlines" `Quick
@@ -617,6 +548,8 @@ let () =
             test_budget_trip_stays_in_its_domain;
           Alcotest.test_case "Lru cross-domain use fails" `Quick
             test_lru_cross_domain_use;
+          Alcotest.test_case "solve from another domain fails" `Quick
+            test_solve_from_other_domain_fails;
         ] );
       ( "knobs",
         [
@@ -638,10 +571,6 @@ let () =
         ] );
       ( "memo release",
         [
-          Alcotest.test_case "each_domain reaches every worker" `Quick
-            test_each_domain_reaches_workers;
-          Alcotest.test_case "invalidate reaches workers" `Quick
-            test_invalidate_reaches_workers;
           Alcotest.test_case "solve_best keeps the heap flat" `Quick
             test_solve_best_heap_flat;
         ] );
@@ -651,8 +580,8 @@ let () =
             test_solver_determinism;
           Alcotest.test_case "improve stats" `Slow
             test_improve_stats_determinism;
-          Alcotest.test_case "all-windows kernel" `Slow
-            test_region_align_kernel_determinism;
+          Alcotest.test_case "every counter at 1/2/4 domains" `Slow
+            test_counter_determinism;
           Alcotest.test_case "pinned corpus with pool" `Slow
             test_corpus_parallel;
         ] );

@@ -42,10 +42,6 @@ type bench = {
   ns : float;
   r2 : float option;
   runs : int;
-  counters : (string * float) list;
-      (* Optional per-bench "counters" object: observability counters and
-         gauges recorded while the bench ran (pool.skew, pool.busy_ns on
-         the (Nd) tiers).  Reported, never gated. *)
 }
 
 type doc = {
@@ -89,14 +85,6 @@ let load_doc path =
                       runs =
                         Option.value ~default:0
                           (Option.bind (J.member "runs" b) J.to_int_opt);
-                      counters =
-                        (match J.member "counters" b with
-                        | Some (J.Obj kvs) ->
-                            List.filter_map
-                              (fun (k, v) ->
-                                Option.map (fun f -> (k, f)) (J.to_float_opt v))
-                              kvs
-                        | _ -> []);
                     })
                   (J.to_float_opt ns_j)
             | _ -> None)
@@ -152,89 +140,6 @@ let blown_deadline b =
   match deadline_ceiling_ns b.b_name with
   | Some ceiling when b.ns > ceiling -> Some ceiling
   | _ -> None
-
-(* Domain-tier speedup: a bench named "... (Nd)" is the same workload run
-   with the domain pool at N domains; outputs are bit-identical across the
-   tier, only the wall clock may differ.  Rows are grouped by base name and
-   each N>1 row is reported as a speedup over its "(1d)" sibling.  The
-   gate is opt-in (--min-speedup): single-core runners legitimately show
-   ~1x (the >1 rows measure pool overhead there), so an unconditional
-   floor would make the gate machine-dependent. *)
-let domain_tier name =
-  let n = String.length name in
-  if n >= 4 && name.[n - 1] = ')' && name.[n - 2] = 'd' then
-    match String.rindex_opt name '(' with
-    | Some i when i >= 2 && name.[i - 1] = ' ' && i + 1 < n - 2 -> (
-        match int_of_string_opt (String.sub name (i + 1) (n - 2 - (i + 1))) with
-        | Some d when d >= 1 -> Some (String.sub name 0 (i - 1), d)
-        | _ -> None)
-    | _ -> None
-  else None
-
-(* Pool-balance telemetry for an (Nd) row, when the candidate document
-   recorded it: skew is the busiest/idlest slot busy-time ratio (1.0 =
-   perfectly balanced chunks), busy the summed slot busy time.
-   Informational only — skew depends on the machine's load, so it is
-   reported next to the speedup, never gated. *)
-let pool_note bench =
-  let v name = List.assoc_opt name bench.counters in
-  match (v "pool.skew", v "pool.busy_ns") with
-  | None, None -> ""
-  | skew, busy ->
-      let parts =
-        (match skew with
-        | Some s -> [ Printf.sprintf "skew %.2f" s ]
-        | None -> [])
-        @
-        match busy with
-        | Some b -> [ "busy " ^ Fsa_obs.Report.pretty_ns b ]
-        | None -> []
-      in
-      "  [pool: " ^ String.concat ", " parts ^ "]"
-
-(* Returns the number of tier groups whose highest domain count misses
-   [min_speedup] (always 0 when the gate is off). *)
-let report_speedups ~min_speedup benches =
-  let tiers =
-    List.filter_map
-      (fun b -> Option.map (fun (base, d) -> (base, d, b)) (domain_tier b.b_name))
-      benches
-  in
-  let bases = List.sort_uniq compare (List.map (fun (b, _, _) -> b) tiers) in
-  let failures = ref 0 in
-  List.iter
-    (fun base ->
-      match
-        List.find_opt (fun (b, d, _) -> b = base && d = 1) tiers
-      with
-      | None -> ()
-      | Some (_, _, one) ->
-          let others =
-            List.sort compare
-              (List.filter_map
-                 (fun (b, d, bench) ->
-                   if b = base && d > 1 then Some (d, bench) else None)
-                 tiers)
-          in
-          if others <> [] then begin
-            let top_d = List.fold_left (fun acc (d, _) -> max acc d) 1 others in
-            List.iter
-              (fun (d, bench) ->
-                let speedup = one.ns /. bench.ns in
-                let gated = min_speedup > 0.0 && d = top_d in
-                let failed = gated && speedup < min_speedup in
-                if failed then incr failures;
-                Printf.printf "speedup: %s: %.2fx at %dd%s%s\n" base speedup d
-                  (if failed then
-                     Printf.sprintf "  BELOW FLOOR (< %.2fx)" min_speedup
-                   else if gated then
-                     Printf.sprintf "  (floor %.2fx: ok)" min_speedup
-                   else "")
-                  (pool_note bench))
-              others
-          end)
-    bases;
-  !failures
 
 type verdict = Ok_v | Improved | Regressed
 
@@ -358,7 +263,6 @@ let () =
   let bench_exe = ref None in
   let obs = ref false in
   let obs_allowed = ref default_obs_allowed in
-  let min_speedup = ref 0.0 in
   let spec =
     [
       ("--baseline", Arg.Set_string baseline, "FILE baseline fsa-bench/1 document (default BENCH_solvers.json)");
@@ -368,7 +272,6 @@ let () =
       ("--bench-exe", Arg.String (fun f -> bench_exe := Some f), "PATH bench executable (default: sibling bench/main.exe)");
       ("--obs-overhead", Arg.Set obs, " run the observability overhead guard instead of the regression gate");
       ("--obs-allowed", Arg.Set_float obs_allowed, "REL allowed obs-on median slowdown (default 0.30)");
-      ("--min-speedup", Arg.Set_float min_speedup, "R require each (Nd) tier group's highest domain count to reach R x over its (1d) sibling (default: off; needs a multi-core runner)");
     ]
   in
   Arg.parse spec
@@ -447,14 +350,6 @@ let () =
     cand_doc.benches;
   Fsa_util.Tablefmt.print t;
   print_newline ();
-  let speedup_failures =
-    report_speedups ~min_speedup:!min_speedup cand_doc.benches
-  in
-  if speedup_failures > 0 then begin
-    Printf.printf "FAIL: %d domain tier(s) below the --min-speedup floor\n"
-      speedup_failures;
-    exit 1
-  end;
   if !missing > 0 then
     Printf.printf "warning: %d baseline bench(es) missing from the candidate\n"
       !missing;

@@ -124,16 +124,14 @@ let portfolio_bench ~regions ~frags ~deadline_ms =
          ignore (Fsa_portfolio.Portfolio.solve ~deadline inst)))
 
 (* Chromosome-scale discovery tier: one ≥256 kb synthetic genome pair,
-   instance built by the seed → chain → band engine vs the full-kernel
-   per-anchor baseline.  Homology is confined to planted ~3 kb conserved
-   regions separated by unrelated random spacers — unlike
-   Pipeline.generate, whose spacers descend from the shared ancestor too,
-   which would make every contig pair homologous end to end and the full
-   O(n·m) baseline intractable at this scale.  A few regions are inverted
-   on the M side to exercise reverse-strand chains.  Per-bench counters
-   carry the chain.* / band.* telemetry (band.fallbacks is
-   force-registered so the key is present even when the adaptive kernel
-   never falls back). *)
+   instance built by Pipeline.discovery_instance (seed → chain → band).
+   Homology is confined to planted ~3 kb conserved regions separated by
+   unrelated random spacers — unlike Pipeline.generate, whose spacers
+   descend from the shared ancestor too, which would make every contig pair
+   homologous end to end.  A few regions are inverted on the M side to
+   exercise reverse-strand chains.  Per-bench counters carry the chain.* /
+   band.* telemetry (band.fallbacks is force-registered so the key is
+   present even when the adaptive kernel never falls back). *)
 let discovery_pair =
   lazy
     (let rng = Rng.create 17 in
@@ -204,13 +202,13 @@ let discovery_genome_size () =
 
 let band_fallbacks_probe = Fsa_obs.Metric.Counter.make "band.fallbacks"
 
-let discovery_bench ~engine ~label =
+let discovery_bench () =
   let h, m = Lazy.force discovery_pair in
   Test.make
-    ~name:(Printf.sprintf "discovery %s %dkb" label (discovery_genome_size () / 1024))
+    ~name:(Printf.sprintf "discovery chained %dkb" (discovery_genome_size () / 1024))
     (Staged.stage (fun () ->
          Fsa_obs.Metric.Counter.incr ~by:0 band_fallbacks_probe;
-         ignore (Fsa_genome.Pipeline.discovery_instance ~engine ~h ~m ())))
+         ignore (Fsa_genome.Pipeline.discovery_instance ~h ~m ())))
 
 let four_approx_bench () =
   let rng = Rng.create 11 in
@@ -256,8 +254,7 @@ let test_list () =
     sparse_greedy_bench ~regions:64 ~frags:16;
     portfolio_bench ~regions:64 ~frags:16 ~deadline_ms:5;
     portfolio_bench ~regions:128 ~frags:32 ~deadline_ms:10;
-    discovery_bench ~engine:`Chained ~label:"chained";
-    discovery_bench ~engine:`Per_anchor_full ~label:"per-anchor-full";
+    discovery_bench ();
     exact_bench ();
   ]
 

@@ -142,17 +142,34 @@ let term =
 (* ------------------------------------------------------------------ *)
 (* discover: seed → chain → band on real FASTA pairs                   *)
 
+let discover_error msg =
+  prerr_endline ("genome_sim discover: error: " ^ msg);
+  exit 2
+
+(* Flag values the pipeline would reject deep inside (or, worse, accept and
+   misread) are user errors: exit 2 before any file is read. *)
+let check_discover_flags ~k ~min_anchor_score ~cluster_gap ~max_gap ~band ~band_cap =
+  let bad flag want got =
+    discover_error (Printf.sprintf "%s must be %s (got %s)" flag want got)
+  in
+  if k < 1 || k > 30 then bad "-k" "in [1, 30]" (string_of_int k);
+  if not (Float.is_finite min_anchor_score) then
+    bad "--min-anchor-score" "a finite number" (string_of_float min_anchor_score);
+  if cluster_gap < 0 then bad "--cluster-gap" ">= 0" (string_of_int cluster_gap);
+  if max_gap < 0 then bad "--max-gap" ">= 0" (string_of_int max_gap);
+  (match band with
+  | Some b when b < 1 -> bad "--band" ">= 1" (string_of_int b)
+  | _ -> ());
+  match band_cap with
+  | Some c when c < 0 -> bad "--band-cap" ">= 0" (string_of_int c)
+  | _ -> ()
+
 let contigs_of_fasta path =
   let entries =
     try Fsa_seq.Fasta.read_file path
-    with Sys_error msg | Failure msg ->
-      prerr_endline ("genome_sim discover: error: " ^ msg);
-      exit 2
+    with Sys_error msg | Failure msg -> discover_error msg
   in
-  if entries = [] then begin
-    prerr_endline ("genome_sim discover: error: no sequences in " ^ path);
-    exit 2
-  end;
+  if entries = [] then discover_error ("no sequences in " ^ path);
   List.map
     (fun (e : Fsa_seq.Fasta.entry) ->
       {
@@ -164,22 +181,16 @@ let contigs_of_fasta path =
       })
     entries
 
-let discover h_path m_path k min_anchor_score cluster_gap engine max_gap band
-    band_cap trace =
+let discover h_path m_path k min_anchor_score cluster_gap max_gap band band_cap trace =
+  check_discover_flags ~k ~min_anchor_score ~cluster_gap ~max_gap ~band ~band_cap;
   setup_observation trace false;
   let reg = Fsa_obs.Registry.create () in
   Fsa_obs.Runtime.set_registry (Some reg);
   let h = contigs_of_fasta h_path and m = contigs_of_fasta m_path in
-  let engine =
-    match engine with
-    | "per-anchor" -> `Per_anchor
-    | "per-anchor-full" -> `Per_anchor_full
-    | _ -> `Chained
-  in
   let built =
     try
-      P.discovery_instance ~k ~min_anchor_score ~cluster_gap ~engine ~max_gap
-        ?band ?band_cap ~h ~m ()
+      P.discovery_instance ~k ~min_anchor_score ~cluster_gap ~max_gap ?band ?band_cap
+        ~h ~m ()
     with Invalid_argument msg ->
       prerr_endline ("genome_sim discover: " ^ msg);
       exit 1
@@ -216,21 +227,6 @@ let discover_cmd =
     value & opt int 5
     & info [ "cluster-gap" ] ~doc:"Merge footprints within this many bases."
   in
-  let engine =
-    value
-    & opt
-        (enum
-           [
-             ("chained", "chained");
-             ("per-anchor", "per-anchor");
-             ("per-anchor-full", "per-anchor-full");
-           ])
-        "chained"
-    & info [ "engine" ]
-        ~doc:
-          "Region/σ builder: chained (seed → chain → band, default), \
-           per-anchor (historical), per-anchor-full (full-kernel baseline)."
-  in
   let max_gap =
     value & opt int 300
     & info [ "max-gap" ] ~doc:"Largest per-sequence gap bridged by a chain."
@@ -253,8 +249,8 @@ let discover_cmd =
   Cmd.v
     (Cmd.info "discover" ~doc)
     Term.(
-      const discover $ h_fasta $ m_fasta $ k $ min_anchor_score $ cluster_gap
-      $ engine $ max_gap $ band $ band_cap $ trace)
+      const discover $ h_fasta $ m_fasta $ k $ min_anchor_score $ cluster_gap $ max_gap
+      $ band $ band_cap $ trace)
 
 let cmd =
   let doc = "synthetic two-genome order/orient inference benchmark" in

@@ -20,7 +20,14 @@ let pairs_counter = Fsa_obs.Metric.Counter.make "chain.dp_pairs"
 let qk_lo a = if a.Seed.forward then a.Seed.q_lo else -a.Seed.q_hi
 let qk_hi a = if a.Seed.forward then a.Seed.q_hi else -a.Seed.q_lo
 
-let chain_one_strand ~max_gap ~lookback ~gap_scale anchors =
+(* An anchor links to a predecessor among the last [lookback] sorted
+   anchors; a link costs [gap_scale] per gap or overlap base; chains
+   scoring under [min_score] are dropped. *)
+let lookback = 64
+let gap_scale = 0.5
+let min_score = 0.0
+
+let chain_one_strand ~max_gap anchors =
   let arr = Array.of_list anchors in
   let n = Array.length arr in
   if n = 0 then []
@@ -110,14 +117,10 @@ let chain_one_strand ~max_gap ~lookback ~gap_scale anchors =
     !chains
   end
 
-let chains ?(max_gap = 300) ?(lookback = 64) ?(gap_scale = 0.5)
-    ?(min_score = 0.0) anchors =
+let chains ?(max_gap = 300) anchors =
   Fsa_obs.Span.with_ ~name:"chain.build" @@ fun () ->
   let fwd, rev = List.partition (fun a -> a.Seed.forward) anchors in
-  let all =
-    chain_one_strand ~max_gap ~lookback ~gap_scale fwd
-    @ chain_one_strand ~max_gap ~lookback ~gap_scale rev
-  in
+  let all = chain_one_strand ~max_gap fwd @ chain_one_strand ~max_gap rev in
   let kept = List.filter (fun c -> c.score >= min_score) all in
   Fsa_obs.Metric.Counter.incr ~by:(List.length kept) chains_counter;
   List.iter
@@ -128,8 +131,7 @@ let chains ?(max_gap = 300) ?(lookback = 64) ?(gap_scale = 0.5)
 
 type stitched = { chain : t; score : float; widenings : int; fallbacks : int }
 
-let stitch ?(params = Dna_align.default) ?band ?band_cap
-    ?(gap_kernel = `Adaptive) ~target ~query c =
+let stitch ?band ?band_cap ?(gap_kernel = `Adaptive) ~target ~query c =
   Fsa_obs.Span.with_ ~name:"chain.stitch" @@ fun () ->
   (* Work in strand coordinates: for a reverse chain, against the
      reverse-complemented query, mapping each anchor's forward-query
@@ -142,17 +144,17 @@ let stitch ?(params = Dna_align.default) ?band ?band_cap
     else (ql - 1 - a.Seed.q_hi, ql - 1 - a.Seed.q_lo)
   in
   let pair t q =
-    if Dna.get target t = Dna.get q' q then params.Dna_align.match_score
-    else params.Dna_align.mismatch
+    if Dna.get target t = Dna.get q' q then Dna_align.default.match_score
+    else Dna_align.default.mismatch
   in
   let score = ref 0.0 and widenings = ref 0 and fallbacks = ref 0 in
   let gap_align gt gq ~t0 ~q0 =
     if gt > 0 || gq > 0 then begin
       let a = Dna.sub target ~pos:t0 ~len:gt and b = Dna.sub q' ~pos:q0 ~len:gq in
       match gap_kernel with
-      | `Full -> score := !score +. (Dna_align.global ~params a b).Pairwise.score
+      | `Full -> score := !score +. (Dna_align.global a b).Pairwise.score
       | `Adaptive ->
-          let ad = Dna_align.adaptive_global ~params ?band ?band_cap a b in
+          let ad = Dna_align.adaptive_global ?band ?band_cap a b in
           widenings := !widenings + ad.Pairwise.widenings;
           if ad.Pairwise.fell_back then incr fallbacks;
           score := !score +. ad.Pairwise.result.Pairwise.score

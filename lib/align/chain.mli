@@ -22,22 +22,15 @@ type t = {
   q_hi : int;  (** inclusive forward-query envelope *)
 }
 
-val chains :
-  ?max_gap:int ->
-  ?lookback:int ->
-  ?gap_scale:float ->
-  ?min_score:float ->
-  Seed.anchor list ->
-  t list
+val chains : ?max_gap:int -> Seed.anchor list -> t list
 (** Sparse chaining DP per strand: anchors sorted by target position, each
-    anchor links to the best predecessor within the last [lookback]
-    (default 64) sorted anchors whose target and strand-query coordinates
-    both strictly precede it and whose gaps do not exceed [max_gap]
-    (default 300) bases on either sequence.  A link costs [gap_scale]
-    (default 0.5) per gap or overlap base.  Chains are peeled best-end
-    first — each anchor belongs to exactly one chain — and returned sorted
-    by decreasing score, dropping those under [min_score] (default 0).
-    O(n·lookback) after the sort.  Telemetry: [chain.chains_built],
+    anchor links to the best predecessor within the last 64 sorted anchors
+    whose target and strand-query coordinates both strictly precede it and
+    whose gaps do not exceed [max_gap] (default 300) bases on either
+    sequence.  A link costs 0.5 per gap or overlap base.  Chains are peeled
+    best-end first — each anchor belongs to exactly one chain — and
+    returned sorted by decreasing score, dropping those with a negative
+    score.  O(64·n) after the sort.  Telemetry: [chain.chains_built],
     [chain.anchors_chained], [chain.dp_pairs] counters, [chain.build]
     span. *)
 
@@ -52,7 +45,6 @@ type stitched = {
 }
 
 val stitch :
-  ?params:Dna_align.params ->
   ?band:int ->
   ?band_cap:int ->
   ?gap_kernel:[ `Adaptive | `Full ] ->
@@ -62,9 +54,9 @@ val stitch :
   stitched
 (** Scores a chain's region exactly.  Reverse chains are stitched against
     the reverse-complemented query (anchor coordinates mapped by
-    j ↦ ql - 1 - j).  [gap_kernel] selects the inter-anchor gap engine:
+    j ↦ ql - 1 - j).  [gap_kernel] selects the inter-anchor gap kernel:
     [`Adaptive] (default) uses {!Dna_align.adaptive_global} — score-identical
     to the full kernel by its certificate — while [`Full] runs
-    {!Dna_align.global} directly (the equivalence baseline).  Telemetry:
+    {!Dna_align.global} directly (the test oracle).  Telemetry:
     [chain.stitch] span; the adaptive kernel's [band.*] counters tick
     underneath. *)

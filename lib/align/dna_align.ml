@@ -4,38 +4,14 @@ type params = { match_score : float; mismatch : float; gap : float }
 
 let default = { match_score = 1.0; mismatch = -1.0; gap = 1.5 }
 
-let score_fn p a b i j =
-  if Dna.get a i = Dna.get b j then p.match_score else p.mismatch
+let score_fn a b i j =
+  if Dna.get a i = Dna.get b j then default.match_score else default.mismatch
 
-let global ?(params = default) a b =
-  Pairwise.global ~score:(score_fn params a b) ~gap:params.gap ~la:(Dna.length a)
+let global a b =
+  Pairwise.global ~score:(score_fn a b) ~gap:default.gap ~la:(Dna.length a)
     ~lb:(Dna.length b)
 
-let semiglobal ?(params = default) a b =
-  Pairwise.semiglobal ~score:(score_fn params a b) ~gap:params.gap ~la:(Dna.length a)
-    ~lb:(Dna.length b)
-
-let local ?(params = default) a b =
-  Pairwise.local ~score:(score_fn params a b) ~gap:params.gap ~la:(Dna.length a)
-    ~lb:(Dna.length b)
-
-let banded_global ?(params = default) ~band a b =
-  Pairwise.banded_global ~score:(score_fn params a b) ~gap:params.gap ~band
-    ~la:(Dna.length a) ~lb:(Dna.length b)
-
-let adaptive_global ?(params = default) ?band ?band_cap a b =
-  Pairwise.adaptive_global ~score:(score_fn params a b)
-    ~s_max:(Float.max params.match_score params.mismatch)
-    ~gap:params.gap ?band ?band_cap ~la:(Dna.length a) ~lb:(Dna.length b) ()
-
-let identity_of_alignment a b (al : Pairwise.alignment) =
-  let pairs, matches =
-    List.fold_left
-      (fun (pairs, matches) op ->
-        match (op : Pairwise.op) with
-        | Both (i, j) ->
-            (pairs + 1, if Dna.get a i = Dna.get b j then matches + 1 else matches)
-        | A_only _ | B_only _ -> (pairs, matches))
-      (0, 0) al.ops
-  in
-  if pairs = 0 then 0.0 else float_of_int matches /. float_of_int pairs
+let adaptive_global ?band ?band_cap a b =
+  Pairwise.adaptive_global ~score:(score_fn a b)
+    ~s_max:(Float.max default.match_score default.mismatch)
+    ~gap:default.gap ?band ?band_cap ~la:(Dna.length a) ~lb:(Dna.length b) ()

@@ -1,4 +1,5 @@
-(** Nucleotide-level alignment front-end. *)
+(** Nucleotide-level alignment front-end: {!Pairwise} kernels under the
+    [default] DNA scores, which every caller uses. *)
 
 open Fsa_seq
 
@@ -11,20 +12,9 @@ type params = {
 val default : params
 (** +1 / -1 / 1.5 — a conservative BLAST-like parametrization. *)
 
-val global : ?params:params -> Dna.t -> Dna.t -> Pairwise.alignment
+val global : Dna.t -> Dna.t -> Pairwise.alignment
 
-val semiglobal : ?params:params -> Dna.t -> Dna.t -> Pairwise.alignment
-(** Overlap mode: end gaps free. *)
-
-val local : ?params:params -> Dna.t -> Dna.t -> Pairwise.local
-val banded_global : ?params:params -> band:int -> Dna.t -> Dna.t -> Pairwise.alignment
-
-val adaptive_global :
-  ?params:params -> ?band:int -> ?band_cap:int -> Dna.t -> Dna.t -> Pairwise.adaptive
-(** {!Pairwise.adaptive_global} with [s_max] derived from [params]:
+val adaptive_global : ?band:int -> ?band_cap:int -> Dna.t -> Dna.t -> Pairwise.adaptive
+(** {!Pairwise.adaptive_global} with [s_max] derived from [default]:
     score- and ops-identical to {!global}, banded cost when the band
     certificate converges. *)
-
-val identity_of_alignment : Dna.t -> Dna.t -> Pairwise.alignment -> float
-(** Fraction of [Both] columns that pair equal bases; 0 for an empty
-    alignment. *)

@@ -91,164 +91,7 @@ let global ~score ~gap ~la ~lb =
   in
   { score = dp.(idx la lb); ops = back la lb [] }
 
-let semiglobal ~score ~gap ~la ~lb =
-  let w = lb + 1 in
-  let idx i j = (i * w) + j in
-  let dp = Array.make ((la + 1) * w) 0.0 in
-  (* Leading gaps free: row 0 and column 0 stay 0. *)
-  for i = 1 to la do
-    for j = 1 to lb do
-      let diag = dp.(idx (i - 1) (j - 1)) +. score (i - 1) (j - 1) in
-      let up = dp.(idx (i - 1) j) -. gap in
-      let left = dp.(idx i (j - 1)) -. gap in
-      dp.(idx i j) <- Float.max diag (Float.max up left)
-    done
-  done;
-  (* Trailing gaps free: the optimum ends anywhere on the last row or
-     column. *)
-  let best = ref (dp.(idx la lb)) and bi = ref la and bj = ref lb in
-  for j = 0 to lb do
-    if dp.(idx la j) > !best then begin
-      best := dp.(idx la j);
-      bi := la;
-      bj := j
-    end
-  done;
-  for i = 0 to la do
-    if dp.(idx i lb) > !best then begin
-      best := dp.(idx i lb);
-      bi := i;
-      bj := lb
-    end
-  done;
-  (* Traceback: interior as usual; row 0 / column 0 absorb leading gaps. *)
-  let rec back i j acc =
-    if i = 0 && j = 0 then acc
-    else if i = 0 then back i (j - 1) (B_only (j - 1) :: acc)
-    else if j = 0 then back (i - 1) j (A_only (i - 1) :: acc)
-    else
-      let v = dp.(idx i j) in
-      if v = dp.(idx (i - 1) (j - 1)) +. score (i - 1) (j - 1) then
-        back (i - 1) (j - 1) (Both (i - 1, j - 1) :: acc)
-      else if v = dp.(idx (i - 1) j) -. gap then back (i - 1) j (A_only (i - 1) :: acc)
-      else back i (j - 1) (B_only (j - 1) :: acc)
-  in
-  (* Trailing free gaps cover the elements after the end cell. *)
-  let tail = ref [] in
-  for i = la - 1 downto !bi do
-    tail := A_only i :: !tail
-  done;
-  for j = lb - 1 downto !bj do
-    tail := B_only j :: !tail
-  done;
-  { score = !best; ops = back !bi !bj [] @ !tail }
-
 let neg_inf = Float.neg_infinity
-
-let global_affine ~score ~gap_open ~gap_extend ~la ~lb =
-  let w = lb + 1 in
-  let idx i j = (i * w) + j in
-  let m = Array.make ((la + 1) * w) neg_inf in
-  (* x: gap in B (A element vs pad); y: gap in A. *)
-  let x = Array.make ((la + 1) * w) neg_inf in
-  let y = Array.make ((la + 1) * w) neg_inf in
-  m.(idx 0 0) <- 0.0;
-  for i = 1 to la do
-    x.(idx i 0) <- -.gap_open -. (float_of_int i *. gap_extend)
-  done;
-  for j = 1 to lb do
-    y.(idx 0 j) <- -.gap_open -. (float_of_int j *. gap_extend)
-  done;
-  let max3 a b c = Float.max a (Float.max b c) in
-  for i = 1 to la do
-    for j = 1 to lb do
-      let s = score (i - 1) (j - 1) in
-      m.(idx i j) <-
-        max3 m.(idx (i - 1) (j - 1)) x.(idx (i - 1) (j - 1)) y.(idx (i - 1) (j - 1)) +. s;
-      x.(idx i j) <-
-        Float.max
-          (m.(idx (i - 1) j) -. gap_open -. gap_extend)
-          (x.(idx (i - 1) j) -. gap_extend);
-      y.(idx i j) <-
-        Float.max
-          (m.(idx i (j - 1)) -. gap_open -. gap_extend)
-          (y.(idx i (j - 1)) -. gap_extend)
-    done
-  done;
-  let final = max3 m.(idx la lb) x.(idx la lb) y.(idx la lb) in
-  (* Traceback over the three matrices, tracking which one we are in. *)
-  let rec back state i j acc =
-    if i = 0 && j = 0 then acc
-    else
-      match state with
-      | `M ->
-          let prev = m.(idx i j) -. score (i - 1) (j - 1) in
-          let col = Both (i - 1, j - 1) in
-          if prev = m.(idx (i - 1) (j - 1)) then back `M (i - 1) (j - 1) (col :: acc)
-          else if prev = x.(idx (i - 1) (j - 1)) then back `X (i - 1) (j - 1) (col :: acc)
-          else back `Y (i - 1) (j - 1) (col :: acc)
-      | `X ->
-          let col = A_only (i - 1) in
-          if i = 1 && j = 0 then col :: acc
-          else if x.(idx i j) = m.(idx (i - 1) j) -. gap_open -. gap_extend then
-            back `M (i - 1) j (col :: acc)
-          else back `X (i - 1) j (col :: acc)
-      | `Y ->
-          let col = B_only (j - 1) in
-          if i = 0 && j = 1 then col :: acc
-          else if y.(idx i j) = m.(idx i (j - 1)) -. gap_open -. gap_extend then
-            back `M i (j - 1) (col :: acc)
-          else back `Y i (j - 1) (col :: acc)
-  in
-  let state =
-    if final = m.(idx la lb) then `M else if final = x.(idx la lb) then `X else `Y
-  in
-  let ops = if la = 0 && lb = 0 then [] else back state la lb [] in
-  { score = final; ops }
-
-type local = { a_lo : int; a_hi : int; b_lo : int; b_hi : int; alignment : alignment }
-
-let local ~score ~gap ~la ~lb =
-  let w = lb + 1 in
-  let idx i j = (i * w) + j in
-  let dp = Array.make ((la + 1) * w) 0.0 in
-  let best = ref 0.0 and best_i = ref 0 and best_j = ref 0 in
-  for i = 1 to la do
-    for j = 1 to lb do
-      let diag = dp.(idx (i - 1) (j - 1)) +. score (i - 1) (j - 1) in
-      let up = dp.(idx (i - 1) j) -. gap in
-      let left = dp.(idx i (j - 1)) -. gap in
-      let v = Float.max 0.0 (Float.max diag (Float.max up left)) in
-      dp.(idx i j) <- v;
-      if v > !best then begin
-        best := v;
-        best_i := i;
-        best_j := j
-      end
-    done
-  done;
-  if !best = 0.0 then
-    { a_lo = 0; a_hi = -1; b_lo = 0; b_hi = -1; alignment = { score = 0.0; ops = [] } }
-  else begin
-    let rec back i j acc =
-      if dp.(idx i j) = 0.0 then (i, j, acc)
-      else
-        let v = dp.(idx i j) in
-        if i > 0 && j > 0 && v = dp.(idx (i - 1) (j - 1)) +. score (i - 1) (j - 1) then
-          back (i - 1) (j - 1) (Both (i - 1, j - 1) :: acc)
-        else if i > 0 && v = dp.(idx (i - 1) j) -. gap then
-          back (i - 1) j (A_only (i - 1) :: acc)
-        else back i (j - 1) (B_only (j - 1) :: acc)
-    in
-    let start_i, start_j, ops = back !best_i !best_j [] in
-    {
-      a_lo = start_i;
-      a_hi = !best_i - 1;
-      b_lo = start_j;
-      b_hi = !best_j - 1;
-      alignment = { score = !best; ops };
-    }
-  end
 
 let banded_global ~score ~gap ~band ~la ~lb =
   if band < 0 then invalid_arg "Pairwise.banded_global: negative band";

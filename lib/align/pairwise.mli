@@ -1,6 +1,6 @@
 (** Generic pairwise alignment dynamic programs.
 
-    All engines are generic over the pair-score function [score i j] giving
+    All DPs are generic over the pair-score function [score i j] giving
     the value of aligning element [i] of the first sequence with element [j]
     of the second; they only need the two lengths.  Concrete front-ends live
     in {!Region_align} (region words, σ tables) and {!Dna_align}
@@ -13,8 +13,7 @@ type op =
 
 type alignment = { score : float; ops : op list }
 (** [ops] lists the alignment columns left to right and covers every element
-    of both sequences exactly once (global engines) or of the reported local
-    region (local engines). *)
+    of both sequences exactly once. *)
 
 val max_weight_alignment :
   score:(int -> int -> float) -> la:int -> lb:int -> alignment
@@ -30,30 +29,6 @@ val global :
   score:(int -> int -> float) -> gap:float -> la:int -> lb:int -> alignment
 (** Needleman–Wunsch with linear gap penalty [gap] (a cost; pass a
     non-negative number).  Every element appears in exactly one column. *)
-
-val global_affine :
-  score:(int -> int -> float) ->
-  gap_open:float ->
-  gap_extend:float ->
-  la:int ->
-  lb:int ->
-  alignment
-(** Gotoh three-matrix global alignment; a gap of length g costs
-    [gap_open + g * gap_extend]. *)
-
-val semiglobal :
-  score:(int -> int -> float) -> gap:float -> la:int -> lb:int -> alignment
-(** Overlap alignment: gaps at the start of either sequence and at the end
-    of either sequence are free; interior gaps cost [gap].  The natural
-    mode for detecting contig overlaps. *)
-
-type local = { a_lo : int; a_hi : int; b_lo : int; b_hi : int; alignment : alignment }
-(** Inclusive bounds of the aligned region in each sequence; empty optimum is
-    reported as score 0 with [a_lo > a_hi]. *)
-
-val local :
-  score:(int -> int -> float) -> gap:float -> la:int -> lb:int -> local
-(** Smith–Waterman local alignment with linear gaps. *)
 
 val banded_global :
   score:(int -> int -> float) -> gap:float -> band:int -> la:int -> lb:int -> alignment

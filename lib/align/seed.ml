@@ -106,15 +106,14 @@ let check_lengths ~target ~query =
 
 (* The running and best scores stay in unboxed float locals: a [~score]
    closure would box a float per cell. *)
-let xdrop_extend ?(params = Dna_align.default) ~x_drop ~target ~query ~t_pos ~q_pos
-    ~step () =
+let xdrop_extend ~x_drop ~target ~query ~t_pos ~q_pos ~step () =
   if step <> 1 && step <> -1 then invalid_arg "Seed.xdrop_extend: step must be 1 or -1";
   let tb = Dna.unsafe_bytes target and qb = Dna.unsafe_bytes query in
   let n =
     if step > 0 then min (Bytes.length tb - t_pos) (Bytes.length qb - q_pos)
     else min (t_pos + 1) (q_pos + 1)
   in
-  let hit = params.Dna_align.match_score and miss = params.Dna_align.mismatch in
+  let hit = Dna_align.default.match_score and miss = Dna_align.default.mismatch in
   let running = ref 0.0 and best = ref 0.0 and best_len = ref 0 and c = ref 0 in
   while !c < n do
     let off = step * !c in
@@ -141,7 +140,7 @@ let xdrop_extend ?(params = Dna_align.default) ~x_drop ~target ~query ~t_pos ~q_
    is a single monomorphic int sort.  Anchors come out in decreasing
    (diagonal, position) order, which [anchors]' stable score sort keeps
    among equal scores. *)
-let strand_anchors ~params ~max_gap ~x_drop ~min_score idx ~target ~q ~anchor_of =
+let strand_anchors ~max_gap ~x_drop ~min_score idx ~target ~q ~anchor_of =
   let k = idx.k in
   let ql = Dna.length q in
   let occ = idx.occ in
@@ -166,7 +165,7 @@ let strand_anchors ~params ~max_gap ~x_drop ~min_score idx ~target ~q ~anchor_of
      distinct, so both give the same order. *)
   Array.stable_sort Int.compare hits;
   let tb = Dna.unsafe_bytes target and qb = Dna.unsafe_bytes q in
-  let hit = params.Dna_align.match_score and miss = params.Dna_align.mismatch in
+  let hit = Dna_align.default.match_score and miss = Dna_align.default.mismatch in
   let nruns = ref 0 and found = ref [] in
   (* The run covers query [j0, j1 + k - 1] on diagonal d.  Extend right
      from the run end and left from the run start. *)
@@ -174,11 +173,10 @@ let strand_anchors ~params ~max_gap ~x_drop ~min_score idx ~target ~q ~anchor_of
     incr nruns;
     let q_end = j1 + k in
     let right_score, right_len =
-      xdrop_extend ~params ~x_drop ~target ~query:q ~t_pos:(q_end + d) ~q_pos:q_end
-        ~step:1 ()
+      xdrop_extend ~x_drop ~target ~query:q ~t_pos:(q_end + d) ~q_pos:q_end ~step:1 ()
     in
     let left_score, left_len =
-      xdrop_extend ~params ~x_drop ~target ~query:q ~t_pos:(j0 + d - 1) ~q_pos:(j0 - 1)
+      xdrop_extend ~x_drop ~target ~query:q ~t_pos:(j0 + d - 1) ~q_pos:(j0 - 1)
         ~step:(-1) ()
     in
     let core_score = ref 0.0 in
@@ -209,13 +207,12 @@ let strand_anchors ~params ~max_gap ~x_drop ~min_score idx ~target ~q ~anchor_of
   Fsa_obs.Metric.Counter.incr ~by:!nruns runs_counter;
   !found
 
-let anchors ?(params = Dna_align.default) ?(max_gap = 4) ?(x_drop = 10.0)
-    ?(min_score = 20.0) idx ~target ~query =
+let anchors ?(max_gap = 4) ?(x_drop = 10.0) ?(min_score = 20.0) idx ~target ~query =
   Fsa_obs.Span.with_ ~name:"seed.anchors" @@ fun () ->
   let ql = Dna.length query in
   check_lengths ~target:(Dna.length target) ~query:ql;
   let strand q ~anchor_of =
-    strand_anchors ~params ~max_gap ~x_drop ~min_score idx ~target ~q ~anchor_of
+    strand_anchors ~max_gap ~x_drop ~min_score idx ~target ~q ~anchor_of
   in
   let fwd =
     strand query ~anchor_of:(fun d q_lo q_hi score ->
@@ -289,8 +286,3 @@ let filter_dominated anchors =
     if keep.(i) then out := arr.(i) :: !out
   done;
   !out
-
-let pp_anchor ppf a =
-  Format.fprintf ppf "t[%d,%d] ~ q[%d,%d]%s score=%.1f" a.t_lo a.t_hi a.q_lo a.q_hi
-    (if a.forward then "" else " (rev)")
-    a.score

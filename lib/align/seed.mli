@@ -34,7 +34,6 @@ type anchor = {
 }
 
 val anchors :
-  ?params:Dna_align.params ->
   ?max_gap:int ->
   ?x_drop:float ->
   ?min_score:float ->
@@ -56,7 +55,6 @@ val check_lengths : target:int -> query:int -> unit
     @raise Invalid_argument past that limit. *)
 
 val xdrop_extend :
-  ?params:Dna_align.params ->
   x_drop:float ->
   target:Dna.t ->
   query:Dna.t ->
@@ -68,13 +66,12 @@ val xdrop_extend :
 (** Ungapped x-drop extension, the kernel behind [anchors]: scores
     [target.(t_pos + step * i)] against [query.(q_pos + step * i)] for
     [i = 0, 1, ...] and stops when the running score falls more than
-    [x_drop] below its best, or a sequence ends.  [step] is 1 to extend
-    rightwards, -1 leftwards.  Returns the best prefix score (0 for the
-    empty prefix) and its length in aligned pairs.
+    [x_drop] below its best, or a sequence ends, with pairs scored under
+    {!Dna_align.default}.  [step] is 1 to extend rightwards, -1 leftwards.
+    Returns the best prefix score (0 for the empty prefix) and its length in
+    aligned pairs.
     @raise Invalid_argument if [step] is neither 1 nor -1. *)
 
 val filter_dominated : anchor list -> anchor list
 (** Removes anchors whose target *and* query ranges are contained in a
     higher-scoring anchor's ranges. *)
-
-val pp_anchor : Format.formatter -> anchor -> unit

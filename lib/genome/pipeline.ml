@@ -10,8 +10,7 @@ let nonempty contigs =
   Array.of_list
     (List.filter (fun (c : Fragmentation.contig) -> c.Fragmentation.regions <> []) contigs)
 
-let contig_fragment alphabet side_tag (c : Fragmentation.contig) ~region_name =
-  ignore side_tag;
+let contig_fragment alphabet (c : Fragmentation.contig) ~region_name =
   let syms =
     List.map
       (fun (r : Genome.region) ->
@@ -29,10 +28,10 @@ let oracle_instance ~h ~m =
   let alphabet = Alphabet.create () in
   let region_name id = Printf.sprintf "r%d" id in
   let h_frags =
-    Array.to_list (Array.map (contig_fragment alphabet `H ~region_name) h_contigs)
+    Array.to_list (Array.map (contig_fragment alphabet ~region_name) h_contigs)
   in
   let m_frags =
-    Array.to_list (Array.map (contig_fragment alphabet `M ~region_name) m_contigs)
+    Array.to_list (Array.map (contig_fragment alphabet ~region_name) m_contigs)
   in
   let sigma = Scoring.create () in
   (* σ: length × identity between the two surviving copies, oriented back to
@@ -94,9 +93,7 @@ let cluster_footprints ~gap spans =
   |> List.rev
 
 (* A scored region-pair candidate between one h contig and one m contig:
-   the per-anchor engines emit one per surviving anchor, the chained engine
-   one per stitched chain.  Downstream clustering and σ construction are
-   engine-agnostic. *)
+   one per stitched chain.  Clustering and σ construction read only these. *)
 type candidate = {
   c_hi : int;
   c_mi : int;
@@ -109,101 +106,57 @@ type candidate = {
 let regions_counter = Fsa_obs.Metric.Counter.make "pipeline.regions_called"
 
 let discovery_instance ?(k = 12) ?(min_anchor_score = 24.0) ?(cluster_gap = 5)
-    ?(engine = `Chained) ?(max_gap = 300) ?band ?band_cap ~h ~m () =
+    ?(max_gap = 300) ?band ?band_cap ~h ~m () =
   let h_all = Array.of_list h and m_all = Array.of_list m in
   (* Per-m-contig work (index build, anchor probes against every h contig,
-     and — for the chained engine — chaining and banded stitching) fans
-     across the domain pool.  Chunk results come back in slot order and
-     chunks emit their m-range in index order, so the merged stream equals
-     the sequential m-outer / h-inner traversal exactly. *)
+     chaining and banded stitching) fans across the domain pool.  Chunk
+     results come back in slot order and chunks emit their m-range in index
+     order, so the merged stream equals the sequential m-outer / h-inner
+     traversal exactly. *)
   let pair_work mi =
-    let mc = m_all.(mi) in
-    if Dna.length mc.Fragmentation.dna < k then []
+    let target = m_all.(mi).Fragmentation.dna in
+    if Dna.length target < k then []
     else begin
-      let idx = Fsa_align.Seed.build_index ~k mc.Fragmentation.dna in
+      let idx = Fsa_align.Seed.build_index ~k target in
       let acc = ref [] in
       Array.iteri
         (fun hi (hc : Fragmentation.contig) ->
-          if Dna.length hc.Fragmentation.dna >= k then begin
+          let query = hc.Fragmentation.dna in
+          if Dna.length query >= k then begin
             let found =
               Fsa_align.Seed.filter_dominated
-                (Fsa_align.Seed.anchors ~min_score:min_anchor_score idx
-                   ~target:mc.Fragmentation.dna ~query:hc.Fragmentation.dna)
+                (Fsa_align.Seed.anchors ~min_score:min_anchor_score idx ~target ~query)
             in
-            if found <> [] then begin
-              let stitched =
-                match engine with
-                | `Chained ->
-                    Fsa_align.Chain.chains ~max_gap found
-                    |> List.map
-                         (Fsa_align.Chain.stitch ?band ?band_cap
-                            ~target:mc.Fragmentation.dna
-                            ~query:hc.Fragmentation.dna)
-                    |> List.filter (fun (st : Fsa_align.Chain.stitched) ->
-                           st.Fsa_align.Chain.score > 0.0)
-                | `Per_anchor | `Per_anchor_full -> []
-              in
-              acc := (hi, found, stitched) :: !acc
-            end
+            if found <> [] then
+              List.iter
+                (fun c ->
+                  let st = Fsa_align.Chain.stitch ?band ?band_cap ~target ~query c in
+                  if st.Fsa_align.Chain.score > 0.0 then
+                    acc :=
+                      {
+                        c_hi = hi;
+                        c_mi = mi;
+                        h_span = (c.Fsa_align.Chain.q_lo, c.Fsa_align.Chain.q_hi);
+                        m_span = (c.Fsa_align.Chain.t_lo, c.Fsa_align.Chain.t_hi);
+                        c_forward = c.Fsa_align.Chain.forward;
+                        c_score = st.Fsa_align.Chain.score;
+                      }
+                      :: !acc)
+                (Fsa_align.Chain.chains ~max_gap found)
           end)
         h_all;
       List.rev !acc
     end
   in
-  let per_mi =
+  let candidates =
     Fsa_parallel.Pool.fan_out ~n:(Array.length m_all)
       ~chunk:(fun ~slot:_ ~lo ~hi ->
         let out = ref [] in
         for mi = hi - 1 downto lo do
-          out := (mi, pair_work mi) :: !out
+          out := pair_work mi @ !out
         done;
         !out)
     |> Array.to_list |> List.concat
-  in
-  let anchor_candidates =
-    (* Reversed generation order, matching the historical prepend loop so
-       the per-anchor engine stays byte-identical to the old builder. *)
-    List.rev
-      (List.concat_map
-         (fun (mi, pairs) ->
-           List.concat_map
-             (fun (hi, found, _) ->
-               List.map
-                 (fun (a : Fsa_align.Seed.anchor) ->
-                   {
-                     c_hi = hi;
-                     c_mi = mi;
-                     h_span = (a.Fsa_align.Seed.q_lo, a.Fsa_align.Seed.q_hi);
-                     m_span = (a.Fsa_align.Seed.t_lo, a.Fsa_align.Seed.t_hi);
-                     c_forward = a.Fsa_align.Seed.forward;
-                     c_score = a.Fsa_align.Seed.score;
-                   })
-                 found)
-             pairs)
-         per_mi)
-  in
-  let candidates =
-    match engine with
-    | `Per_anchor | `Per_anchor_full -> anchor_candidates
-    | `Chained ->
-        List.concat_map
-          (fun (mi, pairs) ->
-            List.concat_map
-              (fun (hi, _, stitched) ->
-                List.map
-                  (fun (st : Fsa_align.Chain.stitched) ->
-                    let c = st.Fsa_align.Chain.chain in
-                    {
-                      c_hi = hi;
-                      c_mi = mi;
-                      h_span = (c.Fsa_align.Chain.q_lo, c.Fsa_align.Chain.q_hi);
-                      m_span = (c.Fsa_align.Chain.t_lo, c.Fsa_align.Chain.t_hi);
-                      c_forward = c.Fsa_align.Chain.forward;
-                      c_score = st.Fsa_align.Chain.score;
-                    })
-                  stitched)
-              pairs)
-          per_mi
   in
   (* Cluster candidate footprints per contig side into discovered regions. *)
   let cluster side_count span_of =
@@ -237,72 +190,21 @@ let discovery_instance ?(k = 12) ?(min_anchor_score = 24.0) ?(cluster_gap = 5)
     in
     at 0 clusters.(ci)
   in
+  (* σ: best candidate score per (h region, m region, orientation). *)
   let sigma = Scoring.create () in
-  (match engine with
-  | `Per_anchor | `Chained ->
-      (* σ: best candidate score per (h region, m region, orientation). *)
-      List.iter
-        (fun c ->
-          match
-            ( find_cluster h_clusters c.c_hi (fst c.h_span),
-              find_cluster m_clusters c.c_mi (fst c.m_span) )
-          with
-          | Some hc, Some mc ->
-              let h_id = cluster_id "h" c.c_hi hc
-              and m_id = cluster_id "m" c.c_mi mc in
-              let m_sym =
-                if c.c_forward then Symbol.make m_id else Symbol.reversed m_id
-              in
-              let prev = Scoring.get sigma (Symbol.make h_id) m_sym in
-              if c.c_score > prev then
-                Scoring.set sigma (Symbol.make h_id) m_sym c.c_score
-          | _ -> ())
-        candidates
-  | `Per_anchor_full ->
-      (* Baseline σ: every connected region pair scored by the exact full
-         O(n·m) kernel over the whole region DNA — the path the chained
-         engine exists to beat.  Pair scoring fans across the pool. *)
-      let module PairSet = Set.Make (struct
-        type t = int * int * int * int * bool
-
-        let compare = compare
-      end) in
-      let pairs =
-        List.fold_left
-          (fun set c ->
-            match
-              ( find_cluster h_clusters c.c_hi (fst c.h_span),
-                find_cluster m_clusters c.c_mi (fst c.m_span) )
-            with
-            | Some hc, Some mc ->
-                PairSet.add (c.c_hi, hc, c.c_mi, mc, c.c_forward) set
-            | _ -> set)
-          PairSet.empty candidates
-        |> PairSet.elements |> Array.of_list
-      in
-      let region_dna contigs clusters ci idx =
-        let c = List.nth clusters.(ci) idx in
-        Dna.sub contigs.(ci).Fragmentation.dna ~pos:c.lo ~len:(c.hi - c.lo + 1)
-      in
-      let scores =
-        Fsa_parallel.Pool.fan_out ~n:(Array.length pairs)
-          ~chunk:(fun ~slot:_ ~lo ~hi ->
-            Array.init (hi - lo) (fun i ->
-                let hi_, hc, mi_, mc, fwd = pairs.(lo + i) in
-                let h_dna = region_dna h_all h_clusters hi_ hc in
-                let m_dna = region_dna m_all m_clusters mi_ mc in
-                let m_dna = if fwd then m_dna else Dna.reverse_complement m_dna in
-                (Fsa_align.Dna_align.global h_dna m_dna).Fsa_align.Pairwise.score))
-        |> Array.to_list |> Array.concat
-      in
-      Array.iteri
-        (fun i (hi_, hc, mi_, mc, fwd) ->
-          let h_id = cluster_id "h" hi_ hc and m_id = cluster_id "m" mi_ mc in
-          let m_sym = if fwd then Symbol.make m_id else Symbol.reversed m_id in
+  List.iter
+    (fun c ->
+      match
+        ( find_cluster h_clusters c.c_hi (fst c.h_span),
+          find_cluster m_clusters c.c_mi (fst c.m_span) )
+      with
+      | Some hc, Some mc ->
+          let h_id = cluster_id "h" c.c_hi hc and m_id = cluster_id "m" c.c_mi mc in
+          let m_sym = if c.c_forward then Symbol.make m_id else Symbol.reversed m_id in
           let prev = Scoring.get sigma (Symbol.make h_id) m_sym in
-          if scores.(i) > prev then
-            Scoring.set sigma (Symbol.make h_id) m_sym scores.(i))
-        pairs);
+          if c.c_score > prev then Scoring.set sigma (Symbol.make h_id) m_sym c.c_score
+      | _ -> ())
+    candidates;
   (* Contigs become fragments listing their discovered regions in order;
      contigs with no region are dropped (with their ground truth). *)
   let build prefix clusters contigs =

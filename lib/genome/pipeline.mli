@@ -31,7 +31,6 @@ val discovery_instance :
   ?k:int ->
   ?min_anchor_score:float ->
   ?cluster_gap:int ->
-  ?engine:[ `Chained | `Per_anchor | `Per_anchor_full ] ->
   ?max_gap:int ->
   ?band:int ->
   ?band_cap:int ->
@@ -39,23 +38,13 @@ val discovery_instance :
   m:Fragmentation.contig list ->
   unit ->
   built
-(** [k] (default 12) is the seed size; [min_anchor_score] (default 24)
-    filters weak anchors; candidate footprints closer than [cluster_gap]
-    (default 5) bases merge into one region.
-
-    [engine] selects the region/σ builder:
-    - [`Chained] (default): seed → chain → band.  Anchors are chained per
-      contig pair under [max_gap] (default 300), chains are stitched with
-      the adaptive banded kernel ([band], [band_cap] forwarded to
-      {!Fsa_align.Chain.stitch}), and regions/σ come from the stitched
-      chains.
-    - [`Per_anchor]: the historical builder — regions from raw anchor
-      footprints, σ from the best single anchor score per region pair.
-      Kept for the equivalence suite; byte-identical output to the
-      pre-chaining implementation.
-    - [`Per_anchor_full]: per-anchor regions, but σ scores every connected
-      region pair with the exact full O(n·m) kernel over the whole region
-      DNA.  The benchmark baseline the chained engine is measured against.
+(** Seed → chain → band.  [k] (default 12) is the seed size;
+    [min_anchor_score] (default 24) filters weak anchors.  Anchors are
+    chained per contig pair under [max_gap] (default 300), and each chain
+    is stitched with the adaptive banded kernel ([band], [band_cap]
+    forwarded to {!Fsa_align.Chain.stitch}).  Chain footprints closer than
+    [cluster_gap] (default 5) bases merge into one region, and σ takes the
+    best stitched score per (H region, M region, orientation).
 
     @raise Invalid_argument when no conserved regions are discovered. *)
 

@@ -3,7 +3,7 @@
 
     The paper's regions are stretches of genomic DNA; the synthetic genome
     pipeline ({!Fsa_genome}) manufactures DNA, evolves it, and rediscovers
-    conserved regions with the {!Fsa_align} seed-and-extend engine.  Bases
+    conserved regions with the {!Fsa_align} seed-and-extend search.  Bases
     are stored one byte per nucleotide (characters A, C, G, T). *)
 
 type t

@@ -1,5 +1,5 @@
 (* Tests for Fsa_align: DP engines against the executable specification,
-   traceback integrity, local/banded/affine variants, seed-and-extend. *)
+   traceback integrity, banded and adaptive NW, seed-and-extend, chaining. *)
 
 open Fsa_seq
 open Fsa_align
@@ -125,7 +125,7 @@ let test_padded_pair_of_alignment_qcheck =
       && Float.abs (Padded.score sigma u v -. al.Pairwise.score) < 1e-9)
 
 (* ------------------------------------------------------------------ *)
-(* DNA global / local / banded / affine                                 *)
+(* DNA global / banded                                                 *)
 
 let test_nw_identical () =
   let d = Dna.of_string "ACGTACGT" in
@@ -143,19 +143,13 @@ let test_nw_substitution () =
   let al = Dna_align.global a b in
   check_float "one mismatch" 2.0 al.Pairwise.score
 
-let test_sw_finds_island () =
-  (* A strong common core flanked by noise. *)
-  let a = Dna.of_string ("TTTTTTTT" ^ "ACGTACGTACGT" ^ "GGGG") in
-  let b = Dna.of_string ("CCCC" ^ "ACGTACGTACGT" ^ "AAAAAA") in
-  let l = Dna_align.local a b in
-  check_bool "score at least core" true (l.Pairwise.alignment.Pairwise.score >= 12.0);
-  check_int "a core start" 8 l.Pairwise.a_lo;
-  check_int "b core start" 4 l.Pairwise.b_lo
-
-let test_sw_empty_on_disjoint () =
-  let a = Dna.of_string "AAAA" and b = Dna.of_string "GGGG" in
-  let l = Dna_align.local ~params:{ Dna_align.default with mismatch = -2.0 } a b in
-  check_float "no positive local" 0.0 l.Pairwise.alignment.Pairwise.score
+(* NW restricted to a band, under the default DNA scores. *)
+let banded_dna ~band a b =
+  let p = Dna_align.default in
+  Pairwise.banded_global
+    ~score:(fun i j ->
+      if Dna.get a i = Dna.get b j then p.Dna_align.match_score else p.Dna_align.mismatch)
+    ~gap:p.Dna_align.gap ~band ~la:(Dna.length a) ~lb:(Dna.length b)
 
 let test_banded_equals_global_for_wide_band_qcheck =
   QCheck.Test.make ~name:"banded = full NW when band is wide" ~count:100
@@ -164,7 +158,7 @@ let test_banded_equals_global_for_wide_band_qcheck =
       let rng = Fsa_util.Rng.create (la + (lb * 100)) in
       let a = Dna.random rng la and b = Dna.random rng lb in
       let full = Dna_align.global a b in
-      let banded = Dna_align.banded_global ~band:(la + lb) a b in
+      let banded = banded_dna ~band:(la + lb) a b in
       Float.abs (full.Pairwise.score -. banded.Pairwise.score) < 1e-9)
 
 let test_banded_narrow_band_similar_sequences () =
@@ -172,47 +166,8 @@ let test_banded_narrow_band_similar_sequences () =
   let a = Dna.random rng 200 in
   let b = Dna.point_mutate rng ~rate:0.05 a in
   let full = Dna_align.global a b in
-  let banded = Dna_align.banded_global ~band:8 a b in
+  let banded = banded_dna ~band:8 a b in
   check_float "narrow band exact on similar" full.Pairwise.score banded.Pairwise.score
-
-let test_affine_prefers_one_long_gap () =
-  (* With affine costs, deleting a block should use one gap open. *)
-  let score _ _ = 1.0 in
-  let al =
-    Pairwise.global_affine ~score ~gap_open:5.0 ~gap_extend:0.5 ~la:10 ~lb:6
-  in
-  (* 6 matches, one gap of length 4: 6 - 5 - 2 = -1 *)
-  check_float "affine cost" (-1.0) al.Pairwise.score
-
-let test_affine_equals_linear_when_open_zero_qcheck =
-  QCheck.Test.make ~name:"affine(open=0) = linear NW" ~count:100
-    QCheck.(pair (int_range 1 12) (int_range 1 12))
-    (fun (la, lb) ->
-      let rng = Fsa_util.Rng.create (la * 31 + lb) in
-      let a = Dna.random rng la and b = Dna.random rng lb in
-      let p = Dna_align.default in
-      let score i j = if Dna.get a i = Dna.get b j then p.Dna_align.match_score else p.Dna_align.mismatch in
-      let lin = Pairwise.global ~score ~gap:p.Dna_align.gap ~la ~lb in
-      let aff = Pairwise.global_affine ~score ~gap_open:0.0 ~gap_extend:p.Dna_align.gap ~la ~lb in
-      Float.abs (lin.Pairwise.score -. aff.Pairwise.score) < 1e-9)
-
-let test_affine_traceback_consistent_qcheck =
-  QCheck.Test.make ~name:"affine traceback covers both words" ~count:100
-    QCheck.(pair (int_range 1 12) (int_range 1 12))
-    (fun (la, lb) ->
-      let rng = Fsa_util.Rng.create (la * 77 + lb) in
-      let a = Dna.random rng la and b = Dna.random rng lb in
-      let score i j = if Dna.get a i = Dna.get b j then 1.0 else -1.0 in
-      let al = Pairwise.global_affine ~score ~gap_open:2.0 ~gap_extend:0.5 ~la ~lb in
-      let ca = Array.make la 0 and cb = Array.make lb 0 in
-      List.iter
-        (fun (op : Pairwise.op) ->
-          match op with
-          | Both (i, j) -> ca.(i) <- ca.(i) + 1; cb.(j) <- cb.(j) + 1
-          | A_only i -> ca.(i) <- ca.(i) + 1
-          | B_only j -> cb.(j) <- cb.(j) + 1)
-        al.Pairwise.ops;
-      Array.for_all (fun c -> c = 1) ca && Array.for_all (fun c -> c = 1) cb)
 
 (* ------------------------------------------------------------------ *)
 (* Adaptive banded = full NW, bit for bit.  The certificate in
@@ -507,8 +462,7 @@ module Seed_reference = struct
     in
     go 0 0.0 0.0 0
 
-  let strand_runs ?(params = Dna_align.default) ~max_gap ~x_drop ~min_score idx
-      ~target ~q =
+  let strand_runs ~max_gap ~x_drop ~min_score idx ~target ~q =
     let k = idx.k in
     let ql = Dna.length q in
     let buf = ref (Array.make 256 0) and len = ref 0 in
@@ -548,8 +502,8 @@ module Seed_reference = struct
     flush ();
     let tl = Dna.length target in
     let pair_score i j =
-      if Dna.get target i = Dna.get q j then params.Dna_align.match_score
-      else params.Dna_align.mismatch
+      if Dna.get target i = Dna.get q j then Dna_align.default.match_score
+      else Dna_align.default.mismatch
     in
     let extend (d, j0, j1) =
       (* The run covers query [j0, j1 + k - 1] on diagonal d.  Extend right
@@ -582,17 +536,16 @@ module Seed_reference = struct
         if score >= min_score then Some (d, q_lo, q_hi, score) else None)
       !runs
 
-  let anchors ?(params = Dna_align.default) ?(max_gap = 4) ?(x_drop = 10.0)
-      ?(min_score = 20.0) idx ~target ~query =
+  let anchors ?(max_gap = 4) ?(x_drop = 10.0) ?(min_score = 20.0) idx ~target ~query =
     let fwd =
-      strand_runs ~params ~max_gap ~x_drop ~min_score idx ~target ~q:query
+      strand_runs ~max_gap ~x_drop ~min_score idx ~target ~q:query
       |> List.map (fun (d, q_lo, q_hi, score) ->
              { Seed.t_lo = q_lo + d; t_hi = q_hi + d; q_lo; q_hi; forward = true; score })
     in
     let qrc = Dna.reverse_complement query in
     let ql = Dna.length query in
     let rev =
-      strand_runs ~params ~max_gap ~x_drop ~min_score idx ~target ~q:qrc
+      strand_runs ~max_gap ~x_drop ~min_score idx ~target ~q:qrc
       |> List.map (fun (d, q_lo, q_hi, score) ->
              {
                Seed.t_lo = q_lo + d;
@@ -796,13 +749,8 @@ let () =
           Alcotest.test_case "identical" `Quick test_nw_identical;
           Alcotest.test_case "gap penalty" `Quick test_nw_gap_penalty;
           Alcotest.test_case "substitution" `Quick test_nw_substitution;
-          Alcotest.test_case "local island" `Quick test_sw_finds_island;
-          Alcotest.test_case "local empty" `Quick test_sw_empty_on_disjoint;
           qtest test_banded_equals_global_for_wide_band_qcheck;
           Alcotest.test_case "narrow band on similar" `Quick test_banded_narrow_band_similar_sequences;
-          Alcotest.test_case "affine long gap" `Quick test_affine_prefers_one_long_gap;
-          qtest test_affine_equals_linear_when_open_zero_qcheck;
-          qtest test_affine_traceback_consistent_qcheck;
           qtest test_adaptive_identical_qcheck;
           qtest test_adaptive_identical_tiny_band_qcheck;
           qtest test_adaptive_identical_tiny_cap_qcheck;

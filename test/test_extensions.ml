@@ -1,6 +1,6 @@
-(* Tests for the extension features: island reports, FASTA I/O, semiglobal
-   alignment, indel/duplication evolution operators, and extra invariant
-   property tests for preparation and TPA filling. *)
+(* Tests for the extension features: island reports, FASTA I/O,
+   indel/duplication evolution operators, and extra invariant property tests
+   for preparation and TPA filling. *)
 
 open Fsa_seq
 open Fsa_csr
@@ -143,52 +143,6 @@ let test_fasta_file_roundtrip () =
   check_int "one entry" 1 (List.length parsed);
   check_bool "content" true
     (Dna.equal (List.hd parsed).Fasta.dna (List.hd entries).Fasta.dna)
-
-(* ------------------------------------------------------------------ *)
-(* Semiglobal alignment                                                 *)
-
-let test_semiglobal_overlap () =
-  (* suffix of a == prefix of b: overlap alignment scores the overlap with
-     no gap charges. *)
-  let a = Dna.of_string "TTTTACGTACGT" in
-  let b = Dna.of_string "ACGTACGTCCCC" in
-  let al = Fsa_align.Dna_align.semiglobal a b in
-  check_float "overlap of 8 matches" 8.0 al.Fsa_align.Pairwise.score
-
-let test_semiglobal_containment () =
-  let a = Dna.of_string "AAAACGTACGTAAA" in
-  let b = Dna.of_string "ACGTACGT" in
-  let al = Fsa_align.Dna_align.semiglobal a b in
-  check_float "contained sequence fully matched" 8.0 al.Fsa_align.Pairwise.score
-
-let test_semiglobal_at_least_global_qcheck =
-  QCheck.Test.make ~name:"semiglobal >= global (end gaps only get cheaper)" ~count:150
-    QCheck.(pair (int_range 1 15) (int_range 1 15))
-    (fun (la, lb) ->
-      let rng = Fsa_util.Rng.create ((la * 131) + lb) in
-      let a = Dna.random rng la and b = Dna.random rng lb in
-      let g = Fsa_align.Dna_align.global a b in
-      let s = Fsa_align.Dna_align.semiglobal a b in
-      s.Fsa_align.Pairwise.score >= g.Fsa_align.Pairwise.score -. 1e-9)
-
-let test_semiglobal_ops_cover_qcheck =
-  QCheck.Test.make ~name:"semiglobal columns cover both sequences" ~count:150
-    QCheck.(pair (int_range 1 15) (int_range 1 15))
-    (fun (la, lb) ->
-      let rng = Fsa_util.Rng.create ((la * 977) + lb) in
-      let a = Dna.random rng la and b = Dna.random rng lb in
-      let al = Fsa_align.Dna_align.semiglobal a b in
-      let ca = Array.make la 0 and cb = Array.make lb 0 in
-      List.iter
-        (fun (op : Fsa_align.Pairwise.op) ->
-          match op with
-          | Both (i, j) ->
-              ca.(i) <- ca.(i) + 1;
-              cb.(j) <- cb.(j) + 1
-          | A_only i -> ca.(i) <- ca.(i) + 1
-          | B_only j -> cb.(j) <- cb.(j) + 1)
-        al.Fsa_align.Pairwise.ops;
-      Array.for_all (fun c -> c = 1) ca && Array.for_all (fun c -> c = 1) cb)
 
 (* ------------------------------------------------------------------ *)
 (* Indels and duplications                                              *)
@@ -411,13 +365,6 @@ let () =
           Alcotest.test_case "case & comments" `Quick test_fasta_case_and_comments;
           Alcotest.test_case "garbage rejected" `Quick test_fasta_rejects_garbage;
           Alcotest.test_case "file roundtrip" `Quick test_fasta_file_roundtrip;
-        ] );
-      ( "semiglobal",
-        [
-          Alcotest.test_case "overlap" `Quick test_semiglobal_overlap;
-          Alcotest.test_case "containment" `Quick test_semiglobal_containment;
-          qtest test_semiglobal_at_least_global_qcheck;
-          qtest test_semiglobal_ops_cover_qcheck;
         ] );
       ( "indels_duplications",
         [

@@ -234,31 +234,28 @@ let test_discovery_recovery_reasonable () =
   check_bool "good accuracy without rearrangements" true
     (Metrics.order_accuracy report >= 0.8)
 
-(* Golden equivalence: the [`Per_anchor] engine must keep producing the
-   exact instance text the pre-chaining builder produced (captured from the
-   historical implementation on seeds 1–3).  This pins the refactored Seed
-   hot path, the sweep-based domination filter, and the fanned-out anchor
-   collection to the old sequential semantics, byte for byte. *)
-let per_anchor_golden =
+(* Golden: the instance text [Pipeline.discovery_instance] builds at its
+   defaults on seeds 1–3 of [default_params].  Any change to seeding,
+   chaining, stitching, clustering or σ shows up here byte for byte. *)
+let discovery_golden =
   [
     ( 1,
       "H h3: h0_0\n\
        H h2: h1_0\n\
        H h1: h2_0 h2_1\n\
-       M m6: m2_0 m2_1\n\
+       M m6: m2_0\n\
        M m7: m3_0 m3_1\n\
        M m2: m4_0\n\
        M m5: m5_0\n\
        M m3: m6_0\n\
-       S h2_0 m6_0' 112\n\
-       S h2_0 m4_0 265\n\
-       S h2_1 m5_0 213\n\
-       S h1_0 m5_0' 58\n\
+       S h1_0 m2_0 51\n\
+       S h1_0 m2_0' 458.5\n\
        S h1_0 m3_0' 84\n\
-       S h1_0 m2_1 51\n\
-       S h1_0 m2_1' 172\n\
-       S h1_0 m2_0' 254\n\
-       S h0_0 m3_1' 52\n" );
+       S h1_0 m5_0' 58\n\
+       S h0_0 m3_1' 52\n\
+       S h2_0 m4_0 265\n\
+       S h2_0 m6_0' 112\n\
+       S h2_1 m5_0 213\n" );
     ( 2,
       "H h3: h0_0\n\
        H h2: h1_0 h1_1\n\
@@ -269,14 +266,14 @@ let per_anchor_golden =
        M m6: m3_0\n\
        M m4: m5_0\n\
        M m2: m6_0\n\
-       S h1_1 m6_0 31\n\
-       S h1_1 m2_0 365\n\
-       S h1_0 m5_0 336\n\
-       S h1_0 m3_0' 31\n\
-       S h1_0 m0_0' 30\n\
-       S h0_0 m5_0' 151\n\
-       S h0_0 m1_0 31\n\
        S h0_0 m0_0 107\n\
+       S h0_0 m1_0 31\n\
+       S h0_0 m5_0' 151\n\
+       S h1_0 m0_0' 30\n\
+       S h1_0 m3_0' 31\n\
+       S h1_0 m5_0 336\n\
+       S h1_1 m2_0 365\n\
+       S h1_1 m6_0 31\n\
        S h2_0 m2_0 91\n\
        S h2_0 m2_0' 234\n" );
     ( 3,
@@ -288,28 +285,101 @@ let per_anchor_golden =
        M m4: m4_0\n\
        M m5: m5_0\n\
        M m7: m6_0\n\
-       S h1_0 m6_0 53\n\
-       S h1_0 m6_0' 452\n\
-       S h1_1 m5_0' 77\n\
-       S h1_1 m4_0' 74\n\
-       S h1_1 m2_0' 64\n\
-       S h1_1 m0_0 159\n\
+       S h1_1 m0_0 217\n\
        S h1_1 m0_0' 48\n\
+       S h1_1 m2_0' 64\n\
+       S h1_1 m4_0' 74\n\
+       S h1_1 m5_0' 77\n\
+       S h1_2 m1_0' 82\n\
        S h2_0 m1_0' 106\n\
-       S h1_2 m1_0' 94\n" );
+       S h1_0 m6_0 53\n\
+       S h1_0 m6_0' 452\n" );
   ]
 
-let test_per_anchor_engine_golden () =
+let test_discovery_golden () =
   List.iter
     (fun (seed, expected) ->
       let rng = Fsa_util.Rng.create seed in
       let h, m = Pipeline.generate rng Pipeline.default_params in
-      let built = Pipeline.discovery_instance ~engine:`Per_anchor ~h ~m () in
+      let built = Pipeline.discovery_instance ~h ~m () in
       Alcotest.(check string)
         (Printf.sprintf "seed %d instance text" seed)
         expected
         (Fsa_csr.Instance.to_text built.Pipeline.instance))
-    per_anchor_golden
+    discovery_golden
+
+(* The chromosome-scale pair CI exports with [genome_sim --export-fasta
+   --seed 7 --regions 140 --region-len 1200 --m-pieces 7 --indels 8] and
+   discovers with [--max-gap 2000 --band 4], so that chains bridge the
+   ~750 bp indels and the adaptive band has to widen.  Pinned: the instance
+   text and every seed.* / chain.* / band.* / pipeline.* counter, which is
+   what [genome_sim discover] prints. *)
+let smoke_golden_text =
+  "H h2: h0_0\n\
+   H h1: h1_0\n\
+   H h3: h2_0\n\
+   M m3: m0_0\n\
+   M m5: m1_0\n\
+   M m4: m2_0\n\
+   M m1: m3_0\n\
+   M m2: m4_0\n\
+   M m7: m5_0\n\
+   M m6: m6_0\n\
+   S h0_0 m0_0 13553.5\n\
+   S h0_0 m0_0' 325\n\
+   S h0_0 m1_0 70254\n\
+   S h0_0 m2_0' 11885\n\
+   S h0_0 m3_0 13888\n\
+   S h0_0 m3_0' 6024\n\
+   S h0_0 m4_0' 22564.5\n\
+   S h2_0 m1_0 35526\n\
+   S h2_0 m5_0 51591\n\
+   S h2_0 m6_0' 10561\n\
+   S h1_0 m3_0 3902\n"
+
+let smoke_golden_counters =
+  [
+    ("band.certified", 4.0);
+    ("band.widenings", 5.0);
+    ("chain.anchors_chained", 23.0);
+    ("chain.chains_built", 13.0);
+    ("chain.dp_pairs", 17.0);
+    ("pipeline.regions_called", 10.0);
+    ("seed.anchors_dominated", 1357.0);
+    ("seed.anchors_filtered", 6651.0);
+    ("seed.anchors_found", 1380.0);
+    ("seed.runs_extended", 8031.0);
+  ]
+
+let test_discovery_golden_smoke_pair () =
+  let p =
+    {
+      Pipeline.default_params with
+      regions = 140;
+      region_len = 1200;
+      spacer_len = 800;
+      m_pieces = 7;
+      indels = 8;
+      rearrangement_len = 3000;
+    }
+  in
+  let h, m = Pipeline.generate (Fsa_util.Rng.create 7) p in
+  let reg = Fsa_obs.Registry.create () in
+  let built =
+    Fsa_obs.Runtime.with_observation ~registry:reg (fun () ->
+        Pipeline.discovery_instance ~max_gap:2000 ~band:4 ~h ~m ())
+  in
+  Alcotest.(check string)
+    "instance text" smoke_golden_text
+    (Fsa_csr.Instance.to_text built.Pipeline.instance);
+  let discovery_counter (name, _) =
+    List.exists
+      (fun prefix -> String.starts_with ~prefix name)
+      [ "seed."; "chain."; "band."; "pipeline." ]
+  in
+  Alcotest.(check (list (pair string (float 0.0))))
+    "counters" smoke_golden_counters
+    (List.filter discovery_counter (Fsa_obs.Registry.counters reg))
 
 let test_chained_engine_builds () =
   let rng = Fsa_util.Rng.create 13 in
@@ -317,7 +387,7 @@ let test_chained_engine_builds () =
   let reg = Fsa_obs.Registry.create () in
   let built =
     Fsa_obs.Runtime.with_observation ~registry:reg (fun () ->
-        Pipeline.discovery_instance ~engine:`Chained ~h ~m ())
+        Pipeline.discovery_instance ~h ~m ())
   in
   let inst = built.Pipeline.instance in
   check_bool "h fragments discovered" true
@@ -331,20 +401,35 @@ let test_chained_engine_builds () =
   check_bool "anchors were chained" true (c "chain.anchors_chained" > 0.0)
 
 let test_engines_agree_on_structure () =
-  (* The three engines see the same anchors, so on an easy instance (no
-     rearrangements) they should discover comparable structure and a solver
-     should recover accurate order from any of them. *)
+  (* The oracle builder (planted labels) and the discovery engine (seed →
+     chain → band) see the same contigs, so on an easy instance (no
+     rearrangements) discovery must find regions on every contig the oracle
+     places, and a solver should recover accurate order from either. *)
   let p = { Pipeline.default_params with inversions = 0; translocations = 0 } in
+  let h, m = Pipeline.generate (Fsa_util.Rng.create 14) p in
+  let oracle = Pipeline.oracle_instance ~h ~m in
+  let discovered = Pipeline.discovery_instance ~h ~m () in
+  let names contigs =
+    Array.to_list (Array.map (fun c -> c.Fragmentation.name) contigs)
+  in
+  let covers side oracle_contigs discovered_contigs =
+    let found = names discovered_contigs in
+    List.iter
+      (fun name ->
+        check_bool
+          (Printf.sprintf "%s contig %s discovered" side name)
+          true (List.mem name found))
+      (names oracle_contigs)
+  in
+  covers "H" oracle.Pipeline.h_contigs discovered.Pipeline.h_contigs;
+  covers "M" oracle.Pipeline.m_contigs discovered.Pipeline.m_contigs;
   List.iter
-    (fun engine ->
-      let rng = Fsa_util.Rng.create 14 in
-      let h, m = Pipeline.generate rng p in
-      let built = Pipeline.discovery_instance ~engine ~h ~m () in
+    (fun built ->
       let sol = Fsa_csr.Csr_improve.solve_best built.Pipeline.instance in
       let report = Metrics.evaluate built sol in
       check_bool "good accuracy without rearrangements" true
         (Metrics.order_accuracy report >= 0.8))
-    [ `Chained; `Per_anchor; `Per_anchor_full ]
+    [ oracle; discovered ]
 
 let test_metrics_counts () =
   let rng = Fsa_util.Rng.create 15 in
@@ -407,7 +492,9 @@ let () =
           qtest test_oracle_survives_rearrangements_qcheck;
           Alcotest.test_case "discovery instance" `Quick test_discovery_instance_finds_regions;
           Alcotest.test_case "discovery recovery" `Quick test_discovery_recovery_reasonable;
-          Alcotest.test_case "per-anchor engine golden" `Quick test_per_anchor_engine_golden;
+          Alcotest.test_case "discovery golden" `Quick test_discovery_golden;
+          Alcotest.test_case "discovery golden smoke pair" `Quick
+            test_discovery_golden_smoke_pair;
           Alcotest.test_case "chained engine builds" `Quick test_chained_engine_builds;
           Alcotest.test_case "engines agree on structure" `Quick test_engines_agree_on_structure;
           Alcotest.test_case "metrics counts" `Quick test_metrics_counts;

@@ -152,21 +152,21 @@ let test_pipeline_discovery_vs_oracle () =
   check_bool "discovery coverage" true (run `Discovery 23 >= 0.6)
 
 (* ------------------------------------------------------------------ *)
-(* CLI error handling: csr_solve must fail cleanly, not with a raw
-   exception trace.  The executable declared in (deps) lives next to this
-   test binary's directory (_build/default/{test,bin}), so resolve it from
-   [Sys.executable_name] rather than the cwd.                              *)
+(* CLI error handling: csr_solve and genome_sim must fail cleanly, not with
+   a raw exception trace.  The executables declared in (deps) live next to
+   this test binary's directory (_build/default/{test,bin}), so resolve them
+   from [Sys.executable_name] rather than the cwd.                         *)
 
-let csr_solve_exe =
+let bin_exe name =
   let dir = Filename.dirname Sys.executable_name in
   let dir = if Filename.is_relative dir then Filename.concat (Sys.getcwd ()) dir else dir in
   Filename.concat dir (Filename.concat Filename.parent_dir_name
-                         (Filename.concat "bin" "csr_solve.exe"))
+                         (Filename.concat "bin" name))
 
-let run_csr_solve args =
-  let out = Filename.temp_file "csr_solve_out" ".txt" in
+let run_cli exe args =
+  let out = Filename.temp_file "cli_out" ".txt" in
   let cmd =
-    Printf.sprintf "%s %s > %s 2>&1" (Filename.quote csr_solve_exe) args
+    Printf.sprintf "%s %s > %s 2>&1" (Filename.quote (bin_exe exe)) args
       (Filename.quote out)
   in
   let code = Sys.command cmd in
@@ -176,6 +176,8 @@ let run_csr_solve args =
   close_in ic;
   Sys.remove out;
   (code, text)
+
+let run_csr_solve = run_cli "csr_solve.exe"
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -199,6 +201,52 @@ let test_cli_malformed_file () =
   check_bool "prefixed error" true (contains ~needle:"csr_solve: error" text);
   check_bool "names the file" true (contains ~needle:"csr_bad" text);
   check_bool "no raw backtrace" false (contains ~needle:"Fatal error" text)
+
+(* genome_sim discover: a bad flag value is a user error (exit 2, a
+   prefixed message naming the flag), checked before the FASTA files are
+   read; exit 1 is kept for "no conserved regions discovered". *)
+let with_fasta_pair f =
+  let write name dna =
+    let path = Filename.temp_file name ".fa" in
+    Fsa_seq.Fasta.write_file path [ { Fsa_seq.Fasta.name; description = ""; dna } ];
+    path
+  in
+  let rng = Fsa_util.Rng.create 5 in
+  let h = write "h" (Fsa_seq.Dna.random rng 200)
+  and m = write "m" (Fsa_seq.Dna.random rng 200) in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove h;
+      Sys.remove m)
+    (fun () -> f (Filename.quote h ^ " " ^ Filename.quote m))
+
+let test_discover_bad_flags () =
+  with_fasta_pair @@ fun files ->
+  List.iter
+    (fun (flag, value) ->
+      let code, text =
+        run_cli "genome_sim.exe" (Printf.sprintf "discover %s %s%s" files flag value)
+      in
+      let case = flag ^ value in
+      check_int (case ^ " exit code") 2 code;
+      check_bool (case ^ " prefixed error") true
+        (contains ~needle:"genome_sim discover: error:" text);
+      check_bool (case ^ " names the flag") true (contains ~needle:flag text))
+    [
+      ("-k", " 0");
+      ("-k", " 31");
+      ("--band", " 0");
+      ("--max-gap", "=-1");
+      ("--band-cap", "=-1");
+      ("--cluster-gap", "=-5");
+      ("--min-anchor-score", " nan");
+    ]
+
+let test_discover_nothing_found () =
+  with_fasta_pair @@ fun files ->
+  let code, text = run_cli "genome_sim.exe" ("discover " ^ files) in
+  check_int "exit code" 1 code;
+  check_bool "says why" true (contains ~needle:"no conserved regions" text)
 
 (* ------------------------------------------------------------------ *)
 (* Cross-checking MS against the conjecture semantics                   *)
@@ -240,6 +288,8 @@ let () =
         [
           Alcotest.test_case "missing instance file" `Quick test_cli_missing_file;
           Alcotest.test_case "malformed instance file" `Quick test_cli_malformed_file;
+          Alcotest.test_case "discover rejects bad flags" `Quick test_discover_bad_flags;
+          Alcotest.test_case "discover finds nothing" `Quick test_discover_nothing_found;
         ] );
       ( "genome",
         [

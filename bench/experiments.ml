@@ -386,14 +386,36 @@ let e10 ~quick () =
   T.print t;
   Printf.printf "\naccuracy decays with rearrangement count — homology order genuinely diverges from physical order\n"
 
+(* The restart-at-zero scan that Improve.run's circular scan replaced: each
+   round rescans CSR_Improve's attempt list from attempt 0, and the run
+   stops when a full scan commits nothing.  E11's baseline only. *)
+let restart_scan inst =
+  let candidates = Border_improve.border_candidates inst in
+  let attempts = Csr_improve.attempts Csr_improve.default_config inst candidates in
+  let rec round sol rounds improvements evaluated =
+    let base = Solution.score sol in
+    let rec scan evaluated = function
+      | [] -> (sol, { Improve.rounds; improvements; evaluated })
+      | (a : Improve.attempt) :: rest -> (
+          match a.apply sol with
+          | Some sol' when Solution.score sol' -. base > 1e-9 ->
+              round sol' (rounds + 1) (improvements + 1) (evaluated + 1)
+          | Some _ | None -> scan (evaluated + 1) rest)
+    in
+    scan evaluated (attempts sol)
+  in
+  round (Solution.empty inst) 1 0 0
+
 let e11 ~quick () =
-  section "E11" "ablations — container-site mode and scaling epsilon";
+  section "E11" "ablations — container-site mode, scan order and scaling epsilon";
   let n = trials quick 25 in
   let t =
     T.create
       [ ("variant", T.Left); ("mean ratio", T.Right); ("min ratio", T.Right);
         ("mean improvements", T.Right); ("mean evaluated", T.Right) ]
   in
+  (* [solve] returns the run's stats, or [None] when the solver does not
+     expose them (the scaled wrapper), which prints as a dash. *)
   let run label solve =
     let rng = Rng.create 2031 in
     let ratios = ref [] and imps = ref [] and evals = ref [] in
@@ -403,29 +425,36 @@ let e11 ~quick () =
       if opt > 0.0 then begin
         let sol, stats = solve inst in
         ratios := (Solution.score sol /. opt) :: !ratios;
-        imps := float_of_int stats.Improve.improvements :: !imps;
-        evals := float_of_int stats.Improve.evaluated :: !evals
+        Option.iter
+          (fun (s : Improve.stats) ->
+            imps := float_of_int s.Improve.improvements :: !imps;
+            evals := float_of_int s.Improve.evaluated :: !evals)
+          stats
       end
     done;
+    let mean fmt xs =
+      if xs = [] then "—" else Printf.sprintf fmt (Stats.mean (Array.of_list xs))
+    in
     T.add_row t
       [ label;
         Printf.sprintf "%.3f" (Stats.mean (Array.of_list !ratios));
         Printf.sprintf "%.3f" (fst (Stats.min_max (Array.of_list !ratios)));
-        Printf.sprintf "%.1f" (Stats.mean (Array.of_list !imps));
-        Printf.sprintf "%.0f" (Stats.mean (Array.of_list !evals)) ]
+        mean "%.1f" !imps;
+        mean "%.0f" !evals ]
   in
-  run "CSR_Improve extremes" (fun inst -> Csr_improve.solve inst);
+  let with_stats (sol, stats) = (sol, Some stats) in
+  run "CSR_Improve extremes" (fun inst -> with_stats (Csr_improve.solve inst));
+  run "CSR_Improve extremes, restart scan" (fun inst -> with_stats (restart_scan inst));
   run "CSR_Improve all-containing" (fun inst ->
-      Csr_improve.solve
-        ~config:{ Csr_improve.default_config with site_mode = `All_containing }
-        inst);
+      with_stats
+        (Csr_improve.solve
+           ~config:{ Csr_improve.default_config with site_mode = `All_containing }
+           inst));
   List.iter
     (fun eps ->
       run
         (Printf.sprintf "scaled eps=%.2f" eps)
-        (fun inst ->
-          let sol = Csr_improve.solve_scaled ~epsilon:eps inst in
-          (sol, { Improve.rounds = 0; improvements = 0; evaluated = 0 })))
+        (fun inst -> (Csr_improve.solve_scaled ~epsilon:eps inst, None)))
     [ 0.5; 0.05 ];
   T.print t
 

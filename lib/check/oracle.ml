@@ -204,6 +204,24 @@ let p_full_improve_bound =
             else None);
   }
 
+(* The premise of Thms 4–6: an improvement solver returns a local optimum,
+   so no attempt of its own attempt space gains more than 1e-9 on it. *)
+let p_local_opt sname attempts =
+  let check ctx =
+    match sol ctx sname with
+    | Error e -> Some (exn_detail sname e)
+    | Ok s ->
+        let gain s' = Solution.score s' -. Solution.score s in
+        List.find_map
+          (fun (a : Improve.attempt) ->
+            match a.apply s with
+            | Some s' when gain s' > 1e-9 ->
+                Some (fmt "%s gains %g" (a.label ()) (gain s'))
+            | Some _ | None -> None)
+          (attempts ctx.inst (Border_improve.border_candidates ctx.inst) s)
+  in
+  { name = sname ^ ".local_opt"; check }
+
 let p_isp_tpa side =
   let tag = match side with Species.H -> "h" | Species.M -> "m" in
   {
@@ -240,6 +258,9 @@ let properties =
       p_ratio "four_approx_tpa.ratio4" "four_approx_tpa" 4.0;
       p_ratio "four_approx_exact_isp.ratio2" "four_approx_exact_isp" 2.0;
       p_full_improve_bound;
+      p_local_opt "full_improve" (fun inst _ _ -> Full_improve.attempts inst);
+      p_local_opt "border_improve" Border_improve.attempts;
+      p_local_opt "csr_improve" (Csr_improve.attempts Csr_improve.default_config);
       p_isp_tpa Species.H;
       p_isp_tpa Species.M;
       p_prune_identical "greedy";

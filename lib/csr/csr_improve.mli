@@ -25,7 +25,8 @@ val attempts : config -> Instance.t -> Cmatch.t list -> Solution.t -> Improve.at
     applied, it builds the solution-independent part once — the I2
     attempts, then {!Full_improve.attempts}' I1 — and each call on a
     solution only appends that solution's I3 attempts (one family per
-    current 2-island).  Scan order: I2, I1, I3. *)
+    current 2-island).  The list is I2, then I1, then I3; {!Improve.run}
+    scans it circularly from the previous round's winner. *)
 
 val solve : ?config:config -> Instance.t -> Solution.t * Improve.stats
 

@@ -7,20 +7,26 @@ let evaluated_counter = Fsa_obs.Metric.Counter.make "improve.evaluated"
 let accepted_counter = Fsa_obs.Metric.Counter.make "improve.accepted"
 let rejected_counter = Fsa_obs.Metric.Counter.make "improve.rejected"
 
-(* First-improvement scan over one round's attempt list: commits the first
-   attempt whose gain exceeds [min_gain], and reports how many attempts it
-   evaluated — the winner's index + 1, or the whole list. *)
-let scan_attempts ~min_gain sol base attempt_list =
-  let rec go k = function
-    | [] -> (None, k)
-    | a :: rest -> (
+(* First-improvement scan over one round's attempt list, from index [start]
+   modulo its length and wrapping once: the first attempt whose gain exceeds
+   [min_gain] with its index, and how many attempts were evaluated. *)
+let scan_attempts ~min_gain ~start sol base attempt_list =
+  let n = List.length attempt_list in
+  let start = if n = 0 then 0 else start mod n in
+  (* Scans indices [i, stop) of a list whose head is attempt i. *)
+  let rec go k i stop = function
+    | a :: rest when i < stop -> (
         Fsa_obs.Budget.check ();
         match a.apply sol with
         | Some sol' when Solution.score sol' -. base > min_gain ->
-            (Some (a, sol'), k + 1)
-        | Some _ | None -> go (k + 1) rest)
+            (Some (a, sol', i), k + 1)
+        | Some _ | None -> go (k + 1) (i + 1) stop rest)
+    | _ -> (None, k)
   in
-  go 0 attempt_list
+  let rec drop i l = if i = 0 then l else drop (i - 1) (List.tl l) in
+  match go 0 start n (drop start attempt_list) with
+  | (Some _, _) as won -> won
+  | None, k -> go k 0 start attempt_list
 
 (* [track] publishes (solution, stats so far) after every committed
    improvement, so a budgeted run can surface the latest state as its
@@ -33,20 +39,18 @@ let run_tracked ~track ~min_gain ~max_improvements ~name ~attempts ~init () =
      emitted event report the same number — a run that converges immediately
      did one scan and reports one round; a run cut off by
      [max_improvements] reports exactly [improvements] rounds, since every
-     one of its scans committed. *)
-  let rec loop sol rounds improvements =
+     one of its scans committed.  A scan starts at the previous winner, so
+     the run ends after one full pass commits nothing: a local optimum. *)
+  let rec loop sol rounds improvements start =
     if improvements >= max_improvements then
       (sol, { rounds; improvements; evaluated = !evaluated })
     else begin
       let rounds = rounds + 1 in
       let base = Solution.score sol in
-      let scan scanned attempt_list =
-        let result, k = scan_attempts ~min_gain sol base attempt_list in
-        evaluated := !evaluated + k;
-        (result, scanned + k)
-      in
-      match scan 0 (attempts sol) with
-      | Some (a, sol'), scanned ->
+      let result, scanned = scan_attempts ~min_gain ~start sol base (attempts sol) in
+      evaluated := !evaluated + scanned;
+      match result with
+      | Some (a, sol', winner) ->
           track
             (sol', { rounds; improvements = improvements + 1; evaluated = !evaluated });
           if Fsa_obs.Runtime.observing () then begin
@@ -65,8 +69,8 @@ let run_tracked ~track ~min_gain ~max_improvements ~name ~attempts ~init () =
                      score_after = Solution.score sol';
                    })
           end;
-          loop sol' rounds (improvements + 1)
-      | None, scanned ->
+          loop sol' rounds (improvements + 1) winner
+      | None ->
           if Fsa_obs.Runtime.observing () then begin
             Fsa_obs.Metric.Counter.incr ~by:scanned evaluated_counter;
             Fsa_obs.Metric.Counter.incr ~by:scanned rejected_counter;
@@ -78,7 +82,7 @@ let run_tracked ~track ~min_gain ~max_improvements ~name ~attempts ~init () =
           (sol, { rounds; improvements; evaluated = !evaluated })
     end
   in
-  loop init 0 0
+  loop init 0 0 0
 
 let run ?(min_gain = 1e-9) ?(max_improvements = 100_000) ?(name = "improve")
     ~attempts ~init () =

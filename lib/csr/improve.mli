@@ -39,10 +39,11 @@ val run :
   init:Solution.t ->
   unit ->
   Solution.t * stats
-(** First-improvement local search: scan the attempt list, commit the first
-    attempt whose gain exceeds [min_gain] (default 1e-9), restart the scan;
-    finish when a full scan commits nothing or [max_improvements]
-    (default 100_000) is reached.
+(** First-improvement local search: commit the first attempt whose gain
+    exceeds [min_gain] (default 1e-9), scanning circularly from the previous
+    round's winner (modulo the round's list length; round 1 starts at 0);
+    finish when one full pass commits nothing, a local optimum of the
+    attempt space, or when [max_improvements] (default 100_000) is reached.
 
     Telemetry (no-op unless [Fsa_obs] observation is on): the whole loop is
     wrapped in a span [<name>.run] ([name] defaults to ["improve"]); every

@@ -61,6 +61,9 @@ let test_oracle_names () =
       "four_approx_tpa.ratio4";
       "four_approx_exact_isp.ratio2";
       "isp.tpa_half_h";
+      "full_improve.local_opt";
+      "border_improve.local_opt";
+      "csr_improve.local_opt";
     ]
 
 let test_oracle_paper_example () =

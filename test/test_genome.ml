@@ -234,6 +234,35 @@ let test_discovery_recovery_reasonable () =
   check_bool "good accuracy without rearrangements" true
     (Metrics.order_accuracy report >= 0.8)
 
+(* Recovery against the simulator's ground truth on fixed seeds 1–30 of
+   [default_params] without rearrangements: discovery → solve_best must
+   recover the true contig order and orientation exactly, never below
+   oracle mode, and keep most contigs.  The coverage floors come from a
+   sweep of seeds 1–60 in both modes, which read order accuracy 1.0
+   throughout and minimum coverage 0.40 (discovery) and 0.571 (oracle),
+   with the restart-at-zero and the circular improvement scan alike.  The
+   rearranged family is left out: there oracle mode itself reads 0.0 on
+   some seeds (EXPERIMENTS E10). *)
+let test_recovery_without_rearrangements () =
+  let p = { Pipeline.default_params with inversions = 0; translocations = 0 } in
+  for seed = 1 to 30 do
+    let h, m = Pipeline.generate (Fsa_util.Rng.create seed) p in
+    let recover built =
+      let sol = Fsa_csr.Csr_improve.solve_best built.Pipeline.instance in
+      Metrics.evaluate built sol
+    in
+    let oracle = recover (Pipeline.oracle_instance ~h ~m) in
+    let discovery = recover (Pipeline.discovery_instance ~h ~m ()) in
+    let what s = Printf.sprintf "seed %d: %s" seed s in
+    check_float (what "discovery order accuracy") 1.0
+      (Metrics.order_accuracy discovery);
+    check_bool (what "discovery accuracy >= oracle's") true
+      (Metrics.order_accuracy discovery >= Metrics.order_accuracy oracle);
+    check_bool (what "discovery coverage >= 0.4") true
+      (Metrics.coverage discovery >= 0.4);
+    check_bool (what "oracle coverage >= 0.5") true (Metrics.coverage oracle >= 0.5)
+  done
+
 (* Golden: the instance text [Pipeline.discovery_instance] builds at its
    defaults on seeds 1–3 of [default_params].  Any change to seeding,
    chaining, stitching, clustering or σ shows up here byte for byte. *)
@@ -492,6 +521,8 @@ let () =
           qtest test_oracle_survives_rearrangements_qcheck;
           Alcotest.test_case "discovery instance" `Quick test_discovery_instance_finds_regions;
           Alcotest.test_case "discovery recovery" `Quick test_discovery_recovery_reasonable;
+          Alcotest.test_case "recovery without rearrangements" `Quick
+            test_recovery_without_rearrangements;
           Alcotest.test_case "discovery golden" `Quick test_discovery_golden;
           Alcotest.test_case "discovery golden smoke pair" `Quick
             test_discovery_golden_smoke_pair;

@@ -2,6 +2,9 @@
 
    - Improve.run round accounting: stats pinned for 0- and 1-improvement
      runs, and the emitted Move/Step events carry the same round numbers;
+   - Improve.run's circular scan on synthetic attempt lists: each round
+     starts at the previous winner (modulo the round's list length), wraps
+     once, and the closing pass evaluates the list exactly once;
    - attempt labels: forced only for committed moves of traced runs, and
      the traced Move labels pinned on the paper example;
    - indexed Solution vs a naive list oracle (score, contribution,
@@ -131,6 +134,101 @@ let test_rounds_cut_by_max_improvements () =
   check_int "evaluated" 1 stats.Improve.evaluated;
   check_bool "Move in round 1" true (move_rounds evs = [ 1 ]);
   check_bool "no Step event" true (step_rounds evs = [])
+
+(* ------------------------------------------------------------------ *)
+(* Improve.run's circular scan, on a synthetic attempt list             *)
+
+(* Three solutions of strictly increasing score: the empty one, a single
+   positive full match and the 4-approximation's answer. *)
+let ladder inst =
+  let s1 = Result.get_ok (Solution.of_matches inst [ positive_full_match inst ]) in
+  let s2 = One_csr.four_approx inst in
+  check_bool "ladder climbs" true
+    (0.0 < Solution.score s1 && Solution.score s1 < Solution.score s2);
+  (Solution.empty inst, s1, s2)
+
+(* [n] attempts; attempt i logs its index when applied, and moves the
+   solution from [from] to [to_] when [moves] maps i to (from, to_). *)
+let synthetic n moves log =
+  List.init n (fun i ->
+      {
+        Improve.label = (fun () -> string_of_int i);
+        apply =
+          (fun sol ->
+            log := i :: !log;
+            match List.assoc_opt i moves with
+            | Some (from, to_) when Solution.score sol = Solution.score from ->
+                Some to_
+            | Some _ | None -> None);
+      })
+
+let step_evaluated evs =
+  List.filter_map
+    (function Fsa_obs.Event.Step { evaluated; _ } -> Some evaluated | _ -> None)
+    evs
+
+let check_stats (stats : Improve.stats) ~rounds ~improvements ~evaluated =
+  check_int "rounds" rounds stats.Improve.rounds;
+  check_int "improvements" improvements stats.Improve.improvements;
+  check_int "evaluated" evaluated stats.Improve.evaluated
+
+let test_scan_resumes_at_winner () =
+  let inst = paper () in
+  let s0, s1, s2 = ladder inst in
+  let log = ref [] in
+  let atts = synthetic 5 [ (3, (s0, s1)); (4, (s1, s2)) ] log in
+  let (sol, stats), _ = run_with_events ~attempts:(fun _ -> atts) inst in
+  (* Round 1 wins at 3; round 2 starts there and wins at 4; round 3 is the
+     closing pass from 4.  Restarting at 0 would evaluate 4 + 5 + 5. *)
+  check_bool "evaluation order" true
+    (List.rev !log = [ 0; 1; 2; 3; 3; 4; 4; 0; 1; 2; 3 ]);
+  check_stats stats ~rounds:3 ~improvements:2 ~evaluated:11;
+  check_float "final score" (Solution.score s2) (Solution.score sol)
+
+let test_scan_closing_pass_is_one_circle () =
+  let inst = paper () in
+  let s0, s1, _ = ladder inst in
+  let log = ref [] in
+  let atts = synthetic 5 [ (2, (s0, s1)) ] log in
+  let (_, stats), evs = run_with_events ~attempts:(fun _ -> atts) inst in
+  check_bool "evaluation order" true (List.rev !log = [ 0; 1; 2; 2; 3; 4; 0; 1 ]);
+  check_bool "the closing Step evaluated the list once" true
+    (step_evaluated evs = [ 5 ]);
+  check_stats stats ~rounds:2 ~improvements:1 ~evaluated:8;
+  let (_, idle), evs =
+    run_with_events ~attempts:(fun _ -> synthetic 5 [] (ref [])) inst
+  in
+  check_bool "an idle run's Step evaluated the list once" true
+    (step_evaluated evs = [ 5 ]);
+  check_stats idle ~rounds:1 ~improvements:0 ~evaluated:5
+
+let test_scan_wraps_to_earlier_attempt () =
+  let inst = paper () in
+  let s0, s1, s2 = ladder inst in
+  let log = ref [] in
+  let atts = synthetic 5 [ (3, (s0, s1)); (1, (s1, s2)) ] log in
+  let (sol, stats), evs = run_with_events ~attempts:(fun _ -> atts) inst in
+  (* Round 2 starts at 3 and finds 1 after the wrap; round 3 starts at 1. *)
+  check_bool "evaluation order" true
+    (List.rev !log = [ 0; 1; 2; 3; 3; 4; 0; 1; 1; 2; 3; 4; 0 ]);
+  check_bool "Moves in rounds 1 and 2" true (move_rounds evs = [ 1; 2 ]);
+  check_stats stats ~rounds:3 ~improvements:2 ~evaluated:13;
+  check_float "final score" (Solution.score s2) (Solution.score sol)
+
+let test_scan_start_modulo_length () =
+  let inst = paper () in
+  let s0, s1, _ = ladder inst in
+  let log = ref [] in
+  (* The list shrinks from 5 to 3 after the win at 4: round 2 starts at
+     4 mod 3 = 1. *)
+  let attempts sol =
+    if Solution.score sol = Solution.score s0 then
+      synthetic 5 [ (4, (s0, s1)) ] log
+    else synthetic 3 [] log
+  in
+  let (_, stats), _ = run_with_events ~attempts inst in
+  check_bool "evaluation order" true (List.rev !log = [ 0; 1; 2; 3; 4; 1; 2; 0 ]);
+  check_stats stats ~rounds:2 ~improvements:1 ~evaluated:8
 
 (* ------------------------------------------------------------------ *)
 (* Attempt labels are formatted on demand                               *)
@@ -527,6 +625,17 @@ let () =
           Alcotest.test_case "one improvement" `Quick test_rounds_one_improvement;
           Alcotest.test_case "cut by max_improvements" `Quick
             test_rounds_cut_by_max_improvements;
+        ] );
+      ( "scan",
+        [
+          Alcotest.test_case "resumes at the last winner" `Quick
+            test_scan_resumes_at_winner;
+          Alcotest.test_case "closing pass is one circle" `Quick
+            test_scan_closing_pass_is_one_circle;
+          Alcotest.test_case "wraps to an earlier attempt" `Quick
+            test_scan_wraps_to_earlier_attempt;
+          Alcotest.test_case "start modulo the list length" `Quick
+            test_scan_start_modulo_length;
         ] );
       ( "labels",
         [

@@ -134,14 +134,19 @@ type stitched = { chain : t; score : float; widenings : int; fallbacks : int }
 let stitch ?band ?band_cap ?(gap_kernel = `Adaptive) ~target ~query c =
   Fsa_obs.Span.with_ ~name:"chain.stitch" @@ fun () ->
   (* Work in strand coordinates: for a reverse chain, against the
-     reverse-complemented query, mapping each anchor's forward-query
-     interval by j ↦ ql - 1 - j.  Every anchor is then an increasing
-     diagonal run and stitching is strand-agnostic. *)
-  let ql = Dna.length query in
-  let q' = if c.forward then query else Dna.reverse_complement query in
+     reverse complement of the chain's query span [q_lo, q_hi] only,
+     mapping each anchor's forward-query interval by j ↦ q_hi - j.  Every
+     anchor is then an increasing diagonal run and stitching is
+     strand-agnostic.  (Against the whole reverse complement the map
+     would be j ↦ ql - 1 - j: every strand position shifts by the same
+     constant, which leaves gaps, overlaps and scores unchanged.) *)
+  let q' =
+    if c.forward then query
+    else Dna.reverse_complement (Dna.sub query ~pos:c.q_lo ~len:(c.q_hi - c.q_lo + 1))
+  in
   let conv a =
     if c.forward then (a.Seed.q_lo, a.Seed.q_hi)
-    else (ql - 1 - a.Seed.q_hi, ql - 1 - a.Seed.q_lo)
+    else (c.q_hi - a.Seed.q_hi, c.q_hi - a.Seed.q_lo)
   in
   let pair t q =
     if Dna.get target t = Dna.get q' q then Dna_align.default.match_score

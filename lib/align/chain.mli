@@ -53,8 +53,9 @@ val stitch :
   t ->
   stitched
 (** Scores a chain's region exactly.  Reverse chains are stitched against
-    the reverse-complemented query (anchor coordinates mapped by
-    j ↦ ql - 1 - j).  [gap_kernel] selects the inter-anchor gap kernel:
+    the reverse complement of the chain's query span [[q_lo, q_hi]] only
+    (anchor coordinates mapped by j ↦ q_hi - j), not of the whole query.
+    [gap_kernel] selects the inter-anchor gap kernel:
     [`Adaptive] (default) uses {!Dna_align.adaptive_global} — score-identical
     to the full kernel by its certificate — while [`Full] runs
     {!Dna_align.global} directly (the test oracle).  Telemetry:

@@ -1,89 +1,164 @@
 open Fsa_seq
 
-(* Open-addressing k-mer index on flat int arrays.  Slot [s] of a
-   power-of-two table holds k-mer [keys.(s)], or [free].  A kept k-mer's
-   occurrences are one slice of [occ]: its count at [occ.(start.(s))], then
-   its target positions in increasing order.  A repeat past [max_occ] keeps
-   its slot with [start.(s) = -1], so probes for it stop there and find
-   nothing. *)
+(* ------------------------------------------------------------------ *)
+(* Radix kernel                                                         *)
+
+(* Stable LSD radix sort of [keys.(lo) .. keys.(lo + n - 1)], non-negative
+   keys below 2^bits, on 8-bit digits.  When [vals] is non-empty,
+   [vals.(lo + i)] moves with its key.  [tk] and [tv] are scratch of at
+   least [n] cells ([tv] unused when [vals] is empty), [counts] of at least
+   256 × ⌈bits / 8⌉.  One read of the keys fills every digit's histogram,
+   and a digit that all keys share costs no pass. *)
+let radix_sort ~counts ~bits keys (vals : int array) ~lo ~n tk tv =
+  let carry = Array.length vals > 0 in
+  assert (
+    lo + n <= Array.length keys
+    && n <= Array.length tk
+    && ((not carry) || (lo + n <= Array.length vals && n <= Array.length tv)));
+  if n > 1 then begin
+    let passes = (bits + 7) / 8 in
+    Array.fill counts 0 (passes * 256) 0;
+    for i = lo to lo + n - 1 do
+      let key = Array.unsafe_get keys i in
+      for p = 0 to passes - 1 do
+        let c = (p lsl 8) lor ((key lsr (p lsl 3)) land 255) in
+        Array.unsafe_set counts c (Array.unsafe_get counts c + 1)
+      done
+    done;
+    (* Each pass scatters [src] into [dst], then the two swap roles. *)
+    let sk = ref keys and sv = ref vals and so = ref lo in
+    let dk = ref tk and dv = ref tv and d_o = ref 0 in
+    for p = 0 to passes - 1 do
+      let base = p lsl 8 and shift = p lsl 3 in
+      let src_k = !sk and src_o = !so in
+      if counts.(base lor ((src_k.(src_o) lsr shift) land 255)) < n then begin
+        let sum = ref !d_o in
+        for c = base to base + 255 do
+          let m = Array.unsafe_get counts c in
+          Array.unsafe_set counts c !sum;
+          sum := !sum + m
+        done;
+        let dst_k = !dk in
+        if carry then begin
+          let src_v = !sv and dst_v = !dv in
+          for i = src_o to src_o + n - 1 do
+            let key = Array.unsafe_get src_k i in
+            let c = base lor ((key lsr shift) land 255) in
+            let o = Array.unsafe_get counts c in
+            Array.unsafe_set counts c (o + 1);
+            Array.unsafe_set dst_k o key;
+            Array.unsafe_set dst_v o (Array.unsafe_get src_v i)
+          done
+        end
+        else
+          for i = src_o to src_o + n - 1 do
+            let key = Array.unsafe_get src_k i in
+            let c = base lor ((key lsr shift) land 255) in
+            let o = Array.unsafe_get counts c in
+            Array.unsafe_set counts c (o + 1);
+            Array.unsafe_set dst_k o key
+          done;
+        sk := dst_k;
+        dk := src_k;
+        let v = !sv in
+        sv := !dv;
+        dv := v;
+        so := !d_o;
+        d_o := src_o
+      end
+    done;
+    (* An odd number of passes leaves the result in the scratch: copy it
+       back by hand, as [Array.blit] would pass every int through the
+       write barrier. *)
+    if !sk != keys then begin
+      let src_k = !sk and src_v = !sv and src_o = !so in
+      for i = 0 to n - 1 do
+        Array.unsafe_set keys (lo + i) (Array.unsafe_get src_k (src_o + i))
+      done;
+      if carry then
+        for i = 0 to n - 1 do
+          Array.unsafe_set vals (lo + i) (Array.unsafe_get src_v (src_o + i))
+        done
+    end
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Sorted k-mer index                                                   *)
+
+(* Every kept k-mer occurrence of every target, sorted by k-mer: entry [e]
+   is k-mer [keys.(e)] at payload [vals.(e)] = (target lsl 32) lor position,
+   for [e < size].  Within a k-mer, payloads ascend, so entries run target
+   by target, each in position order.  A (k-mer, target) pair occurring
+   more than [max_occ] times has no entries. *)
 type index = {
   k : int;
-  shift : int;  (** 63 - log2 (table size) *)
+  targets : Dna.t array;
   keys : int array;
-  start : int array;
-  occ : int array;
+  vals : int array;
+  size : int;
 }
 
-let free = -1
+let pos_mask = 0xFFFF_FFFF
 
-(* Fibonacci hashing: the slot is the top bits of the product with an odd
-   constant. *)
-let hash kmer = kmer * 0x1E37_79B9_7F4A_7C15
+let check_lengths ~target ~query =
+  if target + query > 1 lsl 31 then
+    invalid_arg
+      (Printf.sprintf "Seed: target (%d) + query (%d) bases exceed 2^31" target query)
 
-(* The slot holding [kmer], or the free slot ending its probe sequence.
-   The table is at most half full, so a free slot always exists. *)
-let rec probe keys kmer s =
-  let key = Array.unsafe_get keys s in
-  if key = kmer || key = free then s
-  else probe keys kmer ((s + 1) land (Array.length keys - 1))
-
-let slot idx kmer = probe idx.keys kmer (hash kmer lsr idx.shift)
-
-let build_index ?(max_occ = 32) ~k target =
-  if k < 1 || k > 30 then invalid_arg "Seed.build_index: k out of [1,30]";
-  let distinct = min (max 0 (Dna.length target - k + 1)) (1 lsl (2 * k)) in
-  let bits = ref 1 in
-  while 1 lsl !bits < 2 * distinct do
-    incr bits
-  done;
-  let size = 1 lsl !bits in
-  let idx =
-    {
-      k;
-      shift = 63 - !bits;
-      keys = Array.make size free;
-      start = Array.make size 0;
-      occ = [||];
-    }
+let index_targets ?(max_occ = 32) ~k targets =
+  if k < 1 || k > 30 then invalid_arg "Seed.index_targets: k out of [1,30]";
+  Array.iter (fun t -> check_lengths ~target:(Dna.length t) ~query:0) targets;
+  let total =
+    Array.fold_left (fun n t -> n + max 0 (Dna.length t - k + 1)) 0 targets
   in
-  (* Pass 1 counts each k-mer in [start]; the counts then become slice
-     offsets, and pass 2 fills each slice in position order, using its
-     count cell as the cursor. *)
-  Dna.fold_kmers ~k target ~init:() ~f:(fun () ~pos:_ ~kmer ->
-      let s = slot idx kmer in
-      Array.unsafe_set idx.keys s kmer;
-      Array.unsafe_set idx.start s (Array.unsafe_get idx.start s + 1));
-  let total = ref 0 in
-  for s = 0 to size - 1 do
-    let c = idx.start.(s) in
-    (* Repeat k-mers seed quadratically many spurious diagonals: drop. *)
-    if c > max_occ then idx.start.(s) <- -1
-    else if c > 0 then begin
-      idx.start.(s) <- !total;
-      total := !total + 1 + c
-    end
+  let keys = Array.make total 0 and vals = Array.make total 0 in
+  let fill = ref 0 in
+  Array.iteri
+    (fun ti t ->
+      let tag = ti lsl 32 in
+      Dna.fold_kmers ~k t ~init:() ~f:(fun () ~pos ~kmer ->
+          let e = !fill in
+          Array.unsafe_set keys e kmer;
+          Array.unsafe_set vals e (tag lor pos);
+          fill := e + 1))
+    targets;
+  (* Filled target by target in position order, so the stable sort leaves
+     each k-mer's payloads ascending. *)
+  radix_sort ~counts:(Array.make (8 * 256) 0) ~bits:(2 * k) keys vals ~lo:0 ~n:total
+    (Array.make total 0) (Array.make total 0);
+  (* Repeat k-mers seed quadratically many spurious diagonals: drop each
+     (k-mer, target) run longer than [max_occ], compacting in place. *)
+  let size = ref 0 and i = ref 0 in
+  while !i < total do
+    let key = keys.(!i) and t = vals.(!i) lsr 32 in
+    let j = ref (!i + 1) in
+    while !j < total && keys.(!j) = key && vals.(!j) lsr 32 = t do
+      incr j
+    done;
+    if !j - !i <= max_occ then
+      for e = !i to !j - 1 do
+        keys.(!size) <- key;
+        vals.(!size) <- vals.(e);
+        incr size
+      done;
+    i := !j
   done;
-  let occ = Array.make !total 0 in
-  Dna.fold_kmers ~k target ~init:() ~f:(fun () ~pos ~kmer ->
-      let st = Array.unsafe_get idx.start (slot idx kmer) in
-      if st >= 0 then begin
-        let c = occ.(st) + 1 in
-        occ.(st) <- c;
-        occ.(st + c) <- pos
-      end);
-  { idx with occ }
+  { k; targets; keys; vals; size = !size }
 
+let build_index ?max_occ ~k target = index_targets ?max_occ ~k [| target |]
 let index_k idx = idx.k
 
-(* Offset of [kmer]'s slice in [idx.occ], or -1 when it has none. *)
-let find idx kmer =
-  let s = slot idx kmer in
-  if kmer = free || Array.unsafe_get idx.keys s <> kmer then -1
-  else Array.unsafe_get idx.start s
-
 let lookup idx kmer =
-  let st = find idx kmer in
-  if st < 0 then [||] else Array.sub idx.occ (st + 1) idx.occ.(st)
+  let lo = ref 0 and hi = ref idx.size in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if idx.keys.(mid) < kmer then lo := mid + 1 else hi := mid
+  done;
+  let e = ref !lo in
+  while !e < idx.size && idx.keys.(!e) = kmer && idx.vals.(!e) lsr 32 = 0 do
+    incr e
+  done;
+  Array.init (!e - !lo) (fun i -> idx.vals.(!lo + i) land pos_mask)
 
 type anchor = {
   t_lo : int;
@@ -98,11 +173,6 @@ let runs_counter = Fsa_obs.Metric.Counter.make "seed.runs_extended"
 let found_counter = Fsa_obs.Metric.Counter.make "seed.anchors_found"
 let filtered_counter = Fsa_obs.Metric.Counter.make "seed.anchors_filtered"
 let dominated_counter = Fsa_obs.Metric.Counter.make "seed.anchors_dominated"
-
-let check_lengths ~target ~query =
-  if target + query > 1 lsl 31 then
-    invalid_arg
-      (Printf.sprintf "Seed: target (%d) + query (%d) bases exceed 2^31" target query)
 
 (* The running and best scores stay in unboxed float locals: a [~score]
    closure would box a float per cell. *)
@@ -130,43 +200,20 @@ let xdrop_extend ~x_drop ~target ~query ~t_pos ~q_pos ~step () =
   done;
   (!best, !best_len)
 
-(* One strand: seeds as (diagonal, query-pos) pairs, merged into runs along
-   each diagonal, each run extended with x-drop.  Query coordinates here are
-   in the possibly reverse-complemented sequence [q]; [anchor_of] converts.
-
-   Hits are packed one per int — (diag + ql) in the bits above 31, query
-   position in the low 31, which [check_lengths] guarantees fits — so
-   collection is a growable int array and ordering by (diagonal, position)
-   is a single monomorphic int sort.  Anchors come out in decreasing
-   (diagonal, position) order, which [anchors]' stable score sort keeps
+(* Runs and anchors of one (target, strand) bucket: its hits sorted by
+   (diagonal, position), merged into runs along each diagonal, each run
+   extended with x-drop.  A hit is packed as (diag + ql) lsl [qbits] lor
+   query position, [qbits] being the bit length of [ql]; [check_lengths]
+   keeps that below 2^62.  Query coordinates here are in the scanned
+   strand [q]; [anchor_of] converts.  Anchors come out in decreasing
+   (diagonal, position) order, which [join_strands]' stable score sort keeps
    among equal scores. *)
-let strand_anchors ~max_gap ~x_drop ~min_score idx ~target ~q ~anchor_of =
-  let k = idx.k in
-  let ql = Dna.length q in
-  let occ = idx.occ in
-  let buf = ref (Array.make 256 0) and len = ref 0 in
-  Dna.fold_kmers ~k q ~init:() ~f:(fun () ~pos ~kmer ->
-      let st = find idx kmer in
-      if st >= 0 then begin
-        let c = occ.(st) in
-        if !len + c > Array.length !buf then begin
-          let bigger = Array.make (2 * (!len + c)) 0 in
-          Array.blit !buf 0 bigger 0 !len;
-          buf := bigger
-        end;
-        let b = !buf in
-        for i = 1 to c do
-          b.(!len) <- ((occ.(st + i) - pos + ql) lsl 31) lor pos;
-          incr len
-        done
-      end);
-  let hits = Array.sub !buf 0 !len in
-  (* Merge sort, faster here than [Array.sort]'s heap sort; the keys are
-     distinct, so both give the same order. *)
-  Array.stable_sort Int.compare hits;
+let bucket_anchors ~max_gap ~x_drop ~min_score ~k ~target ~q ~qbits ~anchor_of hits
+    ~lo ~n nruns =
+  let ql = Dna.length q and qmask = (1 lsl qbits) - 1 in
   let tb = Dna.unsafe_bytes target and qb = Dna.unsafe_bytes q in
   let hit = Dna_align.default.match_score and miss = Dna_align.default.mismatch in
-  let nruns = ref 0 and found = ref [] in
+  let found = ref [] in
   (* The run covers query [j0, j1 + k - 1] on diagonal d.  Extend right
      from the run end and left from the run start. *)
   let extend d j0 j1 =
@@ -191,8 +238,9 @@ let strand_anchors ~max_gap ~x_drop ~min_score idx ~target ~q ~anchor_of =
   in
   (* Merge hits on a common diagonal whose starts are within k + max_gap. *)
   let cur_d = ref 0 and cur_j0 = ref 0 and cur_j1 = ref (-1) in
-  for i = 0 to Array.length hits - 1 do
-    let d = (hits.(i) asr 31) - ql and j = hits.(i) land 0x7FFF_FFFF in
+  for i = lo to lo + n - 1 do
+    let key = hits.(i) in
+    let d = (key lsr qbits) - ql and j = key land qmask in
     if !cur_j1 >= 0 && !cur_d = d && j <= !cur_j1 + k + max_gap then begin
       if j > !cur_j1 then cur_j1 := j
     end
@@ -204,36 +252,187 @@ let strand_anchors ~max_gap ~x_drop ~min_score idx ~target ~q ~anchor_of =
     end
   done;
   if !cur_j1 >= 0 then extend !cur_d !cur_j0 !cur_j1;
-  Fsa_obs.Metric.Counter.incr ~by:!nruns runs_counter;
   !found
 
-let anchors ?(max_gap = 4) ?(x_drop = 10.0) ?(min_score = 20.0) idx ~target ~query =
-  Fsa_obs.Span.with_ ~name:"seed.anchors" @@ fun () ->
-  let ql = Dna.length query in
-  check_lengths ~target:(Dna.length target) ~query:ql;
-  let strand q ~anchor_of =
-    strand_anchors ~max_gap ~x_drop ~min_score idx ~target ~q ~anchor_of
+(* Buffers of one scan, grown on demand and reused from strand to strand:
+   the query's k-mers and positions, radix scratch, the matching (k-mer)
+   groups, hit counts per target, and the hits themselves. *)
+type scratch = {
+  mutable qkeys : int array;
+  mutable qpos : int array;
+  mutable tmp_k : int array;
+  mutable tmp_v : int array;
+  mutable groups : int array;
+  mutable per_target : int array;
+  mutable hits : int array;
+  counts : int array;
+}
+
+let scratch () =
+  {
+    qkeys = [||];
+    qpos = [||];
+    tmp_k = [||];
+    tmp_v = [||];
+    groups = [||];
+    per_target = [||];
+    hits = [||];
+    counts = Array.make (8 * 256) 0;
+  }
+
+(* [a], or a copy at least twice as long when it is shorter than [n]. *)
+let grow a n =
+  if Array.length a >= n then a
+  else begin
+    let b = Array.make (max n (2 * Array.length a)) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+let rec bit_length x = if x = 0 then 0 else 1 + bit_length (x lsr 1)
+
+(* One strand of [query] against every target of [idx] ([targets] are the
+   index's targets): the strand's k-mers, radix-sorted, merge-join the
+   index; the hits are bucketed per target, each bucket radix-sorted and
+   turned into anchors.  Returns one anchor list per target. *)
+let scan_strand sc ~max_gap ~x_drop ~min_score idx targets ~forward query =
+  let k = idx.k and nt = Array.length targets in
+  let q = if forward then query else Dna.reverse_complement query in
+  let ql = Dna.length q in
+  Array.iter
+    (fun t -> if Dna.length t >= k then check_lengths ~target:(Dna.length t) ~query:ql)
+    targets;
+  let anchor_of d q_lo q_hi score =
+    if forward then { t_lo = q_lo + d; t_hi = q_hi + d; q_lo; q_hi; forward; score }
+    else
+      (* Positions in the reverse complement map back to forward-query
+         coordinates by j ↦ ql - 1 - j, flipping the interval. *)
+      {
+        t_lo = q_lo + d;
+        t_hi = q_hi + d;
+        q_lo = ql - 1 - q_hi;
+        q_hi = ql - 1 - q_lo;
+        forward;
+        score;
+      }
   in
-  let fwd =
-    strand query ~anchor_of:(fun d q_lo q_hi score ->
-        { t_lo = q_lo + d; t_hi = q_hi + d; q_lo; q_hi; forward = true; score })
-  in
-  let rev =
-    strand (Dna.reverse_complement query) ~anchor_of:(fun d q_lo q_hi score ->
-        (* Positions in the reverse complement map back to forward-query
-           coordinates by j ↦ ql - 1 - j, flipping the interval. *)
-        {
-          t_lo = q_lo + d;
-          t_hi = q_hi + d;
-          q_lo = ql - 1 - q_hi;
-          q_hi = ql - 1 - q_lo;
-          forward = false;
-          score;
-        })
-  in
+  let out = Array.make nt [] and nruns = ref 0 in
+  let nq = ql - k + 1 in
+  if nq > 0 && idx.size > 0 then begin
+    sc.qkeys <- grow sc.qkeys nq;
+    sc.qpos <- grow sc.qpos nq;
+    sc.tmp_k <- grow sc.tmp_k nq;
+    sc.tmp_v <- grow sc.tmp_v nq;
+    let qk = sc.qkeys and qp = sc.qpos in
+    Dna.fold_kmers ~k q ~init:() ~f:(fun () ~pos ~kmer ->
+        Array.unsafe_set qk pos kmer;
+        Array.unsafe_set qp pos pos);
+    radix_sort ~counts:sc.counts ~bits:(2 * k) qk qp ~lo:0 ~n:nq sc.tmp_k sc.tmp_v;
+    (* Merge-join: each k-mer both sides hold is a group of query entries
+       [i0, i1) and index entries [j0, j1); record it and count its hits
+       per target. *)
+    sc.per_target <- grow sc.per_target nt;
+    let cnt = sc.per_target in
+    Array.fill cnt 0 nt 0;
+    let ik = idx.keys and iv = idx.vals and isize = idx.size in
+    let ngroups = ref 0 and i = ref 0 and j = ref 0 in
+    while !i < nq && !j < isize do
+      let a = Array.unsafe_get qk !i and b = Array.unsafe_get ik !j in
+      if a < b then incr i
+      else if a > b then incr j
+      else begin
+        let i1 = ref (!i + 1) and j1 = ref (!j + 1) in
+        while !i1 < nq && Array.unsafe_get qk !i1 = a do
+          incr i1
+        done;
+        while !j1 < isize && Array.unsafe_get ik !j1 = a do
+          incr j1
+        done;
+        let g = 4 * !ngroups in
+        sc.groups <- grow sc.groups (g + 4);
+        let groups = sc.groups in
+        groups.(g) <- !i;
+        groups.(g + 1) <- !i1;
+        groups.(g + 2) <- !j;
+        groups.(g + 3) <- !j1;
+        incr ngroups;
+        let m = !i1 - !i in
+        for e = !j to !j1 - 1 do
+          let t = Array.unsafe_get iv e lsr 32 in
+          cnt.(t) <- cnt.(t) + m
+        done;
+        i := !i1;
+        j := !j1
+      end
+    done;
+    (* Counts become bucket starts; filling moves each to its bucket's
+       end. *)
+    let total = ref 0 in
+    for t = 0 to nt - 1 do
+      let c = cnt.(t) in
+      cnt.(t) <- !total;
+      total := !total + c
+    done;
+    sc.hits <- grow sc.hits !total;
+    sc.tmp_k <- grow sc.tmp_k !total;
+    let hits = sc.hits and groups = sc.groups in
+    let qbits = bit_length ql in
+    for g = 0 to !ngroups - 1 do
+      let i0 = groups.(4 * g) and i1 = groups.((4 * g) + 1) in
+      for e = groups.((4 * g) + 2) to groups.((4 * g) + 3) - 1 do
+        let v = Array.unsafe_get iv e in
+        let t = v lsr 32 and p = v land pos_mask in
+        let c = ref cnt.(t) in
+        for x = i0 to i1 - 1 do
+          let jq = Array.unsafe_get qp x in
+          hits.(!c) <- ((p - jq + ql) lsl qbits) lor jq;
+          incr c
+        done;
+        cnt.(t) <- !c
+      done
+    done;
+    let lo = ref 0 in
+    for t = 0 to nt - 1 do
+      let n = cnt.(t) - !lo in
+      if n > 0 then begin
+        let target = targets.(t) in
+        radix_sort ~counts:sc.counts
+          ~bits:(qbits + bit_length (Dna.length target + ql))
+          hits [||] ~lo:!lo ~n sc.tmp_k [||];
+        out.(t) <-
+          bucket_anchors ~max_gap ~x_drop ~min_score ~k ~target ~q ~qbits ~anchor_of
+            hits ~lo:!lo ~n nruns
+      end;
+      lo := cnt.(t)
+    done
+  end;
+  Fsa_obs.Metric.Counter.incr ~by:!nruns runs_counter;
+  out
+
+let scan ?(max_gap = 4) ?(x_drop = 10.0) ?(min_score = 20.0) idx strands =
+  let sc = scratch () in
+  Array.map
+    (fun (query, forward) ->
+      Fsa_obs.Span.with_ ~name:"seed.anchors" @@ fun () ->
+      scan_strand sc ~max_gap ~x_drop ~min_score idx idx.targets ~forward query)
+    strands
+
+let join_strands fwd rev =
   let all = fwd @ rev in
   Fsa_obs.Metric.Counter.incr ~by:(List.length all) found_counter;
   List.sort (fun a b -> compare b.score a.score) all
+
+let anchors ?(max_gap = 4) ?(x_drop = 10.0) ?(min_score = 20.0) idx ~target ~query =
+  Fsa_obs.Span.with_ ~name:"seed.anchors" @@ fun () ->
+  if Array.length idx.targets <> 1 then
+    invalid_arg "Seed.anchors: the index must hold exactly one target";
+  check_lengths ~target:(Dna.length target) ~query:(Dna.length query);
+  let sc = scratch () and targets = [| target |] in
+  let strand forward =
+    (scan_strand sc ~max_gap ~x_drop ~min_score idx targets ~forward query).(0)
+  in
+  let fwd = strand true in
+  join_strands fwd (strand false)
 
 let contains_range (lo1, hi1) (lo2, hi2) = lo1 <= lo2 && hi2 <= hi1
 

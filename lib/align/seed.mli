@@ -8,21 +8,30 @@
 open Fsa_seq
 
 type index
-(** k-mer index of a target sequence. *)
+(** Sorted k-mer index of one or more targets. *)
+
+val index_targets : ?max_occ:int -> k:int -> Dna.t array -> index
+(** Every k-mer occurrence of every target on flat int arrays,
+    LSD-radix-sorted by k-mer (8-bit digits, ⌈2k/8⌉ passes), each with a
+    (target, position) payload packed as [(target lsl 32) lor position].
+    [max_occ] (default 32) applies per (k-mer, target): a k-mer occurring
+    more than [max_occ] times in one target is dropped from that target
+    only, as a repeat, so each target's entries are exactly those of its
+    own one-target index.  Targets shorter than [k] contribute nothing.
+    An index is immutable and reusable across any number of scans.
+    @raise Invalid_argument unless [1 <= k <= 30], or when a target
+    exceeds 2{^31} bases ([check_lengths ~target ~query:0]). *)
 
 val build_index : ?max_occ:int -> k:int -> Dna.t -> index
-(** Positions of every k-mer in an open-addressing table on flat arrays: the
-    positions of all k-mers share one int array, a slice per k-mer.
-    K-mers occurring more than [max_occ] times (default 32) are dropped as
-    repeats.  An index is immutable and reusable across any number of
-    queries.
-    @raise Invalid_argument unless [1 <= k <= 30]. *)
+(** The one-target index: [index_targets ?max_occ ~k [| target |]]. *)
 
 val index_k : index -> int
 
 val lookup : index -> int -> int array
-(** Target positions of a packed k-mer, in increasing order, as a fresh
-    array ([[||]] for absent and dropped k-mers). *)
+(** Positions of a packed k-mer in the index's first target (the only
+    one, for an index from {!build_index}), in increasing order, as a
+    fresh array ([[||]] for absent and dropped k-mers).  A binary search
+    over the sorted k-mers. *)
 
 type anchor = {
   t_lo : int;
@@ -42,16 +51,52 @@ val anchors :
   query:Dna.t ->
   anchor list
 (** All x-drop-extended diagonal runs of seeds with score at least
-    [min_score] (default 20), both strands, sorted by decreasing score.
-    [max_gap] (default 4) is the largest seed-to-seed gap merged into one run
-    along a diagonal.
-    @raise Invalid_argument when target and query together exceed 2{^31}
-    bases (see {!check_lengths}). *)
+    [min_score] (default 20), both strands, sorted by decreasing score, for
+    an index of the one [target] ({!build_index}).  [max_gap] (default 4)
+    is the largest seed-to-seed gap merged into one run along a diagonal.
+    The one-target case of {!scan}: each strand is scanned as there, and
+    the two are combined by {!join_strands}.
+    @raise Invalid_argument unless the index holds exactly one target, or
+    when target and query together exceed 2{^31} bases (see
+    {!check_lengths}). *)
+
+val scan :
+  ?max_gap:int ->
+  ?x_drop:float ->
+  ?min_score:float ->
+  index ->
+  (Dna.t * bool) array ->
+  anchor list array array
+(** [scan idx strands] scans each query strand against every target of
+    [idx] at once.  A strand [(query, forward)] is [query] itself when
+    [forward], else its reverse complement (built here, once); anchor
+    query coordinates are on the forward query either way.
+    [(scan idx strands).(i).(t)] is strand [i]'s anchor list on target
+    [t], in the order {!join_strands} expects, with the knobs of
+    {!anchors}: [join_strands] of a query's two strands on target [t]
+    equals [anchors] on target [t]'s own index.
+
+    A strand's k-mers are radix-sorted and merge-joined against the
+    index; the hits are bucketed per target, and each bucket is
+    radix-sorted by (diagonal, query position) and merged into runs.  The
+    strands share one set of scratch buffers, so a caller scanning several
+    strands passes them in one call.  Telemetry: one [seed.anchors] span
+    per strand; [seed.runs_extended] and [seed.anchors_filtered] count as
+    [anchors] does.
+    @raise Invalid_argument when a target at least [k] long and a strand
+    together exceed 2{^31} bases. *)
+
+val join_strands : anchor list -> anchor list -> anchor list
+(** [join_strands fwd rev] is one (target, query) pair's anchors as
+    {!anchors} returns them: the forward strand's then the reverse
+    strand's, stably sorted by decreasing score.  Counts them in
+    [seed.anchors_found]. *)
 
 val check_lengths : target:int -> query:int -> unit
-(** [anchors] packs each seed hit into one int: its diagonal plus the query
-    length in the bits above 31, its query position in the low 31.  That
-    holds while [target + query <= 2^31] bases.
+(** A scan packs each seed hit into one int: its diagonal plus the query
+    length, shifted past the query position's bits (the bit length of the
+    query length, at most 31).  That fits while [target + query <= 2^31]
+    bases; the index's payload needs each target's length within 2{^31}.
     @raise Invalid_argument past that limit. *)
 
 val xdrop_extend :

@@ -108,56 +108,56 @@ let regions_counter = Fsa_obs.Metric.Counter.make "pipeline.regions_called"
 let discovery_instance ?(k = 12) ?(min_anchor_score = 24.0) ?(cluster_gap = 5)
     ?(max_gap = 300) ?band ?band_cap ~h ~m () =
   let h_all = Array.of_list h and m_all = Array.of_list m in
-  (* Per-m-contig work (index build, anchor probes against every h contig,
-     chaining and banded stitching) fans across the domain pool.  Chunk
-     results come back in slot order and chunks emit their m-range in index
-     order, so the merged stream equals the sequential m-outer / h-inner
-     traversal exactly. *)
-  let pair_work mi =
-    let target = m_all.(mi).Fragmentation.dna in
-    if Dna.length target < k then []
-    else begin
-      let idx = Fsa_align.Seed.build_index ~k target in
-      let acc = ref [] in
+  (* One sorted index over every M contig, built on the calling domain. *)
+  let idx =
+    Fsa_align.Seed.index_targets ~k
+      (Array.map (fun (c : Fragmentation.contig) -> c.Fragmentation.dna) m_all)
+  in
+  (* Item [i] is strand [i mod 2] (forward first) of H contig [i / 2].
+     Each item's anchor lists, one per M contig, depend on that item alone,
+     and chunks return them in item order, so the result is the same at any
+     domain count. *)
+  let strands =
+    Fsa_parallel.Pool.fan_out ~n:(2 * Array.length h_all)
+      ~chunk:(fun ~slot:_ ~lo ~hi ->
+        Fsa_align.Seed.scan ~min_score:min_anchor_score idx
+          (Array.init (hi - lo) (fun i ->
+               let item = lo + i in
+               (h_all.(item / 2).Fragmentation.dna, item mod 2 = 0))))
+    |> Array.to_list |> Array.concat
+  in
+  (* Chaining and banded stitching per (m, h) pair, in the m-outer /
+     h-inner order of the candidate stream.  A contig shorter than k has
+     no k-mers, so its pairs have no anchors. *)
+  let candidates = ref [] in
+  Array.iteri
+    (fun mi (mc : Fragmentation.contig) ->
       Array.iteri
         (fun hi (hc : Fragmentation.contig) ->
-          let query = hc.Fragmentation.dna in
-          if Dna.length query >= k then begin
-            let found =
-              Fsa_align.Seed.filter_dominated
-                (Fsa_align.Seed.anchors ~min_score:min_anchor_score idx ~target ~query)
-            in
-            if found <> [] then
-              List.iter
-                (fun c ->
-                  let st = Fsa_align.Chain.stitch ?band ?band_cap ~target ~query c in
-                  if st.Fsa_align.Chain.score > 0.0 then
-                    acc :=
-                      {
-                        c_hi = hi;
-                        c_mi = mi;
-                        h_span = (c.Fsa_align.Chain.q_lo, c.Fsa_align.Chain.q_hi);
-                        m_span = (c.Fsa_align.Chain.t_lo, c.Fsa_align.Chain.t_hi);
-                        c_forward = c.Fsa_align.Chain.forward;
-                        c_score = st.Fsa_align.Chain.score;
-                      }
-                      :: !acc)
-                (Fsa_align.Chain.chains ~max_gap found)
-          end)
-        h_all;
-      List.rev !acc
-    end
-  in
-  let candidates =
-    Fsa_parallel.Pool.fan_out ~n:(Array.length m_all)
-      ~chunk:(fun ~slot:_ ~lo ~hi ->
-        let out = ref [] in
-        for mi = hi - 1 downto lo do
-          out := pair_work mi @ !out
-        done;
-        !out)
-    |> Array.to_list |> List.concat
-  in
+          let target = mc.Fragmentation.dna and query = hc.Fragmentation.dna in
+          let fwd = strands.(2 * hi).(mi) and rev = strands.((2 * hi) + 1).(mi) in
+          let found =
+            Fsa_align.Seed.filter_dominated (Fsa_align.Seed.join_strands fwd rev)
+          in
+          if found <> [] then
+            List.iter
+              (fun c ->
+                let st = Fsa_align.Chain.stitch ?band ?band_cap ~target ~query c in
+                if st.Fsa_align.Chain.score > 0.0 then
+                  candidates :=
+                    {
+                      c_hi = hi;
+                      c_mi = mi;
+                      h_span = (c.Fsa_align.Chain.q_lo, c.Fsa_align.Chain.q_hi);
+                      m_span = (c.Fsa_align.Chain.t_lo, c.Fsa_align.Chain.t_hi);
+                      c_forward = c.Fsa_align.Chain.forward;
+                      c_score = st.Fsa_align.Chain.score;
+                    }
+                    :: !candidates)
+              (Fsa_align.Chain.chains ~max_gap found))
+        h_all)
+    m_all;
+  let candidates = List.rev !candidates in
   (* Cluster candidate footprints per contig side into discovered regions. *)
   let cluster side_count span_of =
     Array.init side_count (fun ci ->

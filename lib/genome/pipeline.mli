@@ -13,8 +13,11 @@
       kernel ({!Fsa_align.Chain.stitch}), chain footprints are clustered
       into regions per side, and σ takes the best stitched score per region
       pair.  This injects realistic noise (missed, split and spurious
-      regions).  Per-contig-pair work fans across the
-      {!Fsa_parallel.Pool} with a slot-ordered deterministic merge. *)
+      regions).  One sorted seed index covers every M contig
+      ({!Fsa_align.Seed.index_targets}); each H contig's two strands are
+      scanned against it once ({!Fsa_align.Seed.scan}), fanned across the
+      {!Fsa_parallel.Pool} by (H contig, strand) with a slot-ordered
+      deterministic merge. *)
 
 type built = Pipeline_types.built = {
   instance : Fsa_csr.Instance.t;
@@ -39,10 +42,12 @@ val discovery_instance :
   unit ->
   built
 (** Seed → chain → band.  [k] (default 12) is the seed size;
-    [min_anchor_score] (default 24) filters weak anchors.  Anchors are
-    chained per contig pair under [max_gap] (default 300), and each chain
-    is stitched with the adaptive banded kernel ([band], [band_cap]
-    forwarded to {!Fsa_align.Chain.stitch}).  Chain footprints closer than
+    [min_anchor_score] (default 24) filters weak anchors.  The index is
+    built on the calling domain, the strand scans fan out, and then each
+    (M contig, H contig) pair, M outer and H inner, joins its two strands'
+    anchors, drops dominated ones, and is chained under [max_gap] (default
+    300); each chain is stitched with the adaptive banded kernel ([band],
+    [band_cap] forwarded to {!Fsa_align.Chain.stitch}).  Chain footprints closer than
     [cluster_gap] (default 5) bases merge into one region, and σ takes the
     best stitched score per (H region, M region, orientation).
 

@@ -566,7 +566,7 @@ end
 let seed_kernel_case seed =
   let rng = Fsa_util.Rng.create seed in
   let pick xs = Fsa_util.Rng.choose rng (Array.of_list xs) in
-  let k = pick [ 4; 8; 12; 16 ] in
+  let k = pick [ 1; 4; 8; 12; 16; 30 ] in
   let tandem n =
     let u = Dna.random rng (1 + Fsa_util.Rng.int rng 6) in
     let copies = (n / Dna.length u) + 1 in
@@ -625,6 +625,98 @@ let test_seed_oracle_qcheck =
       in
       lookups_agree && found = expected
       && Seed.filter_dominated found = filter_dominated_quadratic expected)
+
+(* One multi-target case: 0–5 targets and a query.  The targets take the
+   roles below in a shuffled order, so a set of three or more holds an
+   empty target, one shorter than k, and one whose tandem repeat puts its
+   k-mers past max_occ; a fourth holds a short stretch of the same repeat,
+   and the query a longer one, so the repeat's k-mers are kept in one
+   target and dropped in another. *)
+let multi_target_case seed =
+  let rng = Fsa_util.Rng.create seed in
+  let pick xs = Fsa_util.Rng.choose rng (Array.of_list xs) in
+  let k = pick [ 4; 8; 12; 16 ] and max_occ = pick [ 1; 3; 32 ] in
+  let max_gap = pick [ 0; 4; 30 ] and x_drop = pick [ 2.0; 10.0 ] in
+  let min_score = pick [ 6.0; 20.0 ] in
+  let u = Dna.random rng (1 + Fsa_util.Rng.int rng 6) in
+  (* Each of the unit's phases occurs at least max_occ + 2 times. *)
+  let repeat = Dna.concat (List.init (max_occ + k + 2) (fun _ -> u)) in
+  let stretch len = Dna.sub repeat ~pos:0 ~len:(min len (Dna.length repeat)) in
+  let random () = Dna.random rng (Fsa_util.Rng.int rng 300) in
+  let short_stretch () = stretch (k + Fsa_util.Rng.int rng (Dna.length u)) in
+  let roles =
+    [|
+      (fun () -> Dna.of_string "");
+      (fun () -> Dna.random rng (Fsa_util.Rng.int rng k));
+      (fun () -> Dna.concat [ random (); repeat; random () ]);
+      (fun () -> Dna.concat [ random (); short_stretch (); random () ]);
+      random;
+    |]
+  in
+  let n = Fsa_util.Rng.int rng 6 in
+  let targets = Array.init n (fun i -> roles.(min i 4) ()) in
+  Fsa_util.Rng.shuffle rng targets;
+  let copy () =
+    let t = if n = 0 then random () else pick (Array.to_list targets) in
+    let len = Dna.length t in
+    if len = 0 then random ()
+    else begin
+      let pos = Fsa_util.Rng.int rng len in
+      let c =
+        Dna.point_mutate rng ~rate:(pick [ 0.0; 0.03 ])
+          (Dna.sub t ~pos ~len:(min (len - pos) (10 + Fsa_util.Rng.int rng 300)))
+      in
+      if Fsa_util.Rng.bool rng then Dna.reverse_complement c else c
+    end
+  in
+  let query =
+    Dna.concat
+      (stretch (Dna.length repeat / 2)
+      :: List.init (1 + Fsa_util.Rng.int rng 4) (fun _ ->
+             if Fsa_util.Rng.bool rng then copy () else random ()))
+  in
+  (k, max_occ, max_gap, x_drop, min_score, targets, query)
+
+let test_seed_multi_target_qcheck =
+  QCheck.Test.make ~name:"multi-target scan = per-target Hashtbl reference" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let k, max_occ, max_gap, x_drop, min_score, targets, query =
+        multi_target_case seed
+      in
+      let idx = Seed.index_targets ~max_occ ~k targets in
+      let strands =
+        Seed.scan ~max_gap ~x_drop ~min_score idx [| (query, true); (query, false) |]
+      in
+      let agrees t target =
+        let ref_idx = Seed_reference.build_index ~max_occ ~k target in
+        Seed.join_strands strands.(0).(t) strands.(1).(t)
+        = Seed_reference.anchors ~max_gap ~x_drop ~min_score ref_idx ~target ~query
+      in
+      Array.for_all (fun s -> Array.length s = Array.length targets) strands
+      && List.for_all Fun.id (List.mapi agrees (Array.to_list targets)))
+
+let test_index_payload_guard () =
+  (* Each target's length is checked alone, as check_lengths ~query:0: the
+     payload keeps a position in 32 bits.  No 2 GiB target is built. *)
+  Seed.check_lengths ~target:(1 lsl 31) ~query:0;
+  match Seed.check_lengths ~target:((1 lsl 31) + 1) ~query:0 with
+  | () -> Alcotest.fail "a 2^31 + 1 base target accepted"
+  | exception Invalid_argument _ -> ()
+
+let test_index_targets_lookup () =
+  (* lookup reads the first target; the second target's copies of the
+     k-mer do not count against the first's max_occ. *)
+  let a = Dna.of_string "ACGTACGT" and b = Dna.of_string "ACGTTTACGTACGT" in
+  let kmer = Dna.pack_kmer a ~pos:0 ~k:4 in
+  let idx = Seed.index_targets ~max_occ:2 ~k:4 [| a; b |] in
+  Alcotest.(check (array int)) "first target's positions" [| 0; 4 |]
+    (Seed.lookup idx kmer);
+  let idx = Seed.index_targets ~max_occ:2 ~k:4 [| b; a |] in
+  check_int "three copies dropped in the first" 0 (Array.length (Seed.lookup idx kmer));
+  match Seed.anchors idx ~target:a ~query:a with
+  | _ -> Alcotest.fail "anchors accepted a two-target index"
+  | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Chaining and stitching                                               *)
@@ -765,6 +857,9 @@ let () =
           Alcotest.test_case "xdrop empty" `Quick test_xdrop_empty;
           Alcotest.test_case "hit packing guard" `Quick test_hit_packing_guard;
           qtest test_seed_oracle_qcheck;
+          qtest test_seed_multi_target_qcheck;
+          Alcotest.test_case "index payload guard" `Quick test_index_payload_guard;
+          Alcotest.test_case "multi-target lookup" `Quick test_index_targets_lookup;
           Alcotest.test_case "index lookup" `Quick test_index_lookup;
           Alcotest.test_case "repeat filtering" `Quick test_index_max_occ;
           Alcotest.test_case "forward anchor" `Quick test_anchor_forward;

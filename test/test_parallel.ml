@@ -459,6 +459,54 @@ let test_counter_determinism () =
         solvers)
     [ ("planted", planted_instance ()); ("sparse", sparse_instance ()) ]
 
+(* Discovery fans (H contig, strand) items across the pool.  Three H
+   contigs make 6 items, split 1/2/1/2 at 4 domains; one H and one M contig
+   are shorter than k.  The instance text and every counter except pool.*
+   must not depend on the domain count. *)
+let test_discovery_determinism () =
+  let module P = Fsa_genome.Pipeline in
+  let module F = Fsa_genome.Fragmentation in
+  let h, m = P.generate (Rng.create 5) { P.default_params with h_pieces = 2 } in
+  let short name =
+    {
+      F.name;
+      dna = Fsa_seq.Dna.of_string "ACGTACG";
+      regions = [];
+      true_offset = 0;
+      true_reversed = false;
+    }
+  in
+  let h = List.hd h :: short "h_short" :: List.tl h and m = short "m_short" :: m in
+  check_int "three H contigs" 3 (List.length h);
+  let run d =
+    let reg = Registry.create () in
+    let built =
+      Pool.with_domains d (fun () ->
+          Fsa_obs.Runtime.with_observation ~registry:reg (fun () ->
+              P.discovery_instance ~h ~m ()))
+    in
+    let counters =
+      Registry.counters reg
+      |> List.filter (fun (name, _) -> not (String.starts_with ~prefix:"pool." name))
+      |> List.map (fun (name, v) -> Printf.sprintf "%s %.17g" name v)
+    in
+    let fanned = Registry.counter_value reg "pool.fan_outs" = Some 1.0 in
+    (Instance.to_text built.P.instance, String.concat "\n" counters, fanned)
+  in
+  let text1, counters1, _ = run 1 in
+  check_bool "seed counters recorded" true
+    (String.length counters1 > 0
+    && List.exists
+         (fun l -> String.starts_with ~prefix:"seed.runs_extended" l)
+         (String.split_on_char '\n' counters1));
+  List.iter
+    (fun d ->
+      let text, counters, fanned = run d in
+      check_bool (Printf.sprintf "pool used at %d domains" d) true fanned;
+      check_string (Printf.sprintf "instance text at %d domains == 1" d) text1 text;
+      check_string (Printf.sprintf "counters at %d domains == 1" d) counters1 counters)
+    [ 2; 3; 4 ]
+
 (* The solver caches belong to the domain that loaded Cmatch and Bound:
    a solve started from any other domain must fail loudly, not race. *)
 let test_solve_from_other_domain_fails () =
@@ -582,6 +630,8 @@ let () =
             test_improve_stats_determinism;
           Alcotest.test_case "every counter at 1/2/4 domains" `Slow
             test_counter_determinism;
+          Alcotest.test_case "discovery at 1/2/3/4 domains" `Slow
+            test_discovery_determinism;
           Alcotest.test_case "pinned corpus with pool" `Slow
             test_corpus_parallel;
         ] );

@@ -232,13 +232,12 @@ let exact_bench () =
    quota: more samples at large run counts steady the OLS fit (at the
    default quota the CSR_Improve row read r² 0.83–0.94 and the tpa_fill
    row 0.86–0.90 over three runs).  The discovery bench's body takes
-   ~0.1 s, so the default quota fits only 4 runs; 8× gives it at least 10.
-   Keys are name prefixes: the discovery bench's name carries its size. *)
+   ~0.1 s, so the default quota fits only 4 runs; 8× gives it at least 10. *)
 let long_quota =
   [
     ("CSR_Improve paper example", 4.0);
     ("tpa_fill (96 regions)", 4.0);
-    ("discovery chained ", 8.0);
+    ("discovery chained 260kb", 8.0);
   ]
 
 let test_list () =
@@ -346,11 +345,7 @@ let run ~quick ~sampler () =
   let quota = if quick then 0.25 else 1.0 in
   let cfg_for test =
     let scale =
-      List.find_map
-        (fun (prefix, scale) ->
-          if String.starts_with ~prefix (Test.name test) then Some scale else None)
-        long_quota
-      |> Option.value ~default:1.0
+      Option.value ~default:1.0 (List.assoc_opt (Test.name test) long_quota)
     in
     Benchmark.cfg ~limit:2000
       ~quota:(Time.second (scale *. quota))

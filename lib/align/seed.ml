@@ -409,12 +409,19 @@ let scan_strand sc ~max_gap ~x_drop ~min_score idx targets ~forward query =
   Fsa_obs.Metric.Counter.incr ~by:!nruns runs_counter;
   out
 
-let scan ?(max_gap = 4) ?(x_drop = 10.0) ?(min_score = 20.0) idx strands =
+(* [anchors]' defaults, which [scan] always runs at: one copy of each, so
+   [join_strands] of a scan stays equal to [anchors] at its defaults. *)
+let default_max_gap = 4
+let default_x_drop = 10.0
+let default_min_score = 20.0
+
+let scan ?(min_score = default_min_score) idx strands =
   let sc = scratch () in
   Array.map
     (fun (query, forward) ->
       Fsa_obs.Span.with_ ~name:"seed.anchors" @@ fun () ->
-      scan_strand sc ~max_gap ~x_drop ~min_score idx idx.targets ~forward query)
+      scan_strand sc ~max_gap:default_max_gap ~x_drop:default_x_drop ~min_score idx
+        idx.targets ~forward query)
     strands
 
 let join_strands fwd rev =
@@ -422,7 +429,8 @@ let join_strands fwd rev =
   Fsa_obs.Metric.Counter.incr ~by:(List.length all) found_counter;
   List.sort (fun a b -> compare b.score a.score) all
 
-let anchors ?(max_gap = 4) ?(x_drop = 10.0) ?(min_score = 20.0) idx ~target ~query =
+let anchors ?(max_gap = default_max_gap) ?(x_drop = default_x_drop)
+    ?(min_score = default_min_score) idx ~target ~query =
   Fsa_obs.Span.with_ ~name:"seed.anchors" @@ fun () ->
   if Array.length idx.targets <> 1 then
     invalid_arg "Seed.anchors: the index must hold exactly one target";

@@ -60,21 +60,15 @@ val anchors :
     when target and query together exceed 2{^31} bases (see
     {!check_lengths}). *)
 
-val scan :
-  ?max_gap:int ->
-  ?x_drop:float ->
-  ?min_score:float ->
-  index ->
-  (Dna.t * bool) array ->
-  anchor list array array
+val scan : ?min_score:float -> index -> (Dna.t * bool) array -> anchor list array array
 (** [scan idx strands] scans each query strand against every target of
     [idx] at once.  A strand [(query, forward)] is [query] itself when
     [forward], else its reverse complement (built here, once); anchor
     query coordinates are on the forward query either way.
     [(scan idx strands).(i).(t)] is strand [i]'s anchor list on target
-    [t], in the order {!join_strands} expects, with the knobs of
-    {!anchors}: [join_strands] of a query's two strands on target [t]
-    equals [anchors] on target [t]'s own index.
+    [t], in the order {!join_strands} expects, at {!anchors}' default
+    [max_gap] and [x_drop]: [join_strands] of a query's two strands on
+    target [t] equals [anchors ?min_score] on target [t]'s own index.
 
     A strand's k-mers are radix-sorted and merge-joined against the
     index; the hits are bucketed per target, and each bucket is

@@ -47,9 +47,9 @@ val discovery_instance :
     (M contig, H contig) pair, M outer and H inner, joins its two strands'
     anchors, drops dominated ones, and is chained under [max_gap] (default
     300); each chain is stitched with the adaptive banded kernel ([band],
-    [band_cap] forwarded to {!Fsa_align.Chain.stitch}).  Chain footprints closer than
-    [cluster_gap] (default 5) bases merge into one region, and σ takes the
-    best stitched score per (H region, M region, orientation).
+    [band_cap] forwarded to {!Fsa_align.Chain.stitch}).  Chain footprints
+    closer than [cluster_gap] (default 5) bases merge into one region, and
+    σ takes the best stitched score per (H region, M region, orientation).
 
     @raise Invalid_argument when no conserved regions are discovered. *)
 

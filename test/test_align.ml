@@ -291,11 +291,18 @@ let test_xdrop_empty () =
   | exception Invalid_argument _ -> ()
 
 let test_hit_packing_guard () =
-  (* Checked on the lengths alone: no 2 GiB sequence is built. *)
-  Seed.check_lengths ~target:(1 lsl 30) ~query:(1 lsl 30);
-  match Seed.check_lengths ~target:(1 lsl 30) ~query:((1 lsl 30) + 1) with
-  | () -> Alcotest.fail "2^31 + 1 bases accepted"
-  | exception Invalid_argument _ -> ()
+  (* Checked on the lengths alone: no 2 GiB sequence is built.  A target
+     alone ([~query:0]) is how the index build checks its payload. *)
+  List.iter
+    (fun ((target, query), (target', query')) ->
+      Seed.check_lengths ~target ~query;
+      match Seed.check_lengths ~target:target' ~query:query' with
+      | () -> Alcotest.fail "2^31 + 1 bases accepted"
+      | exception Invalid_argument _ -> ())
+    [
+      ((1 lsl 30, 1 lsl 30), (1 lsl 30, (1 lsl 30) + 1));
+      ((1 lsl 31, 0), ((1 lsl 31) + 1, 0));
+    ]
 
 let test_index_lookup () =
   let t = Dna.of_string "ACGTACGT" in
@@ -636,7 +643,6 @@ let multi_target_case seed =
   let rng = Fsa_util.Rng.create seed in
   let pick xs = Fsa_util.Rng.choose rng (Array.of_list xs) in
   let k = pick [ 4; 8; 12; 16 ] and max_occ = pick [ 1; 3; 32 ] in
-  let max_gap = pick [ 0; 4; 30 ] and x_drop = pick [ 2.0; 10.0 ] in
   let min_score = pick [ 6.0; 20.0 ] in
   let u = Dna.random rng (1 + Fsa_util.Rng.int rng 6) in
   (* Each of the unit's phases occurs at least max_occ + 2 times. *)
@@ -675,34 +681,22 @@ let multi_target_case seed =
       :: List.init (1 + Fsa_util.Rng.int rng 4) (fun _ ->
              if Fsa_util.Rng.bool rng then copy () else random ()))
   in
-  (k, max_occ, max_gap, x_drop, min_score, targets, query)
+  (k, max_occ, min_score, targets, query)
 
 let test_seed_multi_target_qcheck =
   QCheck.Test.make ~name:"multi-target scan = per-target Hashtbl reference" ~count:300
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      let k, max_occ, max_gap, x_drop, min_score, targets, query =
-        multi_target_case seed
-      in
+      let k, max_occ, min_score, targets, query = multi_target_case seed in
       let idx = Seed.index_targets ~max_occ ~k targets in
-      let strands =
-        Seed.scan ~max_gap ~x_drop ~min_score idx [| (query, true); (query, false) |]
-      in
+      let strands = Seed.scan ~min_score idx [| (query, true); (query, false) |] in
       let agrees t target =
         let ref_idx = Seed_reference.build_index ~max_occ ~k target in
         Seed.join_strands strands.(0).(t) strands.(1).(t)
-        = Seed_reference.anchors ~max_gap ~x_drop ~min_score ref_idx ~target ~query
+        = Seed_reference.anchors ~min_score ref_idx ~target ~query
       in
       Array.for_all (fun s -> Array.length s = Array.length targets) strands
       && List.for_all Fun.id (List.mapi agrees (Array.to_list targets)))
-
-let test_index_payload_guard () =
-  (* Each target's length is checked alone, as check_lengths ~query:0: the
-     payload keeps a position in 32 bits.  No 2 GiB target is built. *)
-  Seed.check_lengths ~target:(1 lsl 31) ~query:0;
-  match Seed.check_lengths ~target:((1 lsl 31) + 1) ~query:0 with
-  | () -> Alcotest.fail "a 2^31 + 1 base target accepted"
-  | exception Invalid_argument _ -> ()
 
 let test_index_targets_lookup () =
   (* lookup reads the first target; the second target's copies of the
@@ -858,7 +852,6 @@ let () =
           Alcotest.test_case "hit packing guard" `Quick test_hit_packing_guard;
           qtest test_seed_oracle_qcheck;
           qtest test_seed_multi_target_qcheck;
-          Alcotest.test_case "index payload guard" `Quick test_index_payload_guard;
           Alcotest.test_case "multi-target lookup" `Quick test_index_targets_lookup;
           Alcotest.test_case "index lookup" `Quick test_index_lookup;
           Alcotest.test_case "repeat filtering" `Quick test_index_max_occ;

@@ -142,9 +142,15 @@ let term =
 (* ------------------------------------------------------------------ *)
 (* discover: seed → chain → band on real FASTA pairs                   *)
 
+(* Exit 1 means only "no conserved region found"; a bad input exits 2 and
+   a fault in this program 3, with the prefixes csr_solve uses. *)
 let discover_error msg =
   prerr_endline ("genome_sim discover: error: " ^ msg);
   exit 2
+
+let discover_internal_error msg =
+  prerr_endline ("genome_sim discover: internal error: " ^ msg);
+  exit 3
 
 (* Flag values the pipeline would reject deep inside (or, worse, accept and
    misread) are user errors: exit 2 before any file is read. *)
@@ -187,13 +193,26 @@ let discover h_path m_path k min_anchor_score cluster_gap max_gap band band_cap 
   let reg = Fsa_obs.Registry.create () in
   Fsa_obs.Runtime.set_registry (Some reg);
   let h = contigs_of_fasta h_path and m = contigs_of_fasta m_path in
+  (* The seed index's size limit is a property of the input: check it here,
+     so that any failure inside discovery is this program's fault. *)
+  let longest contigs =
+    List.fold_left
+      (fun n (c : Fsa_genome.Fragmentation.contig) ->
+        max n (Fsa_seq.Dna.length c.Fsa_genome.Fragmentation.dna))
+      0 contigs
+  in
+  (try Fsa_align.Seed.check_lengths ~target:(longest m) ~query:(longest h)
+   with Invalid_argument msg -> discover_error msg);
   let built =
-    try
+    match
       P.discovery_instance ~k ~min_anchor_score ~cluster_gap ~max_gap ?band ?band_cap
         ~h ~m ()
-    with Invalid_argument msg ->
-      prerr_endline ("genome_sim discover: " ^ msg);
-      exit 1
+    with
+    | built -> built
+    | exception P.No_regions ->
+        prerr_endline "genome_sim discover: no conserved regions discovered";
+        exit 1
+    | exception e -> discover_internal_error (Printexc.to_string e)
   in
   print_string (Fsa_csr.Instance.to_text built.P.instance);
   print_newline ();

@@ -89,13 +89,24 @@ let radix_sort ~counts ~bits keys (vals : int array) ~lo ~n tk tv =
    is k-mer [keys.(e)] at payload [vals.(e)] = (target lsl 32) lor position,
    for [e < size].  Within a k-mer, payloads ascend, so entries run target
    by target, each in position order.  A (k-mer, target) pair occurring
-   more than [max_occ] times has no entries. *)
+   more than [max_occ] times has no entries.
+
+   Two side tables answer a probe without touching most of the keys.  The
+   directory holds, for each value p of a key's top bits
+   ([key lsr dir_shift]), the first entry whose prefix is at least p, so a
+   k-mer's entries lie in [dir.(p), dir.(p + 1)).  The presence bitmap has
+   bit [key lsr present_shift] set iff some entry has that longer prefix:
+   most absent k-mers stop at one bit test. *)
 type index = {
   k : int;
   targets : Dna.t array;
   keys : int array;
   vals : int array;
   size : int;
+  dir : int array;
+  dir_shift : int;
+  present : Bytes.t;
+  present_shift : int;
 }
 
 let pos_mask = 0xFFFF_FFFF
@@ -104,6 +115,31 @@ let check_lengths ~target ~query =
   if target + query > 1 lsl 31 then
     invalid_arg
       (Printf.sprintf "Seed: target (%d) + query (%d) bases exceed 2^31" target query)
+
+let rec bit_length x = if x = 0 then 0 else 1 + bit_length (x lsr 1)
+
+(* The side tables of [size] sorted keys of [2k] bits: about one directory
+   slot per 8–16 entries and 4–8 bitmap bits per entry, each prefix at
+   most the whole key.  One pass over the keys fills both. *)
+let side_tables ~k keys size =
+  let key_bits = 2 * k and n_bits = bit_length size in
+  let dir_bits = max 0 (min key_bits (n_bits - 4)) in
+  let present_bits = min key_bits (n_bits + 2) in
+  let dir_shift = key_bits - dir_bits and present_shift = key_bits - present_bits in
+  let dir = Array.make ((1 lsl dir_bits) + 1) size in
+  let present = Bytes.make (((1 lsl present_bits) + 7) / 8) '\000' in
+  let p = ref 0 in
+  for e = 0 to size - 1 do
+    let key = keys.(e) in
+    while !p <= key lsr dir_shift do
+      dir.(!p) <- e;
+      incr p
+    done;
+    let b = key lsr present_shift in
+    let byte = Char.code (Bytes.get present (b lsr 3)) in
+    Bytes.set present (b lsr 3) (Char.unsafe_chr (byte lor (1 lsl (b land 7))))
+  done;
+  (dir, dir_shift, present, present_shift)
 
 let index_targets ?(max_occ = 32) ~k targets =
   if k < 1 || k > 30 then invalid_arg "Seed.index_targets: k out of [1,30]";
@@ -143,22 +179,42 @@ let index_targets ?(max_occ = 32) ~k targets =
       done;
     i := !j
   done;
-  { k; targets; keys; vals; size = !size }
+  let size = !size in
+  let dir, dir_shift, present, present_shift = side_tables ~k keys size in
+  { k; targets; keys; vals; size; dir; dir_shift; present; present_shift }
 
 let build_index ?max_occ ~k target = index_targets ?max_occ ~k [| target |]
 let index_k idx = idx.k
 
+(* The first entry of k-mer [key] (a k-mer of [idx.k] bases), or -1 when
+   the index holds none: a bitmap test, then a binary search of the key's
+   directory bucket.  Its entries run on from there. *)
+let probe idx key =
+  let b = key lsr idx.present_shift in
+  if Char.code (Bytes.unsafe_get idx.present (b lsr 3)) land (1 lsl (b land 7)) = 0
+  then -1
+  else begin
+    let p = key lsr idx.dir_shift in
+    let keys = idx.keys and stop = Array.unsafe_get idx.dir (p + 1) in
+    let lo = ref (Array.unsafe_get idx.dir p) and hi = ref stop in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if Array.unsafe_get keys mid < key then lo := mid + 1 else hi := mid
+    done;
+    if !lo < stop && Array.unsafe_get keys !lo = key then !lo else -1
+  end
+
 let lookup idx kmer =
-  let lo = ref 0 and hi = ref idx.size in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if idx.keys.(mid) < kmer then lo := mid + 1 else hi := mid
-  done;
-  let e = ref !lo in
-  while !e < idx.size && idx.keys.(!e) = kmer && idx.vals.(!e) lsr 32 = 0 do
-    incr e
-  done;
-  Array.init (!e - !lo) (fun i -> idx.vals.(!lo + i) land pos_mask)
+  (* A logical shift also sends every negative int past the key range. *)
+  let e0 = if kmer lsr (2 * idx.k) <> 0 then -1 else probe idx kmer in
+  if e0 < 0 then [||]
+  else begin
+    let e = ref e0 in
+    while !e < idx.size && idx.keys.(!e) = kmer && idx.vals.(!e) lsr 32 = 0 do
+      incr e
+    done;
+    Array.init (!e - e0) (fun i -> idx.vals.(e0 + i) land pos_mask)
+  end
 
 type anchor = {
   t_lo : int;
@@ -255,28 +311,22 @@ let bucket_anchors ~max_gap ~x_drop ~min_score ~k ~target ~q ~qbits ~anchor_of h
   !found
 
 (* Buffers of one scan, grown on demand and reused from strand to strand:
-   the query's k-mers and positions, radix scratch, the matching (k-mer)
-   groups, hit counts per target, and the hits themselves. *)
+   the (query position, entry range) groups of the probes that hit, hit
+   counts per target, the hits themselves and their radix scratch. *)
 type scratch = {
-  mutable qkeys : int array;
-  mutable qpos : int array;
-  mutable tmp_k : int array;
-  mutable tmp_v : int array;
   mutable groups : int array;
   mutable per_target : int array;
   mutable hits : int array;
+  mutable tmp_k : int array;
   counts : int array;
 }
 
 let scratch () =
   {
-    qkeys = [||];
-    qpos = [||];
-    tmp_k = [||];
-    tmp_v = [||];
     groups = [||];
     per_target = [||];
     hits = [||];
+    tmp_k = [||];
     counts = Array.make (8 * 256) 0;
   }
 
@@ -289,12 +339,10 @@ let grow a n =
     b
   end
 
-let rec bit_length x = if x = 0 then 0 else 1 + bit_length (x lsr 1)
-
 (* One strand of [query] against every target of [idx] ([targets] are the
-   index's targets): the strand's k-mers, radix-sorted, merge-join the
-   index; the hits are bucketed per target, each bucket radix-sorted and
-   turned into anchors.  Returns one anchor list per target. *)
+   index's targets): each of the strand's k-mers probes the index, the hits
+   are bucketed per target, and each bucket is radix-sorted and turned into
+   anchors.  Returns one anchor list per target. *)
 let scan_strand sc ~max_gap ~x_drop ~min_score idx targets ~forward query =
   let k = idx.k and nt = Array.length targets in
   let q = if forward then query else Dna.reverse_complement query in
@@ -317,52 +365,32 @@ let scan_strand sc ~max_gap ~x_drop ~min_score idx targets ~forward query =
       }
   in
   let out = Array.make nt [] and nruns = ref 0 in
-  let nq = ql - k + 1 in
-  if nq > 0 && idx.size > 0 then begin
-    sc.qkeys <- grow sc.qkeys nq;
-    sc.qpos <- grow sc.qpos nq;
-    sc.tmp_k <- grow sc.tmp_k nq;
-    sc.tmp_v <- grow sc.tmp_v nq;
-    let qk = sc.qkeys and qp = sc.qpos in
-    Dna.fold_kmers ~k q ~init:() ~f:(fun () ~pos ~kmer ->
-        Array.unsafe_set qk pos kmer;
-        Array.unsafe_set qp pos pos);
-    radix_sort ~counts:sc.counts ~bits:(2 * k) qk qp ~lo:0 ~n:nq sc.tmp_k sc.tmp_v;
-    (* Merge-join: each k-mer both sides hold is a group of query entries
-       [i0, i1) and index entries [j0, j1); record it and count its hits
-       per target. *)
+  if ql >= k && idx.size > 0 then begin
+    (* Each k-mer the index holds is a group: its query position and its
+       entries [e0, e1); record it and count its hits per target. *)
     sc.per_target <- grow sc.per_target nt;
     let cnt = sc.per_target in
     Array.fill cnt 0 nt 0;
-    let ik = idx.keys and iv = idx.vals and isize = idx.size in
-    let ngroups = ref 0 and i = ref 0 and j = ref 0 in
-    while !i < nq && !j < isize do
-      let a = Array.unsafe_get qk !i and b = Array.unsafe_get ik !j in
-      if a < b then incr i
-      else if a > b then incr j
-      else begin
-        let i1 = ref (!i + 1) and j1 = ref (!j + 1) in
-        while !i1 < nq && Array.unsafe_get qk !i1 = a do
-          incr i1
+    let ik = idx.keys and iv = idx.vals and ngroups = ref 0 in
+    let qb = Dna.unsafe_bytes q and mask = (1 lsl (2 * k)) - 1 and kmer = ref 0 in
+    for i = 0 to ql - 1 do
+      kmer := ((!kmer lsl 2) lor Dna.base_code (Bytes.unsafe_get qb i)) land mask;
+      let kmer = !kmer and pos = i - k + 1 in
+      let e0 = if pos >= 0 then probe idx kmer else -1 in
+      if e0 >= 0 then begin
+        let e1 = ref e0 in
+        while !e1 < idx.size && Array.unsafe_get ik !e1 = kmer do
+          let t = Array.unsafe_get iv !e1 lsr 32 in
+          cnt.(t) <- cnt.(t) + 1;
+          incr e1
         done;
-        while !j1 < isize && Array.unsafe_get ik !j1 = a do
-          incr j1
-        done;
-        let g = 4 * !ngroups in
-        sc.groups <- grow sc.groups (g + 4);
+        let g = 3 * !ngroups in
+        if g + 3 > Array.length sc.groups then sc.groups <- grow sc.groups (g + 3);
         let groups = sc.groups in
-        groups.(g) <- !i;
-        groups.(g + 1) <- !i1;
-        groups.(g + 2) <- !j;
-        groups.(g + 3) <- !j1;
-        incr ngroups;
-        let m = !i1 - !i in
-        for e = !j to !j1 - 1 do
-          let t = Array.unsafe_get iv e lsr 32 in
-          cnt.(t) <- cnt.(t) + m
-        done;
-        i := !i1;
-        j := !j1
+        groups.(g) <- pos;
+        groups.(g + 1) <- e0;
+        groups.(g + 2) <- !e1;
+        incr ngroups
       end
     done;
     (* Counts become bucket starts; filling moves each to its bucket's
@@ -378,19 +406,17 @@ let scan_strand sc ~max_gap ~x_drop ~min_score idx targets ~forward query =
     let hits = sc.hits and groups = sc.groups in
     let qbits = bit_length ql in
     for g = 0 to !ngroups - 1 do
-      let i0 = groups.(4 * g) and i1 = groups.((4 * g) + 1) in
-      for e = groups.((4 * g) + 2) to groups.((4 * g) + 3) - 1 do
+      let jq = groups.(3 * g) in
+      for e = groups.((3 * g) + 1) to groups.((3 * g) + 2) - 1 do
         let v = Array.unsafe_get iv e in
         let t = v lsr 32 and p = v land pos_mask in
-        let c = ref cnt.(t) in
-        for x = i0 to i1 - 1 do
-          let jq = Array.unsafe_get qp x in
-          hits.(!c) <- ((p - jq + ql) lsl qbits) lor jq;
-          incr c
-        done;
-        cnt.(t) <- !c
+        let c = cnt.(t) in
+        hits.(c) <- ((p - jq + ql) lsl qbits) lor jq;
+        cnt.(t) <- c + 1
       done
     done;
+    (* Hits are distinct (diagonal, position) keys, so the sorted bucket
+       does not depend on the order the probes filled it in. *)
     let lo = ref 0 in
     for t = 0 to nt - 1 do
       let n = cnt.(t) - !lo in

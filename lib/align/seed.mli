@@ -18,6 +18,11 @@ val index_targets : ?max_occ:int -> k:int -> Dna.t array -> index
     more than [max_occ] times in one target is dropped from that target
     only, as a repeat, so each target's entries are exactly those of its
     own one-target index.  Targets shorter than [k] contribute nothing.
+
+    One pass over the n kept entries then builds two side tables for
+    probes: a directory of first-entry offsets per key prefix
+    (2{^(b-4)} slots, b the bit length of n) and a presence bitmap over a
+    longer prefix (2{^(b+2)} bits), each prefix at most the key's 2k bits.
     An index is immutable and reusable across any number of scans.
     @raise Invalid_argument unless [1 <= k <= 30], or when a target
     exceeds 2{^31} bases ([check_lengths ~target ~query:0]). *)
@@ -30,8 +35,10 @@ val index_k : index -> int
 val lookup : index -> int -> int array
 (** Positions of a packed k-mer in the index's first target (the only
     one, for an index from {!build_index}), in increasing order, as a
-    fresh array ([[||]] for absent and dropped k-mers).  A binary search
-    over the sorted k-mers. *)
+    fresh array ([[||]] for absent and dropped k-mers, and for an int
+    that packs no k-mer: negative, or 4{^k} and above).  The probe
+    {!scan} makes: a bitmap test, then a binary search of the k-mer's
+    directory bucket. *)
 
 type anchor = {
   t_lo : int;
@@ -70,10 +77,12 @@ val scan : ?min_score:float -> index -> (Dna.t * bool) array -> anchor list arra
     [max_gap] and [x_drop]: [join_strands] of a query's two strands on
     target [t] equals [anchors ?min_score] on target [t]'s own index.
 
-    A strand's k-mers are radix-sorted and merge-joined against the
-    index; the hits are bucketed per target, and each bucket is
-    radix-sorted by (diagonal, query position) and merged into runs.  The
-    strands share one set of scratch buffers, so a caller scanning several
+    A strand's k-mers are rolled once, in query order, and each probes the
+    index as {!lookup} does: a k-mer whose bitmap bit is clear costs one
+    test, and the rest binary-search their directory bucket.  The hits
+    are bucketed per target, and each bucket is radix-sorted by distinct
+    (diagonal, query position) keys and merged into runs.  The strands
+    share one set of scratch buffers, so a caller scanning several
     strands passes them in one call.  Telemetry: one [seed.anchors] span
     per strand; [seed.runs_extended] and [seed.anchors_filtered] count as
     [anchors] does.

@@ -105,6 +105,8 @@ type candidate = {
 
 let regions_counter = Fsa_obs.Metric.Counter.make "pipeline.regions_called"
 
+exception No_regions
+
 let discovery_instance ?(k = 12) ?(min_anchor_score = 24.0) ?(cluster_gap = 5)
     ?(max_gap = 300) ?band ?band_cap ~h ~m () =
   let h_all = Array.of_list h and m_all = Array.of_list m in
@@ -224,8 +226,7 @@ let discovery_instance ?(k = 12) ?(min_anchor_score = 24.0) ?(cluster_gap = 5)
   in
   let h_contigs, h_frags = build "h" h_clusters h_all in
   let m_contigs, m_frags = build "m" m_clusters m_all in
-  if h_frags = [] || m_frags = [] then
-    invalid_arg "Pipeline.discovery_instance: no conserved regions discovered";
+  if h_frags = [] || m_frags = [] then raise No_regions;
   let instance = Fsa_csr.Instance.make ~alphabet ~h:h_frags ~m:m_frags ~sigma in
   { instance; h_contigs; m_contigs }
 

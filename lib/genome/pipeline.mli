@@ -30,6 +30,10 @@ val oracle_instance :
 (** Contigs without conserved regions are omitted from the instance (an
     empty fragment carries no order/orient information). *)
 
+exception No_regions
+(** Discovery found no conserved region on one side or both: an empty
+    answer, not a fault. *)
+
 val discovery_instance :
   ?k:int ->
   ?min_anchor_score:float ->
@@ -51,7 +55,9 @@ val discovery_instance :
     closer than [cluster_gap] (default 5) bases merge into one region, and
     σ takes the best stitched score per (H region, M region, orientation).
 
-    @raise Invalid_argument when no conserved regions are discovered. *)
+    @raise No_regions when no conserved regions are discovered.
+    @raise Invalid_argument when an M contig and an H contig together exceed
+    2{^31} bases ({!Fsa_align.Seed.check_lengths}). *)
 
 type params = {
   regions : int;

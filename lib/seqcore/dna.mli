@@ -47,6 +47,10 @@ val fold_kmers : k:int -> t -> init:'a -> f:('a -> pos:int -> kmer:int -> 'a) ->
 
 val pack_kmer : t -> pos:int -> k:int -> int
 
+val base_code : char -> int
+(** A base's 2-bit code in {!fold_kmers}' packing (A=0 C=1 G=2 T=3), one
+    table load: for kernels that roll k-mers in their own loop. *)
+
 val unsafe_bytes : t -> Bytes.t
 (** The bases themselves, shared, not copied: for kernels that read one
     base per inner-loop step and cannot afford a cross-module {!get} call

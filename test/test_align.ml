@@ -566,14 +566,46 @@ module Seed_reference = struct
     List.sort (fun (a : Seed.anchor) b -> compare b.score a.score) (fwd @ rev)
 end
 
+(* A run over one or two bases (poly-A, say, or an AC mix) with sparse
+   substitutions: its k-mers share long key prefixes, so they crowd a few
+   directory buckets and bitmap bytes of the index. *)
+let low_complexity rng n =
+  let letters = Dna.random rng (1 + Fsa_util.Rng.int rng 2) in
+  let run =
+    Dna.of_string
+      (String.init n (fun _ ->
+           Dna.get letters (Fsa_util.Rng.int rng (Dna.length letters))))
+  in
+  Dna.point_mutate rng ~rate:0.02 run
+
+(* [dna] cut or padded with random bases to hold [count] k-mers. *)
+let with_kmer_count rng ~k count dna =
+  let len = count + k - 1 and n = Dna.length dna in
+  if len <= n then Dna.sub dna ~pos:0 ~len
+  else Dna.concat [ dna; Dna.random rng (len - n) ]
+
+(* For a quarter of the queries, a poly-T run: its k-mers are the largest
+   keys there are, above every key of an index without one. *)
+let poly_t_tail rng ~k =
+  if Fsa_util.Rng.int rng 4 = 0 then
+    [ Dna.of_string (String.make (k + Fsa_util.Rng.int rng 40) 'T') ]
+  else []
+
+(* A k-mer count just below, at or just above a power of two: the index
+   derives its directory and bitmap widths from the bit length of its
+   entry count, so these sizes flip them. *)
+let near_power_of_two rng = (1 lsl (2 + Fsa_util.Rng.int rng 9)) - 1 + Fsa_util.Rng.int rng 3
+
 (* One seed-kernel case: k, index and extension knobs, and a target/query
    pair mixing uniform DNA, low-complexity tandem repeats (a 1–6 bp unit, so
-   k-mers exceed max_occ and cluster in the table), and mutated copies of
-   target stretches, some reverse-complemented. *)
+   k-mers exceed max_occ and cluster in the table), one- and two-letter
+   runs, and mutated copies of target stretches, some reverse-complemented.
+   A quarter of the targets are cut to a k-mer count near a power of two,
+   and a quarter of the queries end in a poly-T run. *)
 let seed_kernel_case seed =
   let rng = Fsa_util.Rng.create seed in
   let pick xs = Fsa_util.Rng.choose rng (Array.of_list xs) in
-  let k = pick [ 1; 4; 8; 12; 16; 30 ] in
+  let k = pick [ 1; 2; 4; 8; 12; 16; 30 ] in
   let tandem n =
     let u = Dna.random rng (1 + Fsa_util.Rng.int rng 6) in
     let copies = (n / Dna.length u) + 1 in
@@ -581,9 +613,16 @@ let seed_kernel_case seed =
   in
   let piece () =
     let n = Fsa_util.Rng.int rng 300 in
-    if Fsa_util.Rng.int rng 3 = 0 then tandem n else Dna.random rng n
+    match Fsa_util.Rng.int rng 4 with
+    | 0 -> tandem n
+    | 1 -> low_complexity rng n
+    | _ -> Dna.random rng n
   in
   let target = Dna.concat (List.init (1 + Fsa_util.Rng.int rng 4) (fun _ -> piece ())) in
+  let target =
+    if Fsa_util.Rng.int rng 4 = 0 then with_kmer_count rng ~k (near_power_of_two rng) target
+    else target
+  in
   let copy () =
     let n = Dna.length target in
     if n = 0 then piece ()
@@ -599,7 +638,8 @@ let seed_kernel_case seed =
   let query =
     Dna.concat
       (List.init (1 + Fsa_util.Rng.int rng 4) (fun _ ->
-           if Fsa_util.Rng.bool rng then copy () else piece ()))
+           if Fsa_util.Rng.bool rng then copy () else piece ())
+      @ poly_t_tail rng ~k)
   in
   let max_occ = pick [ 1; 3; 32 ] and max_gap = pick [ 0; 4; 30 ] in
   let x_drop = pick [ 2.0; 10.0 ] and min_score = pick [ 6.0; 20.0 ] in
@@ -612,10 +652,12 @@ let test_seed_oracle_qcheck =
       let k, max_occ, max_gap, x_drop, min_score, target, query = seed_kernel_case seed in
       let idx = Seed.build_index ~max_occ ~k target in
       let ref_idx = Seed_reference.build_index ~max_occ ~k target in
-      (* Every k-mer of either sequence, plus a few drawn at random. *)
+      (* Every k-mer of either sequence, a few drawn at random, the
+         largest k-mer, and ints past either end of the k-mer range. *)
       let rng = Fsa_util.Rng.create (seed + 1) in
       let kmers =
-        List.init 20 (fun _ -> Fsa_util.Rng.int rng (1 lsl (2 * k)))
+        [ min_int; -1; (1 lsl (2 * k)) - 1; 1 lsl (2 * k); (2 lsl (2 * k)) - 1; max_int ]
+        @ List.init 20 (fun _ -> Fsa_util.Rng.int rng (1 lsl (2 * k)))
         @ List.concat_map
             (fun s ->
               Dna.fold_kmers ~k s ~init:[] ~f:(fun acc ~pos:_ ~kmer -> kmer :: acc))
@@ -633,16 +675,19 @@ let test_seed_oracle_qcheck =
       lookups_agree && found = expected
       && Seed.filter_dominated found = filter_dominated_quadratic expected)
 
-(* One multi-target case: 0–5 targets and a query.  The targets take the
+(* One multi-target case: 0–6 targets and a query.  The targets take the
    roles below in a shuffled order, so a set of three or more holds an
    empty target, one shorter than k, and one whose tandem repeat puts its
    k-mers past max_occ; a fourth holds a short stretch of the same repeat,
    and the query a longer one, so the repeat's k-mers are kept in one
-   target and dropped in another. *)
+   target and dropped in another.  A fifth is a one- or two-letter run.
+   A quarter of the sets gain a random target that brings their k-mer
+   count to just below, at or just above a power of two, and a quarter of
+   the queries end in a poly-T run. *)
 let multi_target_case seed =
   let rng = Fsa_util.Rng.create seed in
   let pick xs = Fsa_util.Rng.choose rng (Array.of_list xs) in
-  let k = pick [ 4; 8; 12; 16 ] and max_occ = pick [ 1; 3; 32 ] in
+  let k = pick [ 1; 2; 4; 8; 12; 16; 30 ] and max_occ = pick [ 1; 3; 32 ] in
   let min_score = pick [ 6.0; 20.0 ] in
   let u = Dna.random rng (1 + Fsa_util.Rng.int rng 6) in
   (* Each of the unit's phases occurs at least max_occ + 2 times. *)
@@ -656,11 +701,26 @@ let multi_target_case seed =
       (fun () -> Dna.random rng (Fsa_util.Rng.int rng k));
       (fun () -> Dna.concat [ random (); repeat; random () ]);
       (fun () -> Dna.concat [ random (); short_stretch (); random () ]);
+      (fun () -> low_complexity rng (50 + Fsa_util.Rng.int rng 250));
       random;
     |]
   in
-  let n = Fsa_util.Rng.int rng 6 in
-  let targets = Array.init n (fun i -> roles.(min i 4) ()) in
+  let n = Fsa_util.Rng.int rng 7 in
+  let targets = Array.init n (fun i -> roles.(min i 5) ()) in
+  let targets =
+    if Fsa_util.Rng.int rng 4 = 0 then begin
+      let total =
+        Array.fold_left (fun c t -> c + max 0 (Dna.length t - k + 1)) 0 targets
+      in
+      let p = ref 1 in
+      while !p - 1 <= total do
+        p := 2 * !p
+      done;
+      let pad = !p - 1 + Fsa_util.Rng.int rng 3 - total in
+      Array.append targets [| with_kmer_count rng ~k pad (Dna.of_string "") |]
+    end
+    else targets
+  in
   Fsa_util.Rng.shuffle rng targets;
   let copy () =
     let t = if n = 0 then random () else pick (Array.to_list targets) in
@@ -677,9 +737,10 @@ let multi_target_case seed =
   in
   let query =
     Dna.concat
-      (stretch (Dna.length repeat / 2)
-      :: List.init (1 + Fsa_util.Rng.int rng 4) (fun _ ->
-             if Fsa_util.Rng.bool rng then copy () else random ()))
+      ((stretch (Dna.length repeat / 2)
+       :: List.init (1 + Fsa_util.Rng.int rng 4) (fun _ ->
+              if Fsa_util.Rng.bool rng then copy () else random ()))
+      @ poly_t_tail rng ~k)
   in
   (k, max_occ, min_score, targets, query)
 

@@ -225,6 +225,23 @@ let test_discovery_instance_finds_regions () =
   check_bool "sigma populated" true
     (Fsa_seq.Scoring.entries inst.Fsa_csr.Instance.sigma <> [])
 
+(* Unrelated contigs are an empty answer, raised as its own outcome so that
+   a caller can tell it from a fault. *)
+let test_discovery_nothing_found () =
+  let rng = Fsa_util.Rng.create 5 in
+  let contig name =
+    {
+      Fragmentation.name;
+      dna = Fsa_seq.Dna.random rng 200;
+      regions = [];
+      true_offset = 0;
+      true_reversed = false;
+    }
+  in
+  match Pipeline.discovery_instance ~h:[ contig "h" ] ~m:[ contig "m" ] () with
+  | _ -> Alcotest.fail "unrelated contigs gave an instance"
+  | exception Pipeline.No_regions -> ()
+
 let test_discovery_recovery_reasonable () =
   let rng = Fsa_util.Rng.create 14 in
   let p = { Pipeline.default_params with inversions = 0; translocations = 0 } in
@@ -520,6 +537,7 @@ let () =
           Alcotest.test_case "perfect recovery" `Quick test_oracle_perfect_recovery;
           qtest test_oracle_survives_rearrangements_qcheck;
           Alcotest.test_case "discovery instance" `Quick test_discovery_instance_finds_regions;
+          Alcotest.test_case "discovery nothing found" `Quick test_discovery_nothing_found;
           Alcotest.test_case "discovery recovery" `Quick test_discovery_recovery_reasonable;
           Alcotest.test_case "recovery without rearrangements" `Quick
             test_recovery_without_rearrangements;

@@ -715,6 +715,48 @@ let test_benchgate_deadline_ceiling () =
   Sys.remove cand;
   check_int "new bench with a blown deadline fails" 1 code
 
+let test_benchgate_timing_table () =
+  (* One row per bench in document order: the "fsa" group prefix dropped,
+     three significant digits, and a weak label below r² 0.9 or 10 runs;
+     an r² just under the line keeps the digits that show it. *)
+  let f = Filename.temp_file "bench_base" ".json" in
+  write_file f
+    {|{"schema":"fsa-bench/1","config":{"quick":false},"benches":[
+      {"name":"fsa p_score 32x32","ns_per_run":85970.3,"r_square":0.99335,"runs":112},
+      {"name":"fsa seed+extend 4096b","ns_per_run":899688.5,"r_square":0.8999909,"runs":43},
+      {"name":"discovery","ns_per_run":100845242.3,"r_square":0.5,"runs":4},
+      {"name":"no fit","ns_per_run":999.0,"runs":30}]}|};
+  let code, out = run_benchgate ("--timing-table --baseline " ^ Filename.quote f) in
+  Sys.remove f;
+  check_int "exits 0" 0 code;
+  check_string "rows"
+    "| bench | time/run | r² | runs | |\n\
+     |---|---|---|---|---|\n\
+     | `p_score 32x32` | 86.0 µs | 0.993 | 112 |  |\n\
+     | `seed+extend 4096b` | 900 µs | 0.89999 | 43 | **weak:** r² < 0.9 |\n\
+     | `discovery` | 101 ms | 0.500 | 4 | **weak:** r² < 0.9, < 10 runs |\n\
+     | `no fit` | 999 ns | — | 30 | **weak:** no r² |\n"
+    out
+
+let test_benchgate_timing_table_in_experiments () =
+  (* EXPERIMENTS.md quotes the committed baseline's Timing rows verbatim. *)
+  let code, table =
+    run_benchgate
+      ("--timing-table --baseline "
+      ^ Filename.quote (Filename.concat Filename.parent_dir_name "BENCH_solvers.json"))
+  in
+  check_int "exits 0" 0 code;
+  let ic = open_in (Filename.concat Filename.parent_dir_name "EXPERIMENTS.md") in
+  let doc = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let contains needle hay =
+    let nl = String.length needle and hl = String.length hay in
+    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+    go 0
+  in
+  if not (contains table doc) then
+    Alcotest.failf "EXPERIMENTS.md lacks the generated Timing table:\n%s" table
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -787,5 +829,8 @@ let () =
             test_benchgate_noisy_bench_gets_slack;
           Alcotest.test_case "deadline ceiling on @Nms benches" `Quick
             test_benchgate_deadline_ceiling;
+          Alcotest.test_case "timing table" `Quick test_benchgate_timing_table;
+          Alcotest.test_case "timing table in EXPERIMENTS.md" `Quick
+            test_benchgate_timing_table_in_experiments;
         ] );
     ]

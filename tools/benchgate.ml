@@ -16,12 +16,17 @@
      benchgate [--baseline FILE] [--candidate FILE] [--quick]
                [--threshold REL] [--bench-exe PATH]
      benchgate --obs-overhead [--obs-allowed REL]
+     benchgate --timing-table [--baseline FILE]
 
    --obs-overhead runs a separate in-process guard instead of the
    regression gate: it times a fixed solver workload with observability
    fully off and fully on (null sink + registry + sampling profiler +
    unlimited budget checkpoints) and fails if the median slowdown exceeds
    --obs-allowed (default 0.30).
+
+   --timing-table prints the baseline document as the Markdown rows of
+   EXPERIMENTS.md's Timing table instead: bench, time/run, r², runs, and a
+   weak label for an estimate with r² below 0.9 or fewer than 10 runs.
 
    Exit codes: 0 ok, 1 regression, 2 usage/IO error. *)
 
@@ -240,6 +245,57 @@ let obs_overhead ~allowed =
   else print_endline "OK: observability overhead within the allowance"
 
 (* ------------------------------------------------------------------ *)
+(* The EXPERIMENTS.md Timing table *)
+
+(* Estimates below either line are quoted only with a weak label. *)
+let weak_r2 = 0.9
+let weak_runs = 10
+
+(* Three significant digits in the largest unit that keeps the value at
+   least 1. *)
+let time_cell ns =
+  let v, unit =
+    if ns >= 1e9 then (ns /. 1e9, "s")
+    else if ns >= 1e6 then (ns /. 1e6, "ms")
+    else if ns >= 1e3 then (ns /. 1e3, "µs")
+    else (ns, "ns")
+  in
+  Printf.sprintf "%.*f %s" (if v >= 100.0 then 0 else if v >= 10.0 then 1 else 2) v unit
+
+(* Three decimals, or five where three would round across the weak line. *)
+let r2_cell = function
+  | None -> "—"
+  | Some r ->
+      let s = Printf.sprintf "%.3f" r in
+      if r < weak_r2 && float_of_string s >= weak_r2 then Printf.sprintf "%.5f" r else s
+
+let weak_label b =
+  let reasons =
+    (match b.r2 with
+    | Some r when r >= weak_r2 -> []
+    | Some _ -> [ Printf.sprintf "r² < %g" weak_r2 ]
+    | None -> [ "no r²" ])
+    @ if b.runs < weak_runs then [ Printf.sprintf "< %d runs" weak_runs ] else []
+  in
+  if reasons = [] then "" else "**weak:** " ^ String.concat ", " reasons
+
+let print_timing_table doc =
+  print_endline "| bench | time/run | r² | runs | |";
+  print_endline "|---|---|---|---|---|";
+  List.iter
+    (fun b ->
+      (* The harness groups every bench under "fsa". *)
+      let group = "fsa " and n = String.length b.b_name in
+      let name =
+        if String.starts_with ~prefix:group b.b_name then
+          String.sub b.b_name (String.length group) (n - String.length group)
+        else b.b_name
+      in
+      Printf.printf "| `%s` | %s | %s | %d | %s |\n" name (time_cell b.ns) (r2_cell b.r2)
+        b.runs (weak_label b))
+    doc.benches
+
+(* ------------------------------------------------------------------ *)
 
 let provenance label doc =
   Printf.printf "%s: git_rev=%s recorded=%s%s\n" label
@@ -263,6 +319,7 @@ let () =
   let bench_exe = ref None in
   let obs = ref false in
   let obs_allowed = ref default_obs_allowed in
+  let timing_table = ref false in
   let spec =
     [
       ("--baseline", Arg.Set_string baseline, "FILE baseline fsa-bench/1 document (default BENCH_solvers.json)");
@@ -272,12 +329,18 @@ let () =
       ("--bench-exe", Arg.String (fun f -> bench_exe := Some f), "PATH bench executable (default: sibling bench/main.exe)");
       ("--obs-overhead", Arg.Set obs, " run the observability overhead guard instead of the regression gate");
       ("--obs-allowed", Arg.Set_float obs_allowed, "REL allowed obs-on median slowdown (default 0.30)");
+      ("--timing-table", Arg.Set timing_table, " print the baseline as EXPERIMENTS.md Timing rows instead of gating");
     ]
   in
   Arg.parse spec
     (fun a -> die "unexpected argument %s" a)
     "benchgate [--baseline FILE] [--candidate FILE] [--quick] [--threshold REL]\n\
-     benchgate --obs-overhead [--obs-allowed REL]";
+     benchgate --obs-overhead [--obs-allowed REL]\n\
+     benchgate --timing-table [--baseline FILE]";
+  if !timing_table then begin
+    print_timing_table (load_doc !baseline);
+    exit 0
+  end;
   if !obs then begin
     if !obs_allowed <= 0.0 then die "--obs-allowed must be positive";
     obs_overhead ~allowed:!obs_allowed;

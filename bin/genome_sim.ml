@@ -76,7 +76,12 @@ let run seed mode regions region_len h_pieces m_pieces subst inversions transloc
   let accs = ref [] and covs = ref [] in
   for i = 0 to reps - 1 do
     let rng = Fsa_util.Rng.create (seed + i) in
-    let built, sol, report = P.run rng ~mode params ~solver:Fsa_csr.Csr_improve.solve_best in
+    let built, sol, report =
+      try P.run rng ~mode params ~solver:Fsa_csr.Csr_improve.solve_best
+      with P.No_regions ->
+        prerr_endline "genome_sim: no conserved regions discovered";
+        exit 1
+    in
     Printf.printf "run %d: score %.1f | %s\n" (i + 1)
       (Fsa_csr.Solution.score sol)
       (Format.asprintf "%a" Fsa_genome.Metrics.pp report);

@@ -204,6 +204,26 @@ let p_full_improve_bound =
             else None);
   }
 
+(* CSR_Improve climbs from the better of the two cheap answers (§4.1), and
+   a local search never ends below its start. *)
+let p_csr_improve_start =
+  {
+    name = "csr_improve.start";
+    check =
+      (fun ctx ->
+        match
+          (sol ctx "csr_improve", sol ctx "four_approx_tpa", sol ctx "matching_2approx")
+        with
+        | Error e, _, _ -> Some (exn_detail "csr_improve" e)
+        | _, Error e, _ -> Some (exn_detail "four_approx_tpa" e)
+        | _, _, Error e -> Some (exn_detail "matching_2approx" e)
+        | Ok s, Ok four, Ok matching ->
+            let v = Solution.score s in
+            let start = Float.max (Solution.score four) (Solution.score matching) in
+            if v +. tol < start then Some (fmt "score %g below its start %g" v start)
+            else None);
+  }
+
 (* The premise of Thms 4–6: an improvement solver returns a local optimum,
    so no attempt of its own attempt space gains more than 1e-9 on it. *)
 let p_local_opt sname attempts =
@@ -258,6 +278,7 @@ let properties =
       p_ratio "four_approx_tpa.ratio4" "four_approx_tpa" 4.0;
       p_ratio "four_approx_exact_isp.ratio2" "four_approx_exact_isp" 2.0;
       p_full_improve_bound;
+      p_csr_improve_start;
       p_local_opt "full_improve" (fun inst _ _ -> Full_improve.attempts inst);
       p_local_opt "border_improve" Border_improve.attempts;
       p_local_opt "csr_improve" (Csr_improve.attempts Csr_improve.default_config);

@@ -18,8 +18,10 @@
       CSR_Improve ≥ Opt/3 (Thm 6, the 3+ε bound with the ε of scaling
       removed), the scaled variant ≥ Opt·(1−ε)/3, the TPA route ≥ Opt/4
       (Cor 1), the exact-ISP doubling ≥ Opt/2 (Thm 3), and TPA ≥
-      IspOpt/2 on the derived interval instance; and Thms 4–6's premise:
-      no attempt of Full/Border/CSR_Improve's own space improves its output. *)
+      IspOpt/2 on the derived interval instance; CSR_Improve ≥ the better
+      of the 4-approximation and the matching, its local search's start;
+      and Thms 4–6's premise: no attempt of Full/Border/CSR_Improve's own
+      space improves its output. *)
 
 type failure = { property : string; detail : string }
 

@@ -154,53 +154,50 @@ let attempts config inst candidates =
 
 let candidate_counter = Fsa_obs.Metric.Counter.make "csr_improve.border_candidates"
 
+(* §4.1's reference solution: the better of the two cheap answers, the
+   4-approximation on a tie.  The local search never ends below it. *)
+let start inst =
+  let four = One_csr.four_approx inst in
+  let matching = Border_improve.matching_2approx inst in
+  if Solution.score matching > Solution.score four then matching else four
+
 let solve ?(config = default_config) inst =
   Fsa_obs.Span.with_ ~name:"csr_improve.solve" @@ fun () ->
+  let init = start inst in
   let candidates = Border_improve.border_candidates inst in
   Fsa_obs.Metric.Counter.incr ~by:(List.length candidates) candidate_counter;
   Improve.run ~min_gain:config.min_gain ~max_improvements:config.max_improvements
     ~name:"csr_improve"
     ~attempts:(attempts config inst candidates)
-    ~init:(Solution.empty inst) ()
+    ~init ()
 
 let solve_budgeted ?(config = default_config) budget inst =
   Fsa_obs.Span.with_ ~name:"csr_improve.solve" @@ fun () ->
-  (* Same two-stage structure as Full_improve.solve_budgeted: border
-     candidate enumeration with the fixed I2/I1 attempt space, then the
-     local search, share one budget. *)
+  (* Two stages share one budget, as in Full_improve.solve_budgeted: the
+     start, the border candidates and the fixed I2/I1 attempt space, then
+     the local search. *)
   match
     Fsa_obs.Budget.run budget
-      ~partial:(fun () -> ([], fun _ -> []))
+      ~partial:(fun () -> (Solution.empty inst, [], fun _ -> []))
       (fun () ->
+        let init = start inst in
         let candidates = Border_improve.border_candidates inst in
-        (candidates, attempts config inst candidates))
+        (init, candidates, attempts config inst candidates))
   with
-  | Error (`Budget_exceeded (_, reason)) ->
+  | Error (`Budget_exceeded ((empty, _, _), reason)) ->
       Error
         (`Budget_exceeded
-           ( ( Solution.empty inst,
-               { Improve.rounds = 0; improvements = 0; evaluated = 0 } ),
-             reason ))
-  | Ok (candidates, attempts) ->
+           ((empty, { Improve.rounds = 0; improvements = 0; evaluated = 0 }), reason))
+  | Ok (init, candidates, attempts) ->
       Fsa_obs.Metric.Counter.incr ~by:(List.length candidates) candidate_counter;
       Improve.run_budgeted ~min_gain:config.min_gain
-        ~max_improvements:config.max_improvements ~name:"csr_improve" ~attempts
-        ~init:(Solution.empty inst) budget ()
+        ~max_improvements:config.max_improvements ~name:"csr_improve" ~attempts ~init
+        budget ()
 
 let solve_scaled ?config ?epsilon inst =
   Improve.with_scaling ?epsilon inst (fun scaled -> fst (solve ?config scaled))
 
 let solve_best inst =
   Fsa_obs.Span.with_ ~name:"csr_improve.solve_best" @@ fun () ->
-  (* The three solvers share the instance's memo; nothing needs it after. *)
-  Fun.protect ~finally:(fun () -> Cmatch.invalidate inst) @@ fun () ->
-  let sols =
-    [
-      fst (solve inst);
-      One_csr.four_approx inst;
-      Border_improve.matching_2approx inst;
-    ]
-  in
-  List.fold_left
-    (fun best s -> if Solution.score s > Solution.score best then s else best)
-    (Solution.empty inst) sols
+  (* Nothing needs the instance's memo after the solve. *)
+  Fun.protect ~finally:(fun () -> Cmatch.invalidate inst) @@ fun () -> fst (solve inst)

@@ -29,22 +29,28 @@ val attempts : config -> Instance.t -> Cmatch.t list -> Solution.t -> Improve.at
     scans it circularly from the previous round's winner. *)
 
 val solve : ?config:config -> Instance.t -> Solution.t * Improve.stats
+(** The local search of {!Improve.run} over {!attempts}, started (§4.1)
+    from the better of {!One_csr.four_approx} and
+    {!Border_improve.matching_2approx}, the 4-approximation on a tie.  It
+    ends at a local optimum (Thm 6's premise) whose score is at least that
+    start's, so it keeps both cheap solvers' guarantees too.  The stats
+    count the local search only. *)
 
 val solve_budgeted :
   ?config:config ->
   Fsa_obs.Budget.t ->
   Instance.t ->
   (Solution.t * Improve.stats) Fsa_obs.Budget.outcome
-(** {!solve} under a resource budget (candidate enumeration and local
-    search share it).  On [`Budget_exceeded] the partial is the solution as
-    of the last committed improvement — valid but not converged. *)
+(** {!solve} under a resource budget (the start, candidate enumeration and
+    local search share it).  On [`Budget_exceeded] the partial is the
+    solution as of the last committed improvement, or the start when none
+    committed — valid but not converged; it is empty when the budget trips
+    before the local search begins. *)
 
 val solve_scaled : ?config:config -> ?epsilon:float -> Instance.t -> Solution.t
 
 val solve_best : Instance.t -> Solution.t
-(** Convenience used by examples and the genome pipeline: the best of
-    CSR_Improve, the ISP 4-approximation and the matching baseline (each
-    individually keeps its guarantee, so the maximum does too).  On exit,
-    normal or not, it releases the instance's memo
+(** Convenience used by examples and the genome pipeline: [fst (solve
+    inst)].  On exit, normal or not, it releases the instance's memo
     ({!Cmatch.invalidate}), so a stream of fresh instances keeps a flat
     heap; a later solve of the same instance rebuilds its tables. *)

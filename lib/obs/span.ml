@@ -16,21 +16,23 @@ let with_ ~name f =
     if Runtime.tracing () then Runtime.emit (Event.Span_begin { name; depth = d });
     st.depth <- d + 1;
     st.names <- name :: st.names;
-    (* On OCaml 5.1 [Gc.quick_stat] reports minor_words only as of the last
-       minor collection; [Gc.minor_words ()] reads the live allocation
-       pointer. *)
+    (* On OCaml 5.1 [Gc.quick_stat] reports major words only as of the last
+       major slice, so a short span read 0 for a direct major allocation,
+       and it costs microseconds; [Gc.counters] reads the live counts in
+       tens of nanoseconds.  It is read outside [Gc.minor_words]' bracket,
+       so its own tuple is not charged to the span. *)
+    let _, _, j0 = Gc.counters () in
     let m0 = Gc.minor_words () in
-    let g0 = Gc.quick_stat () in
     let t0 = Clock.now () in
     let finish () =
       let t1 = Clock.now () in
-      let g1 = Gc.quick_stat () in
       let m1 = Gc.minor_words () in
+      let _, _, j1 = Gc.counters () in
       st.depth <- st.depth - 1;
       (match st.names with _ :: tl -> st.names <- tl | [] -> ());
       let elapsed_ns = (t1 -. t0) *. 1e9 in
       let minor_words = m1 -. m0 in
-      let major_words = g1.Gc.major_words -. g0.Gc.major_words in
+      let major_words = j1 -. j0 in
       (match Runtime.registry () with
       | Some r -> Registry.record_span r name ~elapsed_ns ~minor_words ~major_words
       | None -> ());

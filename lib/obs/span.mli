@@ -1,8 +1,9 @@
 (** Hierarchical timed spans.
 
     [with_ ~name f] runs [f] and, when observation is on, measures its
-    wall-clock time and GC allocation deltas ([minor_words]/[major_words]
-    from [Gc.quick_stat]).  The measurement is recorded twice: aggregated
+    wall-clock time and GC allocation deltas ([Gc.minor_words] and
+    [Gc.counters]' live major words, so a direct major allocation counts
+    at once).  The measurement is recorded twice: aggregated
     per name into the current registry, and emitted as a
     [Span_begin]/[Span_end] event pair (carrying the nesting depth) to the
     current sink.  When observation is off, [with_ ~name f] is [f ()] plus

@@ -174,10 +174,10 @@ let test_prune_counters () =
       | None -> 0
   in
   let on = csr_counters true in
-  check_int "csr_improve bound checks" 143756 (on "cmatch.bound_checks");
-  check_int "csr_improve pruned" 111604 (on "cmatch.pruned");
-  check_int "csr_improve tpa_fill calls" 19439 (on "improve.tpa_fill_calls");
-  check_int "csr_improve evaluated" 19763 (on "improve.evaluated");
+  check_int "csr_improve bound checks" 144148 (on "cmatch.bound_checks");
+  check_int "csr_improve pruned" 113013 (on "cmatch.pruned");
+  check_int "csr_improve tpa_fill calls" 19468 (on "improve.tpa_fill_calls");
+  check_int "csr_improve evaluated" 19744 (on "improve.evaluated");
   let off = csr_counters false in
   check_int "no checks with pruning off" 0 (off "cmatch.bound_checks");
   check_int "no prunes with pruning off" 0 (off "cmatch.pruned");

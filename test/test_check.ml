@@ -64,11 +64,30 @@ let test_oracle_names () =
       "full_improve.local_opt";
       "border_improve.local_opt";
       "csr_improve.local_opt";
+      "csr_improve.start";
     ]
 
 let test_oracle_paper_example () =
   check_int "paper example passes every property" 0
     (List.length (Oracle.run (Instance.paper_example ())))
+
+(* Gen seed 1, instance 43: CSR_Improve climbing from the empty solution
+   stops at 3, below the 4-approximation's 4.  Started from the better
+   cheap answer, it cannot end below it. *)
+let test_oracle_start_pinned () =
+  let inst =
+    Instance.of_text
+      "H h1: r0 r0'\nH h2: r0' r0\nM m1: r0 r0' r0\nM m2: r0 r0 r0 r0' r0\nS r0 r0' 1\n"
+  in
+  let start =
+    Float.max
+      (Solution.score (One_csr.four_approx inst))
+      (Solution.score (Border_improve.matching_2approx inst))
+  in
+  Alcotest.(check (float 1e-9)) "the start" 4.0 start;
+  check_bool "reaches its start" true
+    (Solution.score (fst (Csr_improve.solve inst)) >= start);
+  check_bool "csr_improve.start holds" false (Oracle.fails "csr_improve.start" inst)
 
 let test_oracle_unknown_property () =
   Alcotest.check_raises "unknown name"
@@ -182,6 +201,7 @@ let () =
         [
           Alcotest.test_case "property names" `Quick test_oracle_names;
           Alcotest.test_case "paper example passes" `Quick test_oracle_paper_example;
+          Alcotest.test_case "start pinned" `Quick test_oracle_start_pinned;
           Alcotest.test_case "unknown property" `Quick test_oracle_unknown_property;
         ] );
       ( "shrink",

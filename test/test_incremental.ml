@@ -271,7 +271,7 @@ let test_move_labels_pinned () =
   in
   let inst = paper () in
   Alcotest.(check (list string))
-    "Csr_improve" [ "I2'(h0,m1)"; "I2'(h0,m1)"; "I2'(h0,m1)" ]
+    "Csr_improve" [ "I2'(h0,m1)" ]
     (labels (fun () -> Csr_improve.solve inst));
   Alcotest.(check (list string))
     "Full_improve"

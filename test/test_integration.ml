@@ -248,6 +248,18 @@ let test_discover_nothing_found () =
   check_int "exit code" 1 code;
   check_bool "says why" true (contains ~needle:"no conserved regions" text)
 
+(* The default command in discovery mode: a genome too short to seed
+   discovers nothing, which exits 1 as discover does, not as an uncaught
+   exception. *)
+let test_run_nothing_found () =
+  let code, text =
+    run_cli "genome_sim.exe"
+      "--mode discovery --regions 1 --region-len 8 --h-pieces 1 --m-pieces 1 --reps 1"
+  in
+  check_int "exit code" 1 code;
+  check_bool "says why" true (contains ~needle:"no conserved regions" text);
+  check_bool "no uncaught exception" false (contains ~needle:"uncaught exception" text)
+
 (* ------------------------------------------------------------------ *)
 (* Cross-checking MS against the conjecture semantics                   *)
 
@@ -290,6 +302,7 @@ let () =
           Alcotest.test_case "malformed instance file" `Quick test_cli_malformed_file;
           Alcotest.test_case "discover rejects bad flags" `Quick test_discover_bad_flags;
           Alcotest.test_case "discover finds nothing" `Quick test_discover_nothing_found;
+          Alcotest.test_case "discovery run finds nothing" `Quick test_run_nothing_found;
         ] );
       ( "genome",
         [

@@ -167,6 +167,22 @@ let test_span_nesting () =
       check_int "inner count" 2 s.Registry.span_count;
       check_bool "total ns nonneg" true (s.Registry.span_total_ns >= 0.0)
 
+(* An array past the minor heap's size limit is allocated straight into
+   the major heap; the span must count it at once, not at the next major
+   slice. *)
+let test_span_major_words () =
+  let registry = Registry.create () in
+  Runtime.with_observation ~registry (fun () ->
+      Span.with_ ~name:"big" (fun () ->
+          ignore (Sys.opaque_identity (Array.make 50_000 0.0))));
+  match Registry.span_summary registry "big" with
+  | None -> Alcotest.fail "big span not recorded"
+  | Some s ->
+      check_bool
+        (Printf.sprintf "major words %.0f >= 50000" s.Registry.span_major_words)
+        true
+        (s.Registry.span_major_words >= 50_000.0)
+
 let test_span_exception_safe () =
   let sink, events = Sink.memory () in
   Runtime.with_observation ~sink (fun () ->
@@ -739,6 +755,7 @@ let () =
         [
           Alcotest.test_case "nesting" `Quick test_span_nesting;
           Alcotest.test_case "exception safety" `Quick test_span_exception_safe;
+          Alcotest.test_case "direct major allocation" `Quick test_span_major_words;
         ] );
       ( "metric",
         [

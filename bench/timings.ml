@@ -200,6 +200,24 @@ let discovery_genome_size () =
     0 (h @ m)
   / 2
 
+(* The index build alone, on either side of the split width: the 7 M
+   contigs of the discovery pair (about 2^18 entries, an 8-bit split) and
+   one 4 kb target (2^12 entries, a 2-bit one). *)
+let seed_index_bench ~name targets =
+  Test.make ~name
+    (Staged.stage (fun () -> ignore (Fsa_align.Seed.index_targets ~k:12 targets)))
+
+let seed_index_discovery_bench () =
+  let _, m = Lazy.force discovery_pair in
+  seed_index_bench
+    ~name:(Printf.sprintf "seed index %dkb" (discovery_genome_size () / 1024))
+    (Array.of_list (List.map (fun (c : Fsa_genome.Fragmentation.contig) -> c.dna) m))
+
+let seed_index_random_bench len =
+  seed_index_bench
+    ~name:(Printf.sprintf "seed index %db" len)
+    [| Fsa_seq.Dna.random (Rng.create 10) len |]
+
 let band_fallbacks_probe = Fsa_obs.Metric.Counter.make "band.fallbacks"
 
 let discovery_bench () =
@@ -232,12 +250,14 @@ let exact_bench () =
    quota: more samples at large run counts steady the OLS fit (at the
    default quota the CSR_Improve row read r² 0.83–0.94 and the tpa_fill
    row 0.86–0.90 over three runs).  The discovery bench's body takes
-   ~0.1 s, so the default quota fits only 4 runs; 8× gives it at least 10. *)
+   ~0.1 s, so the default quota fits only 4 runs; 8× gives it at least 10.
+   The 260 kb index build's ~20 ms fits 9 runs at the default quota. *)
 let long_quota =
   [
     ("CSR_Improve paper example", 4.0);
     ("tpa_fill (96 regions)", 4.0);
     ("discovery chained 260kb", 8.0);
+    ("seed index 260kb", 2.0);
   ]
 
 let test_list () =
@@ -250,6 +270,8 @@ let test_list () =
     hungarian_bench 64;
     seed_extend_bench 4096;
     seed_extend_bench 16384;
+    seed_index_random_bench 4096;
+    seed_index_discovery_bench ();
     csr_improve_bench ();
     full_improve_bench ();
     tpa_fill_bench ();

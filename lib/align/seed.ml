@@ -144,40 +144,75 @@ let side_tables ~k keys size =
 let index_targets ?(max_occ = 32) ~k targets =
   if k < 1 || k > 30 then invalid_arg "Seed.index_targets: k out of [1,30]";
   Array.iter (fun t -> check_lengths ~target:(Dna.length t) ~query:0) targets;
+  Fsa_obs.Span.with_ ~name:"seed.index" @@ fun () ->
   let total =
     Array.fold_left (fun n t -> n + max 0 (Dna.length t - k + 1)) 0 targets
   in
+  (* Part p holds the entries whose keys' top [split] bits read p.  Parts
+     average 2^9–2^10 entries until [split] reaches 8, so a part's keys,
+     payloads and scratch (32 KB) stay in cache while its other [shift]
+     bits are sorted.  Below 2^10 entries the index is one part: its arrays
+     fit in cache whole, and each part costs its own histograms. *)
+  let key_bits = 2 * k in
+  let split = max 0 (min (min 8 key_bits) (bit_length total - 10)) in
+  let shift = key_bits - split and parts = 1 lsl split in
+  (* [start.(p)] is part p's first entry, [start.(parts)] = [total]. *)
+  let start = Array.make (parts + 1) 0 in
+  if split = 0 then start.(1) <- total
+  else begin
+    Array.iter
+      (fun t ->
+        Dna.fold_kmers ~k t ~init:() ~f:(fun () ~pos:_ ~kmer ->
+            let p = (kmer lsr shift) + 1 in
+            Array.unsafe_set start p (Array.unsafe_get start p + 1)))
+      targets;
+    for p = 1 to parts do
+      start.(p) <- start.(p) + start.(p - 1)
+    done
+  end;
   let keys = Array.make total 0 and vals = Array.make total 0 in
-  let fill = ref 0 in
+  let fill = Array.sub start 0 parts in
   Array.iteri
     (fun ti t ->
       let tag = ti lsl 32 in
       Dna.fold_kmers ~k t ~init:() ~f:(fun () ~pos ~kmer ->
-          let e = !fill in
+          let p = kmer lsr shift in
+          let e = Array.unsafe_get fill p in
           Array.unsafe_set keys e kmer;
           Array.unsafe_set vals e (tag lor pos);
-          fill := e + 1))
+          Array.unsafe_set fill p (e + 1)))
     targets;
-  (* Filled target by target in position order, so the stable sort leaves
-     each k-mer's payloads ascending. *)
-  radix_sort ~counts:(Array.make (8 * 256) 0) ~bits:(2 * k) keys vals ~lo:0 ~n:total
-    (Array.make total 0) (Array.make total 0);
-  (* Repeat k-mers seed quadratically many spurious diagonals: drop each
-     (k-mer, target) run longer than [max_occ], compacting in place. *)
-  let size = ref 0 and i = ref 0 in
-  while !i < total do
-    let key = keys.(!i) and t = vals.(!i) lsr 32 in
-    let j = ref (!i + 1) in
-    while !j < total && keys.(!j) = key && vals.(!j) lsr 32 = t do
-      incr j
-    done;
-    if !j - !i <= max_occ then
-      for e = !i to !j - 1 do
-        keys.(!size) <- key;
-        vals.(!size) <- vals.(e);
-        incr size
+  let largest = ref 0 in
+  for p = 0 to parts - 1 do
+    largest := max !largest (start.(p + 1) - start.(p))
+  done;
+  let counts = Array.make (8 * 256) 0 in
+  let tk = Array.make !largest 0 and tv = Array.make !largest 0 in
+  let size = ref 0 in
+  for p = 0 to parts - 1 do
+    let lo = start.(p) and hi = start.(p + 1) in
+    (* Filled target by target in position order, so the stable sort
+       leaves each k-mer's payloads ascending. *)
+    radix_sort ~counts ~bits:shift keys vals ~lo ~n:(hi - lo) tk tv;
+    (* Repeat k-mers seed quadratically many spurious diagonals: drop each
+       (k-mer, target) run longer than [max_occ], compacting toward the
+       front.  A k-mer's runs lie in one part, and [size] never passes
+       [lo], so no later part is overwritten. *)
+    let i = ref lo in
+    while !i < hi do
+      let key = keys.(!i) and t = vals.(!i) lsr 32 in
+      let j = ref (!i + 1) in
+      while !j < hi && keys.(!j) = key && vals.(!j) lsr 32 = t do
+        incr j
       done;
-    i := !j
+      if !j - !i <= max_occ then
+        for e = !i to !j - 1 do
+          keys.(!size) <- key;
+          vals.(!size) <- vals.(e);
+          incr size
+        done;
+      i := !j
+    done
   done;
   let size = !size in
   let dir, dir_shift, present, present_shift = side_tables ~k keys size in

@@ -11,9 +11,16 @@ type index
 (** Sorted k-mer index of one or more targets. *)
 
 val index_targets : ?max_occ:int -> k:int -> Dna.t array -> index
-(** Every k-mer occurrence of every target on flat int arrays,
-    LSD-radix-sorted by k-mer (8-bit digits, ⌈2k/8⌉ passes), each with a
-    (target, position) payload packed as [(target lsl 32) lor position].
+(** Every k-mer occurrence of every target on flat int arrays, sorted by
+    k-mer, each with a (target, position) payload packed as
+    [(target lsl 32) lor position].  One fold over the targets counts
+    the entries per value of the keys' top s bits, a second scatters
+    each entry into that part, and each part is then LSD-radix-sorted on
+    its other 2k − s bits (8-bit digits) with scratch the size of the
+    largest part.  s = min(8, 2k, max(0, b − 10)), b the bit length of
+    the entry count, so parts average 2{^9}–2{^10} entries, in cache,
+    until s reaches 8 (from 2{^17} entries); under 2{^10} entries the
+    index is one sort.
     [max_occ] (default 32) applies per (k-mer, target): a k-mer occurring
     more than [max_occ] times in one target is dropped from that target
     only, as a repeat, so each target's entries are exactly those of its
@@ -24,6 +31,7 @@ val index_targets : ?max_occ:int -> k:int -> Dna.t array -> index
     (2{^(b-4)} slots, b the bit length of n) and a presence bitmap over a
     longer prefix (2{^(b+2)} bits), each prefix at most the key's 2k bits.
     An index is immutable and reusable across any number of scans.
+    Telemetry: one [seed.index] span per build.
     @raise Invalid_argument unless [1 <= k <= 30], or when a target
     exceeds 2{^31} bases ([check_lengths ~target ~query:0]). *)
 

@@ -1,50 +1,61 @@
 (* SplitMix64.  State advances by the golden-ratio Weyl constant; output is
    the fmix64 finalizer applied to the new state.  [split] follows Steele et
    al.: the child is seeded from the parent's next output so the two streams
-   are decorrelated. *)
+   are decorrelated.  The state lives in 8 bytes, not a mutable [int64]
+   field, which would box a fresh int64 on every draw.  With [bits64]
+   inlined into the draws, [int], [bool] and [bernoulli] allocate nothing,
+   and [float] only the box of its result when another module calls it. *)
 
-type t = { mutable state : int64 }
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let copy = Bytes.copy
 
-let split t = { state = bits64 t }
+let[@inline] bits64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
+
+let split t = of_state (bits64 t)
+
+(* The top 62 bits of a draw, a non-negative native int. *)
+let[@inline] bits62 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
 
 (* Uniform int in [0, bound) by rejection on the top 62 bits, avoiding the
    sign bit so all arithmetic stays in non-negative native ints. *)
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  let mask = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
-  if bound land (bound - 1) = 0 then mask land (bound - 1)
-  else
-    let rec reject v =
-      let r = v mod bound in
-      if v - r + (bound - 1) < 0 then reject (Int64.to_int (Int64.shift_right_logical (bits64 t) 2))
-      else r
-    in
-    reject mask
+  if bound land (bound - 1) = 0 then bits62 t land (bound - 1)
+  else begin
+    let v = ref (bits62 t) in
+    while !v - (!v mod bound) + (bound - 1) < 0 do
+      v := bits62 t
+    done;
+    !v mod bound
+  end
 
 let int_in t lo hi =
   if lo > hi then invalid_arg "Rng.int_in: lo > hi";
   lo + int t (hi - lo + 1)
 
-let float t bound =
+let[@inline] float t bound =
   let x = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   bound *. (x /. 9007199254740992.0 (* 2^53 *))
 
-let bool t = Int64.compare (Int64.logand (bits64 t) 1L) 0L <> 0
+let bool t = Int64.logand (bits64 t) 1L <> 0L
 
 let bernoulli t p = float t 1.0 < p
 

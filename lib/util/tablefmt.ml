@@ -18,11 +18,16 @@ let add_float_row t ?(fmt = Printf.sprintf "%.4g") label floats =
   add_row t (label :: List.map fmt floats);
   t
 
-let pad align width s =
-  let n = String.length s in
-  if n >= width then s
+(* Display columns of a UTF-8 string: its code points, i.e. the bytes that
+   are not continuation bytes (0x80–0xBF). *)
+let width s =
+  String.fold_left (fun n c -> if Char.code c land 0xC0 = 0x80 then n else n + 1) 0 s
+
+let pad align w s =
+  let n = width s in
+  if n >= w then s
   else
-    let fill = String.make (width - n) ' ' in
+    let fill = String.make (w - n) ' ' in
     match align with Left -> s ^ fill | Right -> fill ^ s
 
 let render t =
@@ -33,8 +38,8 @@ let render t =
     List.mapi
       (fun i h ->
         List.fold_left
-          (fun acc row -> max acc (String.length (List.nth row i)))
-          (String.length h) rows)
+          (fun acc row -> max acc (width (List.nth row i)))
+          (width h) rows)
       headers
   in
   let render_cells cells =

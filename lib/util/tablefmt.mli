@@ -1,7 +1,9 @@
 (** Plain-text table renderer for the experiment harness.
 
     Produces aligned, pipe-separated tables suitable for terminals and for
-    verbatim inclusion in EXPERIMENTS.md. *)
+    verbatim inclusion in EXPERIMENTS.md.  Cells are padded by display
+    width, counted as UTF-8 code points, so a ["—"] or ["r²"] cell lines
+    up with ASCII ones. *)
 
 type align = Left | Right
 

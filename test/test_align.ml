@@ -683,7 +683,15 @@ let test_seed_oracle_qcheck =
    target and dropped in another.  A fifth is a one- or two-letter run.
    A quarter of the sets gain a random target that brings their k-mer
    count to just below, at or just above a power of two, and a quarter of
-   the queries end in a poly-T run. *)
+   the queries end in a poly-T run.
+
+   A twenty-fourth of the sets instead gain a random target that brings
+   their count near a power of two from 2^13 to 2^17.  The index splits
+   its sort on min(8, 2k, b - 10) key bits for b the count's bit length,
+   so these cases split 3 to 8 bits wide where the others split 0 to 2,
+   and short k-mers recur in such a target past max_occ across many
+   parts.  That target leads the set, so [lookup] reads its entries, and
+   the query copies a stretch of it. *)
 let multi_target_case seed =
   let rng = Fsa_util.Rng.create seed in
   let pick xs = Fsa_util.Rng.choose rng (Array.of_list xs) in
@@ -707,23 +715,29 @@ let multi_target_case seed =
   in
   let n = Fsa_util.Rng.int rng 7 in
   let targets = Array.init n (fun i -> roles.(min i 5) ()) in
-  let targets =
-    if Fsa_util.Rng.int rng 4 = 0 then begin
-      let total =
-        Array.fold_left (fun c t -> c + max 0 (Dna.length t - k + 1)) 0 targets
-      in
-      let p = ref 1 in
-      while !p - 1 <= total do
-        p := 2 * !p
-      done;
-      let pad = !p - 1 + Fsa_util.Rng.int rng 3 - total in
-      Array.append targets [| with_kmer_count rng ~k pad (Dna.of_string "") |]
-    end
-    else targets
+  let total =
+    Array.fold_left (fun c t -> c + max 0 (Dna.length t - k + 1)) 0 targets
+  in
+  (* A target that brings the count to p - 1, p or p + 1. *)
+  let padding p =
+    with_kmer_count rng ~k (p - 1 + Fsa_util.Rng.int rng 3 - total) (Dna.of_string "")
+  in
+  let wide, targets =
+    match Fsa_util.Rng.int rng 24 with
+    | 0 | 1 | 2 | 3 | 4 | 5 ->
+        let p = ref 1 in
+        while !p - 1 <= total do
+          p := 2 * !p
+        done;
+        (None, Array.append targets [| padding !p |])
+    | 6 -> (Some (padding (1 lsl (13 + Fsa_util.Rng.int rng 5))), targets)
+    | _ -> (None, targets)
   in
   Fsa_util.Rng.shuffle rng targets;
-  let copy () =
-    let t = if n = 0 then random () else pick (Array.to_list targets) in
+  let targets =
+    match wide with Some t -> Array.append [| t |] targets | None -> targets
+  in
+  let copy_of t =
     let len = Dna.length t in
     if len = 0 then random ()
     else begin
@@ -735,29 +749,43 @@ let multi_target_case seed =
       if Fsa_util.Rng.bool rng then Dna.reverse_complement c else c
     end
   in
+  let copy () = if n = 0 then random () else copy_of (pick (Array.to_list targets)) in
   let query =
     Dna.concat
       ((stretch (Dna.length repeat / 2)
-       :: List.init (1 + Fsa_util.Rng.int rng 4) (fun _ ->
+       :: Option.to_list (Option.map copy_of wide)
+       @ List.init (1 + Fsa_util.Rng.int rng 4) (fun _ ->
               if Fsa_util.Rng.bool rng then copy () else random ()))
       @ poly_t_tail rng ~k)
   in
   (k, max_occ, min_score, targets, query)
 
+(* Each target's anchors equal those of its own reference index, and
+   [lookup] of every k-mer of the first target and of the query returns
+   the reference's positions in that target. *)
 let test_seed_multi_target_qcheck =
   QCheck.Test.make ~name:"multi-target scan = per-target Hashtbl reference" ~count:300
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let k, max_occ, min_score, targets, query = multi_target_case seed in
       let idx = Seed.index_targets ~max_occ ~k targets in
+      let refs = Array.map (Seed_reference.build_index ~max_occ ~k) targets in
       let strands = Seed.scan ~min_score idx [| (query, true); (query, false) |] in
       let agrees t target =
-        let ref_idx = Seed_reference.build_index ~max_occ ~k target in
         Seed.join_strands strands.(0).(t) strands.(1).(t)
-        = Seed_reference.anchors ~min_score ref_idx ~target ~query
+        = Seed_reference.anchors ~min_score refs.(t) ~target ~query
+      in
+      let lookups_agree () =
+        Array.length targets = 0
+        || List.for_all
+             (fun s ->
+               Dna.fold_kmers ~k s ~init:true ~f:(fun ok ~pos:_ ~kmer ->
+                   ok && Seed.lookup idx kmer = Seed_reference.lookup refs.(0) kmer))
+             [ targets.(0); query ]
       in
       Array.for_all (fun s -> Array.length s = Array.length targets) strands
-      && List.for_all Fun.id (List.mapi agrees (Array.to_list targets)))
+      && List.for_all Fun.id (List.mapi agrees (Array.to_list targets))
+      && lookups_agree ())
 
 let test_index_targets_lookup () =
   (* lookup reads the first target; the second target's copies of the

@@ -176,6 +176,58 @@ let test_rng_invalid_args () =
   Alcotest.check_raises "int_in" (Invalid_argument "Rng.int_in: lo > hi") (fun () ->
       ignore (Rng.int_in rng 3 2))
 
+(* The first draws of two seeds and of a split child, recorded when the
+   state was a mutable int64 field: the stream must not depend on how the
+   state is stored. *)
+let test_rng_golden () =
+  let draws t = List.init 4 (fun _ -> Rng.bits64 t) in
+  let check name expected t = Alcotest.(check (list int64)) name expected (draws t) in
+  check "create 0"
+    [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL; 0xF88BB8A8724C81ECL ]
+    (Rng.create 0);
+  let parent = Rng.create 42 in
+  let child = Rng.split parent in
+  check "split child of create 42"
+    [ 0x5599B3E06D073327L; 0xD6171D07A31128DFL; 0xED057BA08584C10BL; 0x9EA45BEEBEE33B1CL ]
+    child;
+  check "create 42 after the split"
+    [ 0x290DB4BF2570DED7L; 0x2A990BE63A01B2D5L; 0x0C4B6B24EF01890EL; 0xFB16A06E52EC10A7L ]
+    parent;
+  let rng = Rng.create 7 in
+  Alcotest.(check (list int)) "int 1000 of create 7" [ 963; 181; 52; 718; 629; 526 ]
+    (List.init 6 (fun _ -> Rng.int rng 1000));
+  Alcotest.(check (list (float 0.0))) "float 1.0 after them"
+    [ 0x1.980a57f430be8p-2; 0x1.359ae713428abp-1; 0x1.9f6fe141e86bcp-1 ]
+    (List.init 3 (fun _ -> Rng.float rng 1.0))
+
+(* A draw allocates nothing.  [Rng.float]'s result crosses a module
+   boundary, where the default (opaque) build boxes it: 2 words, and
+   nothing besides; [bernoulli] runs the same draw inside the module. *)
+let test_rng_no_alloc () =
+  let rng = Rng.create 3 and n = 10_000 in
+  (* Unescaped local refs stay unboxed, so each loop allocates only what
+     its draws do. *)
+  let w0 = Gc.minor_words () in
+  let ints = ref 0 in
+  for _ = 1 to n do
+    ints := !ints + Rng.int rng 1000 + Rng.int rng 1024
+  done;
+  let w1 = Gc.minor_words () in
+  let hits = ref 0 in
+  for _ = 1 to n do
+    if Rng.bernoulli rng 0.5 then incr hits
+  done;
+  let w2 = Gc.minor_words () in
+  let sum = ref 0.0 in
+  for _ = 1 to n do
+    sum := !sum +. Rng.float rng 1.0
+  done;
+  let w3 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (!ints, !hits, !sum));
+  check_float "int" 0.0 (w1 -. w0);
+  check_float "bernoulli" 0.0 (w2 -. w1);
+  check_bool "float: its result's box at most" true (w3 -. w2 <= float_of_int (2 * n))
+
 (* ------------------------------------------------------------------ *)
 (* Stats                                                                *)
 
@@ -418,6 +470,20 @@ let test_table_float_row () =
   let t = Tablefmt.add_float_row t "row" [ 1.5 ] in
   check_bool "renders" true (String.length (Tablefmt.render t) > 0)
 
+(* Cells are padded by display width: a "—" is 3 bytes and 1 column. *)
+let test_table_display_width () =
+  let t = Tablefmt.create [ ("bench", Tablefmt.Left); ("r²", Tablefmt.Right) ] in
+  Tablefmt.add_row t [ "cold"; "—" ];
+  Tablefmt.add_row t [ "warm — reused"; "0.998" ];
+  let columns line =
+    String.fold_left (fun n c -> if Char.code c land 0xC0 = 0x80 then n else n + 1) 0 line
+  in
+  let widths = List.map columns (String.split_on_char '\n' (Tablefmt.render t)) in
+  Alcotest.(check (list int))
+    "every line as wide"
+    (List.map (fun _ -> List.hd widths) widths)
+    widths
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
 let () =
@@ -444,6 +510,8 @@ let () =
           Alcotest.test_case "sample full" `Quick test_rng_sample_full;
           Alcotest.test_case "weighted index" `Quick test_rng_weighted_index;
           Alcotest.test_case "invalid args" `Quick test_rng_invalid_args;
+          Alcotest.test_case "golden draws" `Quick test_rng_golden;
+          Alcotest.test_case "draws allocate nothing" `Quick test_rng_no_alloc;
         ] );
       ( "stats",
         [
@@ -481,5 +549,6 @@ let () =
           Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "arity" `Quick test_table_arity;
           Alcotest.test_case "float row" `Quick test_table_float_row;
+          Alcotest.test_case "display width" `Quick test_table_display_width;
         ] );
     ]

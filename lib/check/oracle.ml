@@ -123,6 +123,14 @@ let p_le_opt sname =
             else None);
   }
 
+let with_pruning on f =
+  let was = Bound.enabled () in
+  Fun.protect
+    ~finally:(fun () -> Bound.set_enabled was)
+    (fun () ->
+      Bound.set_enabled on;
+      f ())
+
 (* Pruning (Bound.pair_viable) must be invisible: rerunning a solver with
    the admissible-bound pruning toggled the other way has to reproduce the
    solution bit for bit — same serialized matches, same score down to the
@@ -138,11 +146,7 @@ let p_prune_identical sname =
         | Ok s ->
             let was = Bound.enabled () in
             let s' =
-              Fun.protect
-                ~finally:(fun () -> Bound.set_enabled was)
-                (fun () ->
-                  Bound.set_enabled (not was);
-                  (List.assoc sname solvers) ctx.inst)
+              with_pruning (not was) (fun () -> (List.assoc sname solvers) ctx.inst)
             in
             let bits v = Int64.bits_of_float (Solution.score v) in
             if bits s' <> bits s then
@@ -225,13 +229,15 @@ let p_csr_improve_start =
   }
 
 (* The premise of Thms 4–6: an improvement solver returns a local optimum,
-   so no attempt of its own attempt space gains more than 1e-9 on it. *)
+   so no attempt of its own attempt space gains more than 1e-9 on it.  The
+   attempts run with pruning off, so that no bound decides this check. *)
 let p_local_opt sname attempts =
   let check ctx =
     match sol ctx sname with
     | Error e -> Some (exn_detail sname e)
     | Ok s ->
         let gain s' = Solution.score s' -. Solution.score s in
+        with_pruning false @@ fun () ->
         List.find_map
           (fun (a : Improve.attempt) ->
             match a.apply s with
@@ -241,6 +247,43 @@ let p_local_opt sname attempts =
           (attempts ctx.inst (Border_improve.border_candidates ctx.inst) s)
   in
   { name = sname ^ ".local_opt"; check }
+
+(* Attempt_bound must dominate what an attempt builds.  With pruning off,
+   from the CSR_Improve start and every solution its run commits, and from
+   every solution Full_Improve's run from empty commits, each I1 and
+   CSR_Improve I2 attempt scores at most the bound it checks (attempts
+   that check none observe [infinity]). *)
+let p_attempt_bound =
+  let check ctx =
+    let inst = ctx.inst in
+    let candidates = Border_improve.border_candidates inst in
+    let csr = Csr_improve.attempts Csr_improve.default_config inst candidates in
+    let full = Full_improve.attempts inst in
+    (* Improve.run asks for a round's attempts on its start and on every
+       solution it commits. *)
+    let bases = ref [] in
+    let seen attempts s =
+      bases := s :: !bases;
+      attempts s
+    in
+    with_pruning false @@ fun () ->
+    ignore (Improve.run ~attempts:(seen csr) ~init:(Csr_improve.start inst) ());
+    ignore (Improve.run ~attempts:(seen (fun _ -> full)) ~init:(Solution.empty inst) ());
+    List.find_map
+      (fun s ->
+        List.find_map
+          (fun (a : Improve.attempt) ->
+            let bound = ref infinity in
+            match Attempt_bound.observe (fun b -> bound := b) (fun () -> a.apply s) with
+            | Some s' when Solution.score s' > !bound +. tol ->
+                Some
+                  (fmt "%s on a base of %g scores %g above its bound %g" (a.label ())
+                     (Solution.score s) (Solution.score s') !bound)
+            | Some _ | None -> None)
+          (csr s))
+      (List.rev !bases)
+  in
+  { name = "improve.attempt_bound"; check }
 
 let p_isp_tpa side =
   let tag = match side with Species.H -> "h" | Species.M -> "m" in
@@ -282,6 +325,7 @@ let properties =
       p_local_opt "full_improve" (fun inst _ _ -> Full_improve.attempts inst);
       p_local_opt "border_improve" Border_improve.attempts;
       p_local_opt "csr_improve" (Csr_improve.attempts Csr_improve.default_config);
+      p_attempt_bound;
       p_isp_tpa Species.H;
       p_isp_tpa Species.M;
       p_prune_identical "greedy";

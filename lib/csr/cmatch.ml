@@ -27,18 +27,28 @@ let classify inst t =
       let equal_shapes = hk = mk in
       if equal_shapes = t.m_reversed then Some Border_match else None
 
-let oriented_site_words inst t =
-  let hw = Fragment.sub (Instance.fragment inst Species.H t.h_frag) t.h_site in
-  let mfrag = Instance.fragment inst Species.M t.m_frag in
-  let mw =
-    if t.m_reversed then Fragment.sub_reversed mfrag t.m_site
-    else Fragment.sub mfrag t.m_site
-  in
-  (hw, mw)
-
+(* The P_score DP of [Region_align.p_score] on the oriented site words,
+   with the symbols read in place and σ probed through the table's dense
+   view: the same cells in the same order, so the same float, without the
+   two word copies and a hashed key per probe.  [Solution.add] runs this
+   freshness check on every match it files. *)
 let recompute_score inst t =
-  let hw, mw = oriented_site_words inst t in
-  Fsa_align.Region_align.p_score inst.Instance.sigma hw mw
+  let h = Instance.fragment inst Species.H t.h_frag in
+  let m = Instance.fragment inst Species.M t.m_frag in
+  if t.h_site.Site.hi >= Fragment.length h || t.m_site.Site.hi >= Fragment.length m
+  then invalid_arg "Cmatch.recompute_score: site exceeds fragment";
+  let d = Scoring.dense inst.Instance.sigma in
+  let hlo = t.h_site.Site.lo in
+  let score =
+    if t.m_reversed then
+      let mhi = t.m_site.Site.hi in
+      fun i j -> Scoring.dense_get_rev d (Fragment.get h (hlo + i)) (Fragment.get m (mhi - j))
+    else
+      let mlo = t.m_site.Site.lo in
+      fun i j -> Scoring.dense_get d (Fragment.get h (hlo + i)) (Fragment.get m (mlo + j))
+  in
+  Fsa_align.Pairwise.max_weight_score ~score ~la:(Site.length t.h_site)
+    ~lb:(Site.length t.m_site)
 
 (* MS values depend only on the instance's σ and the site geometry, never
    on the current solution, so they are memoized per instance uid.  The
@@ -92,13 +102,6 @@ let tables : (int * bool * int * int, site_table) Lru.t =
     ~weight:(fun t -> 2 * t.host_len * t.host_len)
     ()
 
-(* σ probes dominate the kernel inner loop; use the dense snapshot unless
-   the region-id range is too large for it (then fall back to the hashed
-   table).  Snapshots are memoized per instance uid like the site tables,
-   LRU-bounded by snapshot count. *)
-let dense : (int, Scoring.dense option) Lru.t =
-  Lru.create ~budget:64 ~weight:(fun _ -> 1) ()
-
 let set_table_budget cells =
   if cells < 0 then invalid_arg "Cmatch.set_table_budget: negative budget";
   Lru.set_budget tables cells
@@ -107,30 +110,15 @@ let table_budget () = Lru.budget tables
 
 let clear_cache () =
   Lru.clear tables;
-  Lru.clear dense;
   Bound.clear_cache ()
 
-(* No later probe can hit a finished instance's tables, σ snapshot or bound
-   summary (uids are never reused): only eviction would free them, and a
-   stream of small instances never fills the budget. *)
+(* No later probe can hit a finished instance's tables or bound summary
+   (uids are never reused): only eviction would free them, and a stream of
+   small instances never fills the budget. *)
 let invalidate inst =
   let uid = inst.Instance.uid in
   Lru.filter_out tables (fun (u, _, _, _) -> u = uid);
-  Lru.remove dense uid;
   Bound.invalidate inst
-
-let sigma_get inst =
-  let d =
-    match Lru.find dense inst.Instance.uid with
-    | Some d -> d
-    | None ->
-        let d = Scoring.dense inst.Instance.sigma in
-        Lru.add dense inst.Instance.uid d;
-        d
-  in
-  match d with
-  | Some d -> fun a b -> Scoring.dense_get d a b
-  | None -> fun a b -> Scoring.get inst.Instance.sigma a b
 
 let full_table inst ~full_side idx ~other_frag =
   let key = (inst.Instance.uid, full_side = Species.H, idx, other_frag) in
@@ -144,7 +132,7 @@ let full_table inst ~full_side idx ~other_frag =
       let host_word =
         Fragment.symbols (Instance.fragment inst other_side other_frag)
       in
-      let get = sigma_get inst in
+      let get = Scoring.dense_get (Scoring.dense inst.Instance.sigma) in
       let fwd, rev =
         match full_side with
         | Species.H ->

@@ -35,13 +35,12 @@ val classify : Instance.t -> t -> kind option
     inner×border, or a border×border pair whose orientation contradicts its
     shapes). *)
 
-val oriented_site_words : Instance.t -> t -> Symbol.t array * Symbol.t array
-(** The two aligned words: H-site content forward, M-site content reversed
-    iff [m_reversed]. *)
-
 val recompute_score : Instance.t -> t -> float
-(** P_score of the oriented site words — the match's score under σ with the
-    recorded orientation. *)
+(** P_score of the oriented site words (H-site content forward, M-site
+    content reversed iff [m_reversed]) — the match's score under σ with the
+    recorded orientation.  Probes σ through {!Fsa_seq.Scoring.dense}, so it
+    works from any domain.
+    @raise Invalid_argument when a site exceeds its fragment. *)
 
 val full :
   Instance.t -> full_side:Species.t -> int -> other_frag:int -> other_site:Site.t -> t
@@ -71,13 +70,13 @@ val table_ms : site_table -> lo:int -> hi:int -> float * bool
     attains it (ties prefer forward, as in {!Fsa_align.Region_align.ms_full}). *)
 
 val clear_cache : unit -> unit
-(** Drops the MS memo tables, σ snapshots, and {!Bound} summaries.  The
+(** Drops the MS memo tables and {!Bound} summaries.  The
     caches are process-wide and single-domain: they belong to the domain
     that loads this module, and any use from another domain raises
     [Fsa_util.Lru.Cross_domain_use]. *)
 
 val invalidate : Instance.t -> unit
-(** Drops this instance's memoized tables, σ snapshot, and bound summary.
+(** Drops this instance's memoized tables and bound summary.
     For callers done with an instance — short-lived derived instances
     ({!Instance.with_sigma}), or a finished solve
     ({!Csr_improve.solve_best}) — whose entries would otherwise stay

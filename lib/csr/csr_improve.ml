@@ -79,7 +79,18 @@ let containers mode inst side frag (site : Site.t) =
       done;
       !acc
 
-let apply_i2 b ~ch ~cm sol = make_border_general sol b ~ch ~cm
+(* I2 breaks both 2-islands, prepares [ch] on hf and [cm] on mf, adds [b]
+   and refills both leftover zones and every freed site. *)
+let i2_shape (b : Cmatch.t) ~ch ~cm =
+  Attempt_bound.shape ~side:Species.H ~a:b.Cmatch.h_frag ~a_site:ch
+    ~a_fill:(not (Site.equal ch b.Cmatch.h_site))
+    ~b:b.Cmatch.m_frag ~b_site:cm
+    ~b_fill:(not (Site.equal cm b.Cmatch.m_site))
+    ~break:true
+
+let apply_i2 ctx b ~ch ~cm sol =
+  if Attempt_bound.refuses ctx (i2_shape b ~ch ~cm) ~gain:b.Cmatch.score sol then None
+  else make_border_general sol b ~ch ~cm
 
 let apply_i3 ~island:(h1, m1) ~b1 ~b2 sol =
   match Solution.border_match_of sol Species.H h1 with
@@ -96,6 +107,7 @@ let apply_i3 ~island:(h1, m1) ~b1 ~b2 sol =
    I3 tail — one family per current 2-island — is rebuilt every round. *)
 let attempts config inst candidates =
   let i1 = Full_improve.attempts ~site_mode:config.site_mode inst in
+  let ctx = Attempt_bound.create inst in
   let i2 =
     List.concat_map
       (fun (b : Cmatch.t) ->
@@ -109,7 +121,7 @@ let attempts config inst candidates =
                   Improve.label =
                     (fun () ->
                       Printf.sprintf "I2'(h%d,m%d)" b.Cmatch.h_frag b.Cmatch.m_frag);
-                  apply = apply_i2 b ~ch ~cm;
+                  apply = apply_i2 ctx b ~ch ~cm;
                 })
               cms)
           chs)

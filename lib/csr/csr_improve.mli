@@ -28,10 +28,14 @@ val attempts : config -> Instance.t -> Cmatch.t list -> Solution.t -> Improve.at
     current 2-island).  The list is I2, then I1, then I3; {!Improve.run}
     scans it circularly from the previous round's winner. *)
 
+val start : Instance.t -> Solution.t
+(** §4.1's reference solution, where {!solve} starts: the better of
+    {!One_csr.four_approx} and {!Border_improve.matching_2approx}, the
+    4-approximation on a tie. *)
+
 val solve : ?config:config -> Instance.t -> Solution.t * Improve.stats
 (** The local search of {!Improve.run} over {!attempts}, started (§4.1)
-    from the better of {!One_csr.four_approx} and
-    {!Border_improve.matching_2approx}, the 4-approximation on a tie.  It
+    from {!start}.  It
     ends at a local optimum (Thm 6's premise) whose score is at least that
     start's, so it keeps both cheap solvers' guarantees too.  The stats
     count the local search only. *)

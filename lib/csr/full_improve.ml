@@ -19,7 +19,24 @@ let containing_sites mode inst g_side g (target : Site.t) =
       done;
       !acc
 
-let apply_i1 ~f_side ~f ~g ~target ~container sol =
+(* I1 prepares [container] on g, clears f whole, adds the plug and refills
+   g's leftover zone and every freed site: [a] = g, [b] = f. *)
+let i1_shape inst ~f_side ~f ~g ~container ~fill =
+  Attempt_bound.shape ~side:(Species.other f_side) ~a:g ~a_site:container ~a_fill:fill
+    ~b:f
+    ~b_site:(Fragment.full_site (Instance.fragment inst f_side f))
+    ~b_fill:false ~break:false
+
+(* [full_fill] is the (f, g) pair's shape for the attempts that fill g's
+   leftover zone inside g's full site: one value, so they share its sum.
+   Every other attempt builds its own shape when it is checked. *)
+let attempt_shape inst full_fill ~f_side ~f ~g ~target ~container =
+  let fill = not (Site.equal container target) in
+  let whole_g = Fragment.full_site (Instance.fragment inst (Species.other f_side) g) in
+  if fill && Site.equal container whole_g then full_fill
+  else i1_shape inst ~f_side ~f ~g ~container ~fill
+
+let apply_i1 ctx full_fill ~f_side ~f ~g ~target ~container sol =
   let inst = Solution.instance sol in
   let g_side = Species.other f_side in
   (* The plug is rejected below unless its score is > 0; when even the
@@ -29,6 +46,11 @@ let apply_i1 ~f_side ~f ~g ~target ~container sol =
   else
   let plug = Cmatch.full inst ~full_side:f_side f ~other_frag:g ~other_site:target in
   if plug.Cmatch.score <= 0.0 then None
+  else if
+    Attempt_bound.refuses ctx
+      (attempt_shape inst full_fill ~f_side ~f ~g ~target ~container)
+      ~gain:plug.Cmatch.score sol
+  then None
   else
     match Solution.prepare sol g_side g container with
     | None -> None (* container hidden *)
@@ -68,11 +90,15 @@ let i1_label ~f_side ~f ~g ~target ~container () =
 
 let attempts ?(site_mode = `Extremes) inst =
   let acc = ref [] in
+  let ctx = Attempt_bound.create inst in
   let per_direction f_side =
     let g_side = Species.other f_side in
     for f = 0 to Instance.fragment_count inst f_side - 1 do
       for g = 0 to Instance.fragment_count inst g_side - 1 do
         let glen = Fragment.length (Instance.fragment inst g_side g) in
+        let full_fill =
+          i1_shape inst ~f_side ~f ~g ~container:(Site.make 0 (glen - 1)) ~fill:true
+        in
         List.iter
           (fun target ->
             Fsa_obs.Budget.check ();
@@ -81,7 +107,7 @@ let attempts ?(site_mode = `Extremes) inst =
                 acc :=
                   {
                     Improve.label = i1_label ~f_side ~f ~g ~target ~container;
-                    apply = apply_i1 ~f_side ~f ~g ~target ~container;
+                    apply = apply_i1 ctx full_fill ~f_side ~f ~g ~target ~container;
                   }
                   :: !acc)
               (containing_sites site_mode inst g_side g target))

@@ -32,6 +32,7 @@ let scan_attempts ~min_gain ~start sol base attempt_list =
    improvement, so a budgeted run can surface the latest state as its
    partial result. *)
 let run_tracked ~track ~min_gain ~max_improvements ~name ~attempts ~init () =
+  if min_gain < 0.0 then invalid_arg "Improve.run: negative min_gain";
   Fsa_obs.Span.with_ ~name:(name ^ ".run") @@ fun () ->
   let evaluated = ref 0 in
   (* Round convention: rounds = scans performed, counted when the scan
@@ -102,10 +103,16 @@ let run_budgeted ?(min_gain = 1e-9) ?(max_improvements = 100_000) ?(name = "impr
 
 let tpa_fill_counter = Fsa_obs.Metric.Counter.make "improve.tpa_fill_calls"
 
-(* Consistency surface for the two "cannot happen" branches below (a full
-   site reported hidden; an add of a TPA-selected match rejected): instead
-   of silently keeping the pre-plug solution, count the event so it shows
-   up in --stats. *)
+(* Two branches below keep the solution as it stands instead of plugging,
+   and count the event so it shows up in --stats.  A full site reported
+   hidden cannot happen.  A rejected add does: a zone is free when the
+   attempt frees it, but its host may be plugged whole before the fill
+   runs.  I1 frees f's old site on f when it prepares g, then plugs f into
+   g, and a fill may plug as a job a fragment whose freed site a later
+   fill of the same attempt refills.  The selected job is then left
+   detached.  On perfbench's [fragmented] pairs this fires about 5 times
+   per solve, and about 41 times under FSA_NO_PRUNE, when the attempts
+   that Attempt_bound refuses run their fills too. *)
 let prepare_miss_counter = Fsa_obs.Metric.Counter.make "improve.tpa_fill_prepare_misses"
 let add_error_counter = Fsa_obs.Metric.Counter.make "improve.tpa_fill_add_errors"
 
@@ -190,6 +197,7 @@ let tpa_fill sol ~host:(side, frag) ~zones ~exclude =
             match Solution.add sol m with
             | Ok sol' -> sol'
             | Error _ ->
+                (* The host was plugged whole since its zone was freed. *)
                 Fsa_obs.Metric.Counter.incr add_error_counter;
                 sol))
       sol selection

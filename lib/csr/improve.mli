@@ -16,7 +16,10 @@ type attempt = {
   apply : Solution.t -> Solution.t option;
       (** The candidate successor solution, or [None] when the attempt is
           not applicable to the current solution (hidden target, missing
-          2-island, ...).  Must leave its argument unmodified. *)
+          2-island, ...) or, with pruning on, when an admissible bound
+          shows that it cannot reach the current score
+          ({!Attempt_bound.refuses}).  Must leave its argument
+          unmodified. *)
 }
 
 type stats = {
@@ -44,6 +47,9 @@ val run :
     round's winner (modulo the round's list length; round 1 starts at 0);
     finish when one full pass commits nothing, a local optimum of the
     attempt space, or when [max_improvements] (default 100_000) is reached.
+    A negative [min_gain] is rejected ([Invalid_argument]): attempts refuse
+    themselves once they cannot reach the current score, which is sound
+    only when no loss is accepted.
 
     Telemetry (no-op unless [Fsa_obs] observation is on): the whole loop is
     wrapped in a span [<name>.run] ([name] defaults to ["improve"]); every

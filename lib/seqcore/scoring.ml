@@ -3,9 +3,22 @@
    axiom.  We key the table on that canonical triple. *)
 
 type key = { h_region : int; m_region : int; opposite : bool }
-type t = { table : (key, float) Hashtbl.t }
 
-let create () = { table = Hashtbl.create 128 }
+(* Flat-array view for inner-loop consumers: [get] allocates a key record
+   and hashes it on every probe, which dominates the column kernels of the
+   local search.  The dense view trades that for one bounds-checked array
+   read.  Cells are indexed ((h_region * stride) + m_region) * 2 + opposite;
+   region ids outside the stored range score 0 like any unset pair.  When
+   the id range would need more than [max_cells] cells the view keeps
+   probing the hashed table instead. *)
+type dense = Cells of { stride : int; cells : float array } | Hashed of (key, float) Hashtbl.t
+
+(* [view] memoizes the table's dense view; [set] drops it.  An atomic, so a
+   table probed from two domains at once at worst builds the (identical)
+   view twice. *)
+type t = { table : (key, float) Hashtbl.t; view : dense option Atomic.t }
+
+let create () = { table = Hashtbl.create 128; view = Atomic.make None }
 
 let key_of a b =
   {
@@ -14,26 +27,23 @@ let key_of a b =
     opposite = Symbol.is_reversed a <> Symbol.is_reversed b;
   }
 
-let set t a b v = Hashtbl.replace t.table (key_of a b) v
+let set t a b v =
+  Atomic.set t.view None;
+  Hashtbl.replace t.table (key_of a b) v
 
 let get t a b =
   match Hashtbl.find_opt t.table (key_of a b) with Some v -> v | None -> 0.0
 
-(* Flat-array view for inner-loop consumers: [get] allocates a key record
-   and hashes it on every probe, which dominates the column kernels of the
-   local search.  The dense view trades that for one bounds-checked array
-   read.  Cells are indexed ((h_region * stride) + m_region) * 2 + opposite;
-   region ids outside the stored range score 0 like any unset pair. *)
-type dense = { stride : int; cells : float array }
+let max_cells = 4_000_000
 
-let dense ?(max_cells = 4_000_000) t =
+let build_dense t =
   let max_id =
     Hashtbl.fold
       (fun k _ acc -> max acc (max k.h_region k.m_region))
       t.table (-1)
   in
   let stride = max_id + 1 in
-  if stride > 0 && 2 * stride * stride > max_cells then None
+  if stride > 0 && 2 * stride * stride > max_cells then Hashed t.table
   else begin
     let cells = Array.make (max 1 (2 * stride * stride)) 0.0 in
     Hashtbl.iter
@@ -43,16 +53,34 @@ let dense ?(max_cells = 4_000_000) t =
           + if k.opposite then 1 else 0)
         <- v)
       t.table;
-    Some { stride; cells }
+    Cells { stride; cells }
   end
 
-let dense_get d a b =
-  let ha = a.Symbol.id and mb = b.Symbol.id in
-  if ha >= d.stride || mb >= d.stride then 0.0
-  else
-    d.cells.(
-      (((ha * d.stride) + mb) * 2)
-      + if a.Symbol.rev <> b.Symbol.rev then 1 else 0)
+let dense t =
+  match Atomic.get t.view with
+  | Some d -> d
+  | None ->
+      let d = build_dense t in
+      Atomic.set t.view (Some d);
+      d
+
+(* [opposite] is the pair's relative orientation, [b] taken as given. *)
+let dense_cell d a b opposite =
+  match d with
+  | Cells { stride; cells } ->
+      let ha = a.Symbol.id and mb = b.Symbol.id in
+      if ha >= stride || mb >= stride then 0.0
+      else cells.((((ha * stride) + mb) * 2) + if opposite then 1 else 0)
+  | Hashed table -> (
+      match
+        Hashtbl.find_opt table
+          { h_region = a.Symbol.id; m_region = b.Symbol.id; opposite }
+      with
+      | Some v -> v
+      | None -> 0.0)
+
+let dense_get d a b = dense_cell d a b (a.Symbol.rev <> b.Symbol.rev)
+let dense_get_rev d a b = dense_cell d a b (a.Symbol.rev = b.Symbol.rev)
 
 let of_list entries =
   let t = create () in

@@ -21,18 +21,24 @@ val get : t -> Symbol.t -> Symbol.t -> float
 val of_list : (Symbol.t * Symbol.t * float) list -> t
 
 type dense
-(** Immutable flat-array snapshot of a table, for inner loops that cannot
-    afford {!get}'s key allocation and hashing.  Building it is O(table);
-    probing is one array read. *)
+(** Flat-array view of a table, for inner loops that cannot afford
+    {!get}'s key allocation and hashing: probing is one array read.  When
+    the region-id range would need more than 4M float cells the view
+    probes the hashed table instead, so it always exists. *)
 
-val dense : ?max_cells:int -> t -> dense option
-(** [None] when the region-id range would need more than [max_cells]
-    (default 4M) float cells — callers fall back to {!get}.  The snapshot
-    does not follow later {!set} mutations. *)
+val dense : t -> dense
+(** The table's view, built in O(table) on first use and memoized on the
+    table.  {!set} drops the memo, so a later call returns a view of the
+    current entries (a view already taken does not follow).  Safe to call
+    from any domain. *)
 
 val dense_get : dense -> Symbol.t -> Symbol.t -> float
-(** Same value as {!get} on the table the snapshot was taken from,
-    including the 0 default for unset pairs. *)
+(** Same value as {!get} on the table the view was taken from, including
+    the 0 default for unset pairs. *)
+
+val dense_get_rev : dense -> Symbol.t -> Symbol.t -> float
+(** [dense_get_rev d a b] is [dense_get d a (Symbol.reverse b)], without
+    building the reversed symbol. *)
 
 val positive_pairs : t -> (int * int * bool * float) list
 (** All stored entries with positive score as

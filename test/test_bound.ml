@@ -163,7 +163,8 @@ let test_prune_counters () =
   (* CSR_Improve's tpa_fill counts a host column of checks per call; the
      totals must still come to one check per tested (job, host) pair.  The
      scan is sequential at any domain count, so every count below is
-     exact. *)
+     exact.  With pruning on, Attempt_bound refuses 2 178 whole attempts
+     before they reach tpa_fill, so fewer fills (and their checks) run. *)
   let csr_counters on =
     let reg = Fsa_obs.Registry.create () in
     Fsa_obs.Runtime.with_observation ~registry:reg (fun () ->
@@ -174,15 +175,18 @@ let test_prune_counters () =
       | None -> 0
   in
   let on = csr_counters true in
-  check_int "csr_improve bound checks" 144148 (on "cmatch.bound_checks");
-  check_int "csr_improve pruned" 113013 (on "cmatch.pruned");
-  check_int "csr_improve tpa_fill calls" 19468 (on "improve.tpa_fill_calls");
+  check_int "csr_improve bound checks" 118206 (on "cmatch.bound_checks");
+  check_int "csr_improve pruned" 90716 (on "cmatch.pruned");
+  check_int "csr_improve refused attempts" 2178 (on "improve.pruned");
+  check_int "csr_improve tpa_fill calls" 15762 (on "improve.tpa_fill_calls");
   check_int "csr_improve evaluated" 19744 (on "improve.evaluated");
   let off = csr_counters false in
   check_int "no checks with pruning off" 0 (off "cmatch.bound_checks");
   check_int "no prunes with pruning off" 0 (off "cmatch.pruned");
-  check_int "pruning leaves tpa_fill calls alone" (on "improve.tpa_fill_calls")
-    (off "improve.tpa_fill_calls");
+  check_int "no refused attempts with pruning off" 0 (off "improve.pruned");
+  check_int "tpa_fill calls with pruning off" 19468 (off "improve.tpa_fill_calls");
+  check_bool "refused attempts skip their fills" true
+    (on "improve.tpa_fill_calls" < off "improve.tpa_fill_calls");
   check_int "pruning leaves evaluated alone" (on "improve.evaluated")
     (off "improve.evaluated")
 
@@ -400,6 +404,27 @@ let test_lru_model =
     seed_gen lru_model_prop
 
 (* ------------------------------------------------------------------ *)
+(* Attempt bounds: the oracle property of Fsa_check, on instances above
+   the fuzz generator's four fragments a side. *)
+
+let test_attempt_bound_larger () =
+  let planted seed =
+    Instance.random_planted (Rng.create seed) ~regions:16 ~h_fragments:4
+      ~m_fragments:6 ~inversion_rate:0.2 ~noise_pairs:8
+  in
+  let sparse =
+    Instance.random_sparse (Rng.create 77) ~regions:32 ~h_fragments:8 ~m_fragments:8
+      ~inversion_rate:0.2 ~noise_pairs:16 ~noise_span:2
+  in
+  List.iteri
+    (fun i inst ->
+      check_bool
+        (Printf.sprintf "instance %d: every I1/I2 result within its bound" i)
+        false
+        (Fsa_check.Oracle.fails "improve.attempt_bound" inst))
+    [ planted 3; planted 4; planted 5; sparse ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   (* Leave the ambient pruning setting alone (FSA_NO_PRUNE may be set by
@@ -412,6 +437,8 @@ let () =
           qtest test_admissible_planted;
           qtest test_admissible_sparse;
           qtest test_border_bound;
+          Alcotest.test_case "attempt bounds above Gen's size" `Quick
+            test_attempt_bound_larger;
         ] );
       ( "pruning",
         [

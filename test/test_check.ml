@@ -65,6 +65,7 @@ let test_oracle_names () =
       "border_improve.local_opt";
       "csr_improve.local_opt";
       "csr_improve.start";
+      "improve.attempt_bound";
     ]
 
 let test_oracle_paper_example () =

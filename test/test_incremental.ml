@@ -135,6 +135,17 @@ let test_rounds_cut_by_max_improvements () =
   check_bool "Move in round 1" true (move_rounds evs = [ 1 ]);
   check_bool "no Step event" true (step_rounds evs = [])
 
+(* Attempts refuse themselves once they cannot reach the base, which no
+   min_gain >= 0 accepts; a negative one is rejected up front. *)
+let test_negative_min_gain_rejected () =
+  let inst = paper () in
+  Alcotest.check_raises "negative min_gain"
+    (Invalid_argument "Improve.run: negative min_gain") (fun () ->
+      ignore
+        (Improve.run ~min_gain:(-1.0)
+           ~attempts:(fun _ -> Full_improve.attempts inst)
+           ~init:(Solution.empty inst) ()))
+
 (* ------------------------------------------------------------------ *)
 (* Improve.run's circular scan, on a synthetic attempt list             *)
 
@@ -625,6 +636,8 @@ let () =
           Alcotest.test_case "one improvement" `Quick test_rounds_one_improvement;
           Alcotest.test_case "cut by max_improvements" `Quick
             test_rounds_cut_by_max_improvements;
+          Alcotest.test_case "negative min_gain rejected" `Quick
+            test_negative_min_gain_rejected;
         ] );
       ( "scan",
         [

@@ -252,13 +252,17 @@ let p_local_opt sname attempts =
    from the CSR_Improve start and every solution its run commits, and from
    every solution Full_Improve's run from empty commits, each I1 and
    CSR_Improve I2 attempt scores at most the bound it checks (attempts
-   that check none observe [infinity]). *)
+   that check none observe [infinity]).  Both container modes run: with
+   the default [`Extremes] a leftover zone is a whole fragment, so only
+   [`All_containing] has leftover zones that leave part of their host
+   out. *)
 let p_attempt_bound =
-  let check ctx =
-    let inst = ctx.inst in
+  let check_mode inst site_mode =
     let candidates = Border_improve.border_candidates inst in
-    let csr = Csr_improve.attempts Csr_improve.default_config inst candidates in
-    let full = Full_improve.attempts inst in
+    let csr =
+      Csr_improve.attempts { Csr_improve.default_config with site_mode } inst candidates
+    in
+    let full = Full_improve.attempts ~site_mode inst in
     (* Improve.run asks for a round's attempts on its start and on every
        solution it commits. *)
     let bases = ref [] in
@@ -277,11 +281,17 @@ let p_attempt_bound =
             match Attempt_bound.observe (fun b -> bound := b) (fun () -> a.apply s) with
             | Some s' when Solution.score s' > !bound +. tol ->
                 Some
-                  (fmt "%s on a base of %g scores %g above its bound %g" (a.label ())
-                     (Solution.score s) (Solution.score s') !bound)
+                  (fmt "%s on a base of %g scores %g above its bound %g%s" (a.label ())
+                     (Solution.score s) (Solution.score s') !bound
+                     (if site_mode = `All_containing then " (all containers)" else ""))
             | Some _ | None -> None)
           (csr s))
       (List.rev !bases)
+  in
+  let check ctx =
+    match check_mode ctx.inst `Extremes with
+    | Some _ as failure -> failure
+    | None -> check_mode ctx.inst `All_containing
   in
   { name = "improve.attempt_bound"; check }
 

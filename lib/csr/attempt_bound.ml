@@ -38,36 +38,51 @@ let idx = function Species.H -> 0 | Species.M -> 1
 type t = {
   inst : Instance.t;
   lens : int array array;  (** fragment lengths *)
+  ids : int array array array;  (** region ids of each fragment's symbols *)
   mutable base : Solution.t option;  (** the solution [contrib] describes *)
   mutable round : int;  (** bumped whenever [base] changes *)
   contrib : float array array;  (** Cb of every fragment in [base] *)
   cu : float array array;
       (** [contrib] with the current attempt's touched matches taken off;
           equal to [contrib] between calls *)
-  hosts : int array array;  (** the current attempt's refill hosts ... *)
-  nhosts : int array;  (** ... the first [nhosts] entries of each side *)
+  zhost : int array array;  (** the current attempt's refill zones: host ... *)
+  zsite : Site.t array array;  (** ... and site ... *)
+  nzones : int array;  (** ... the first [nzones] entries of each side *)
   cols : float array array array;
       (** [Bound.host_column] against each host, [[||]] until first read *)
-  host_cols : float array array;  (** the current hosts' columns *)
+  offers : float array array array;
+      (** [Bound.offers] of each fragment, [[||]] until first read *)
+  zone_cols : float array array;  (** the current zones' host columns *)
 }
 
 let create inst =
   let per_side f = [| f Species.H; f Species.M |] in
-  let zeros side = Array.make (Instance.fragment_count inst side) 0.0 in
+  let count = Instance.fragment_count inst in
+  let zeros side = Array.make (count side) 0.0 in
+  let frags = per_side (Instance.fragments inst) in
+  let lens = Array.map (Array.map Fragment.length) frags in
+  (* A match in either prepared fragment's bucket records at most one zone
+     a side, a bucket holds at most its fragment's length of matches (their
+     sites on it are disjoint), and a side has at most one leftover zone. *)
+  let longest = Array.fold_left (Array.fold_left max) 0 lens in
+  let zone_room = (2 * longest) + 2 in
   {
     inst;
-    lens = per_side (fun side -> Array.map Fragment.length (Instance.fragments inst side));
+    lens;
+    ids =
+      Array.map
+        (Array.map (fun f -> Array.map Symbol.id (Fragment.symbols f)))
+        frags;
     base = None;
     round = 0;
     contrib = per_side zeros;
     cu = per_side zeros;
-    hosts = per_side (fun side -> Array.make (Instance.fragment_count inst side) 0);
-    nhosts = [| 0; 0 |];
-    cols = per_side (fun side -> Array.make (Instance.fragment_count inst side) [||]);
-    host_cols =
-      Array.make
-        (max (Instance.fragment_count inst Species.H) (Instance.fragment_count inst Species.M))
-        [||];
+    zhost = per_side (fun _ -> Array.make zone_room 0);
+    zsite = per_side (fun _ -> Array.make zone_room (Site.make 0 0));
+    nzones = [| 0; 0 |];
+    cols = per_side (fun side -> Array.make (count side) [||]);
+    offers = per_side (fun side -> Array.make (count side) [||]);
+    zone_cols = Array.make zone_room [||];
   }
 
 (* A scan applies every attempt to the same base, so contributions are
@@ -87,14 +102,13 @@ let sync t sol =
       t.base <- Some sol;
       t.round <- t.round + 1
 
-let add_host t side frag =
+(* Records [site] on [frag] as a zone the attempt's fills may use. *)
+let add_zone t side frag (site : Site.t) =
   let i = idx side in
-  let hs = t.hosts.(i) and n = t.nhosts.(i) in
-  let rec seen k = k < n && (hs.(k) = frag || seen (k + 1)) in
-  if not (seen 0) then begin
-    hs.(n) <- frag;
-    t.nhosts.(i) <- n + 1
-  end
+  let n = t.nzones.(i) in
+  t.zhost.(i).(n) <- frag;
+  t.zsite.(i).(n) <- site;
+  t.nzones.(i) <- n + 1
 
 let is_full t side frag (s : Site.t) = s.Site.lo = 0 && s.Site.hi = t.lens.(idx side).(frag) - 1
 
@@ -111,9 +125,10 @@ let status ~break ~border ~full (container : Site.t) (s : Site.t) =
    container is [xc]; the other prepared fragment is [y], with container
    [yc].  Returns [removed] plus the score the bucket's matches lose
    outright, takes every touched match off its partner's [cu], and records
-   the partners whose sites the attempt may free as refill hosts.  The walk
-   of [a]'s bucket ([joint]) judges a match joining [a] and [b] by both
-   containers; the walk of [b]'s skips it. *)
+   each site the attempt may free as a refill zone: the touched match's
+   site on the host it frees.  The walk of [a]'s bucket ([joint]) judges a
+   match joining [a] and [b] by both containers; the walk of [b]'s skips
+   it. *)
 let rec walk t ~break ~xs ~x ~xc ~y ~yc ~joint removed = function
   | [] -> removed
   | (m : Cmatch.t) :: rest ->
@@ -133,8 +148,8 @@ let rec walk t ~break ~xs ~x ~xc ~y ~yc ~joint removed = function
           else begin
             let cu = t.cu.(idx ys) in
             if p <> y then cu.(p) <- cu.(p) -. m.Cmatch.score;
-            if border || x_full then add_host t ys p;
-            if p = y && (border || p_full) then add_host t xs x;
+            if border || x_full then add_zone t ys p s_p;
+            if p = y && (border || p_full) then add_zone t xs x s_x;
             if st = 2 then removed +. m.Cmatch.score else removed
           end
         end
@@ -160,27 +175,59 @@ let column t host_side h =
     c
   end
 
-(* Adds, for each fragment the refills on [host_side]'s hosts may plug (all
-   of the other side but [excluded]), max(0, best − ½·cu), stopping once
-   [acc] reaches [cutoff]. *)
+let offers t side j =
+  let os = t.offers.(idx side) in
+  let o = os.(j) in
+  if Array.length o > 0 then o
+  else begin
+    let o = Bound.offers t.inst side j in
+    os.(j) <- o;
+    o
+  end
+
+(* What fragment [j] offers the symbols of a zone, summed forward and
+   backward: a plug's DP adds its matched σ values in one of those orders,
+   and each term is at most the zone symbol's offer. *)
+let zone_sum offer ids (zone : Site.t) =
+  let fwd = ref 0.0 and bwd = ref 0.0 in
+  for i = zone.Site.lo to zone.Site.hi do
+    fwd := !fwd +. offer.(ids.(i))
+  done;
+  for i = zone.Site.hi downto zone.Site.lo do
+    bwd := !bwd +. offer.(ids.(i))
+  done;
+  Float.max !fwd !bwd
+
+(* Adds, for each fragment the refills on [host_side]'s zones may plug (all
+   of the other side but [excluded]), max(0, best − ½·cu), where best is
+   the largest over the zones of min(host column entry, zone sum); stops
+   once [acc] reaches [cutoff].  A zone sum is taken only where the
+   column entry could raise best. *)
 let refill_term t host_side ~excluded ~cutoff acc =
-  let ih = idx host_side in
-  let n = t.nhosts.(ih) in
+  let ih = idx host_side and job_side = Species.other host_side in
+  let n = t.nzones.(ih) in
   if n = 0 then acc
   else begin
-    let cols = t.host_cols and cu = t.cu.(idx (Species.other host_side)) in
+    let cols = t.zone_cols and hosts = t.zhost.(ih) and sites = t.zsite.(ih) in
+    let ids = t.ids.(ih) and cu = t.cu.(idx job_side) in
     for k = 0 to n - 1 do
-      cols.(k) <- column t host_side t.hosts.(ih).(k)
+      cols.(k) <- column t host_side hosts.(k)
     done;
     let acc = ref acc and j = ref 0 in
     while !j < Array.length cu && !acc < cutoff do
-      if !j <> excluded then begin
-        let best = ref 0.0 in
+      let jj = !j in
+      if jj <> excluded then begin
+        let half = 0.5 *. cu.(jj) in
+        let best = ref (Float.max 0.0 half) in
         for k = 0 to n - 1 do
-          let v = cols.(k).(!j) in
-          if v > !best then best := v
+          let c = cols.(k).(jj) in
+          if c > !best then begin
+            let z = zone_sum (offers t job_side jj) ids.(hosts.(k)) sites.(k) in
+            let v = Float.min c z in
+            if v > !best then best := v
+          end
         done;
-        let term = !best -. (0.5 *. cu.(!j)) in
+        let term = !best -. half in
         if term > 0.0 then acc := !acc +. term
       end;
       incr j
@@ -197,10 +244,10 @@ let rest_bound t sh ~gain ~cutoff sol =
   if sh.stamp = t.round && (sh.complete || gain +. sh.rest >= cutoff) then sh.rest
   else begin
     let sa = sh.side and sb = Species.other sh.side in
-    t.nhosts.(0) <- 0;
-    t.nhosts.(1) <- 0;
-    if sh.a_fill then add_host t sa sh.a;
-    if sh.b_fill then add_host t sb sh.b;
+    t.nzones.(0) <- 0;
+    t.nzones.(1) <- 0;
+    if sh.a_fill then add_zone t sa sh.a sh.a_site;
+    if sh.b_fill then add_zone t sb sh.b sh.b_site;
     let on_a_bucket = Solution.matches_on sol sa sh.a
     and on_b_bucket = Solution.matches_on sol sb sh.b in
     let removed =

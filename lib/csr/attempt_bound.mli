@@ -13,14 +13,26 @@
            + Σ_j max(0, best_j − ½ · cu_j)
     v}
 
-    where [j] ranges over the fragments the refills may plug, [best_j] is
-    the best {!Bound.host_column} entry of [j] over the refill hosts on the
-    other side, and [cu_j] is [j]'s contribution once every match the
-    attempt touches is taken off.  A restricted match never gains (P_score
-    is monotone in sub-sites); each finally plugged fragment's match scores
-    at most [best_j]; plugging [j] removes every untouched match on [j], and
-    the ½ covers one removed match being charged to the two plugged
-    fragments it joins.  DESIGN.md §12 has the argument. *)
+    where [j] ranges over the fragments the refills may plug and [cu_j] is
+    [j]'s contribution once every match the attempt touches is taken off.
+    [best_j] is the largest, over the refill zones [Z] on the other side's
+    hosts [h], of
+
+    {v
+      min( Bound.host_column entry of j against h,
+           max over the two directions of Σ_{y ∈ Z} (Bound.offers j).(y) )
+    v}
+
+    A zone is the site a touched match holds on the host it frees, or the
+    container of [a] or [b] when that fragment keeps a leftover zone (the
+    whole of g for I1's shared full-container shape), so every window a
+    fill tries lies inside one.  A restricted match never gains (P_score
+    is monotone in sub-sites); a plug lands in one window of one zone and
+    matches each of its symbols at most once, so each finally plugged
+    fragment's match scores at most [best_j]; plugging [j] removes every
+    untouched match on [j], and the ½ covers one removed match being
+    charged to the two plugged fragments it joins.  DESIGN.md §12 has the
+    argument. *)
 
 open Fsa_seq
 
@@ -41,14 +53,14 @@ val shape :
   shape
 (** [a] is a fragment on [side] and [b] one on the other side.  The
     attempt prepares [a_site] on [a] and [b_site] on [b] (after removing
-    every border match on both when [break]), TPA-fills a leftover zone of
-    [a] when [a_fill] and of [b] when [b_fill], and TPA-refills every site
-    it frees.  The fills never plug [a] or [b]. *)
+    every border match on both when [break]), TPA-fills leftover zones
+    inside [a_site] when [a_fill] and inside [b_site] when [b_fill], and
+    TPA-refills every site it frees.  The fills never plug [a] or [b]. *)
 
 type t
-(** Per-solve scratch: the contributions of the last base solution seen
-    and the host columns read so far.  Not for use from two domains at
-    once. *)
+(** Per-solve scratch: the contributions of the last base solution seen,
+    and the host columns and {!Bound.offers} arrays read so far.  Not for
+    use from two domains at once. *)
 
 val create : Instance.t -> t
 

@@ -186,14 +186,33 @@ let host_column inst ~full_side ~other_frag =
 let ms_bound inst ~full_side idx ~other_frag =
   (host_column inst ~full_side ~other_frag).(idx)
 
+let offers inst side frag =
+  let s = summary inst in
+  best_vs s side (frag_of_summary s side frag)
+
 (* ------------------------------------------------------------------ *)
 (* Pruning switch and counters *)
 
+let parse_no_prune raw =
+  match String.trim raw with
+  | "1" -> Ok true
+  | "0" -> Ok false
+  | _ -> Error (Printf.sprintf "expected 0 or 1, got %S" raw)
+
+(* A malformed value warns and keeps pruning on, as FSA_TABLE_BUDGET and
+   FSA_DOMAINS keep their defaults: reading any non-empty value as "off"
+   would let FSA_NO_PRUNE=0 disable every pruning layer. *)
 let enabled_cell =
   ref
     (match Sys.getenv_opt "FSA_NO_PRUNE" with
-    | Some v when String.trim v <> "" -> false
-    | Some _ | None -> true)
+    | None -> true
+    | Some raw -> (
+        match parse_no_prune raw with
+        | Ok no_prune -> not no_prune
+        | Error msg ->
+            Printf.eprintf
+              "fsa: warning: ignoring FSA_NO_PRUNE (%s); pruning stays on\n%!" msg;
+            true))
 
 let enabled () = !enabled_cell
 let set_enabled b = enabled_cell := b

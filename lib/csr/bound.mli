@@ -30,6 +30,15 @@ val host_column :
     computed on its first use; later reads, including {!ms_bound}'s, are
     array loads.  The array is the memo itself and must not be mutated. *)
 
+val offers : Instance.t -> Species.t -> int -> float array
+(** [offers inst side frag], indexed by the region ids of the other side:
+    the best clipped σ ([>= 0]) that any region of fragment [frag] on
+    [side] offers a symbol of that region, in either orientation.  So
+    the MS of [frag] (full) against any window of a host fragment is at
+    most the larger of the sums of these over the window's symbols taken
+    forward and backward (DESIGN.md §12).  Built on first use; the array
+    is the memo itself and must not be mutated. *)
+
 val pair_viable :
   Instance.t ->
   full_side:Species.t ->
@@ -54,8 +63,14 @@ val border_viable :
     orientation forced by them). *)
 
 val enabled : unit -> bool
-(** Pruning defaults to on; the [FSA_NO_PRUNE] environment variable (any
-    non-empty value) disables it at startup. *)
+(** Pruning defaults to on.  [FSA_NO_PRUNE=1] disables it at startup;
+    [0] keeps it on, and any other value is rejected with a [stderr]
+    warning and keeps it on (see {!parse_no_prune}). *)
+
+val parse_no_prune : string -> (bool, string) result
+(** Validate an [FSA_NO_PRUNE] value: [Ok true] (pruning off) for ["1"],
+    [Ok false] for ["0"], surrounding blanks ignored; anything else is an
+    error. *)
 
 val set_enabled : bool -> unit
 (** Toggle pruning at runtime (used by the differential fuzz oracle to

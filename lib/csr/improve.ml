@@ -110,9 +110,9 @@ let tpa_fill_counter = Fsa_obs.Metric.Counter.make "improve.tpa_fill_calls"
    runs.  I1 frees f's old site on f when it prepares g, then plugs f into
    g, and a fill may plug as a job a fragment whose freed site a later
    fill of the same attempt refills.  The selected job is then left
-   detached.  On perfbench's [fragmented] pairs this fires about 5 times
-   per solve, and about 41 times under FSA_NO_PRUNE, when the attempts
-   that Attempt_bound refuses run their fills too. *)
+   detached.  On perfbench's [fragmented] seed-1 pairs this fires about
+   41 times per solve under FSA_NO_PRUNE=1, and never with pruning on:
+   Attempt_bound refuses every attempt that would reach it. *)
 let prepare_miss_counter = Fsa_obs.Metric.Counter.make "improve.tpa_fill_prepare_misses"
 let add_error_counter = Fsa_obs.Metric.Counter.make "improve.tpa_fill_add_errors"
 

@@ -10,6 +10,7 @@ open Fsa_csr
 module Rng = Fsa_util.Rng
 module Lru = Fsa_util.Lru
 module Gen = Fsa_check.Gen
+module Site = Fsa_seq.Site
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -163,7 +164,7 @@ let test_prune_counters () =
   (* CSR_Improve's tpa_fill counts a host column of checks per call; the
      totals must still come to one check per tested (job, host) pair.  The
      scan is sequential at any domain count, so every count below is
-     exact.  With pruning on, Attempt_bound refuses 2 178 whole attempts
+     exact.  With pruning on, Attempt_bound refuses 4 649 whole attempts
      before they reach tpa_fill, so fewer fills (and their checks) run. *)
   let csr_counters on =
     let reg = Fsa_obs.Registry.create () in
@@ -175,10 +176,10 @@ let test_prune_counters () =
       | None -> 0
   in
   let on = csr_counters true in
-  check_int "csr_improve bound checks" 118206 (on "cmatch.bound_checks");
-  check_int "csr_improve pruned" 90716 (on "cmatch.pruned");
-  check_int "csr_improve refused attempts" 2178 (on "improve.pruned");
-  check_int "csr_improve tpa_fill calls" 15762 (on "improve.tpa_fill_calls");
+  check_int "csr_improve bound checks" 87469 (on "cmatch.bound_checks");
+  check_int "csr_improve pruned" 66453 (on "cmatch.pruned");
+  check_int "csr_improve refused attempts" 4649 (on "improve.pruned");
+  check_int "csr_improve tpa_fill calls" 11371 (on "improve.tpa_fill_calls");
   check_int "csr_improve evaluated" 19744 (on "improve.evaluated");
   let off = csr_counters false in
   check_int "no checks with pruning off" 0 (off "cmatch.bound_checks");
@@ -424,6 +425,77 @@ let test_attempt_bound_larger () =
         (Fsa_check.Oracle.fails "improve.attempt_bound" inst))
     [ planted 3; planted 4; planted 5; sparse ]
 
+(* An I1 attempt that only the zone credit refuses.  The base plugs m1
+   into h1 at [0,0] (a–x, 5) and m2 into h1 at [2,2] (c–y, 10).  Moving m1
+   into h2 (d–x, 3) frees h1's [0,0], where a offers m2 nothing, so the
+   attempt builds 15 − 5 + 3 = 13 and the zone-scoped bound is exactly
+   that.  Crediting m2 with its host column against all of h1 (10) would
+   add max(0, 10 − ½·10) = 5 and keep the attempt at a bound of 18. *)
+let test_zone_credit () =
+  let inst =
+    Instance.of_text
+      (String.concat "\n"
+         [ "H h1: a b c"; "H h2: d"; "M m1: x"; "M m2: y"; "S a x 5"; "S c y 10";
+           "S d x 3" ])
+  in
+  let plug m h lo =
+    Cmatch.full inst ~full_side:Species.M m ~other_frag:h ~other_site:(Site.make lo lo)
+  in
+  let base = Result.get_ok (Solution.of_matches inst [ plug 0 0 0; plug 1 0 2 ]) in
+  let shape =
+    Attempt_bound.shape ~side:Species.H ~a:1 ~a_site:(Site.make 0 0) ~a_fill:false ~b:0
+      ~b_site:(Site.make 0 0) ~b_fill:false ~break:false
+  in
+  let gain = (plug 0 1 0).Cmatch.score in
+  let refuses () = Attempt_bound.refuses (Attempt_bound.create inst) shape ~gain base in
+  let bound = ref nan in
+  ignore (Attempt_bound.observe (fun b -> bound := b) refuses);
+  Alcotest.(check (float 0.0)) "bound is what the attempt builds" 13.0 !bound;
+  check_bool "refused" true (with_pruning true refuses);
+  let i1 =
+    List.find
+      (fun (a : Improve.attempt) -> a.Improve.label () = "I1(M0 -> H1[0,0] in [0,0])")
+      (Full_improve.attempts inst)
+  in
+  let built = with_pruning false (fun () -> i1.Improve.apply base) in
+  check_bool "builds 13 unpruned" true (Option.map Solution.score built = Some 13.0);
+  check_bool "returns None pruned" true
+    (with_pruning true (fun () -> i1.Improve.apply base) = None)
+
+(* A host with two zones, the second of which a fill uses.  The base
+   plugs m1 into h1 at [3,3] (d–x, 4).  With containers enumerated in
+   full, I1 moves m1 to [0,0] (a–x, 5) inside the container [0,1]: h1's
+   zones are that container and the freed [3,3], where m2 then plugs
+   (d–y, 10), so the attempt builds 15.  Crediting only h1's first zone
+   would bound it by 5 and refuse an improving attempt. *)
+let test_zone_credit_every_zone () =
+  let inst =
+    Instance.of_text
+      (String.concat "\n"
+         [ "H h1: a b c d"; "M m1: x"; "M m2: y"; "S d x 4"; "S a x 5"; "S d y 10" ])
+  in
+  let base =
+    Result.get_ok
+      (Solution.of_matches inst
+         [ Cmatch.full inst ~full_side:Species.M 0 ~other_frag:0
+             ~other_site:(Site.make 3 3) ])
+  in
+  let i1 =
+    List.find
+      (fun (a : Improve.attempt) -> a.Improve.label () = "I1(M0 -> H0[0,0] in [0,1])")
+      (Full_improve.attempts ~site_mode:`All_containing inst)
+  in
+  let bound = ref nan in
+  let built =
+    with_pruning false (fun () ->
+        Attempt_bound.observe (fun b -> bound := b) (fun () -> i1.Improve.apply base))
+  in
+  check_bool "builds 15" true (Option.map Solution.score built = Some 15.0);
+  Alcotest.(check (float 0.0)) "bound is what the attempt builds" 15.0 !bound;
+  check_bool "kept with pruning on" true
+    (with_pruning true (fun () -> Option.map Solution.score (i1.Improve.apply base))
+    = Some 15.0)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -444,6 +516,10 @@ let () =
         [
           qtest test_prune_identical;
           Alcotest.test_case "counters" `Quick test_prune_counters;
+          Alcotest.test_case "zone credit refuses what a whole host keeps" `Quick
+            test_zone_credit;
+          Alcotest.test_case "zone credit covers every zone of a host" `Quick
+            test_zone_credit_every_zone;
         ] );
       ( "cache",
         [

@@ -224,6 +224,16 @@ let test_parse_table_budget () =
   | () -> Alcotest.fail "negative set_table_budget accepted"
   | exception Invalid_argument _ -> ()
 
+(* Regression: any non-empty FSA_NO_PRUNE, 0 included, switched pruning
+   off. *)
+let test_parse_no_prune () =
+  check_bool "1 disables" true (Bound.parse_no_prune "1" = Ok true);
+  check_bool "0 keeps pruning" true (Bound.parse_no_prune "0" = Ok false);
+  check_bool "trimmed" true (Bound.parse_no_prune " 1 " = Ok true);
+  check_bool "other digit rejected" true (Result.is_error (Bound.parse_no_prune "2"));
+  check_bool "word rejected" true (Result.is_error (Bound.parse_no_prune "yes"));
+  check_bool "empty rejected" true (Result.is_error (Bound.parse_no_prune ""))
+
 (* ------------------------------------------------------------------ *)
 (* Registry merge (the pool's counter-landing path)                     *)
 
@@ -602,6 +612,7 @@ let () =
       ( "knobs",
         [
           Alcotest.test_case "parse_table_budget" `Quick test_parse_table_budget;
+          Alcotest.test_case "parse_no_prune" `Quick test_parse_no_prune;
           Alcotest.test_case "registry merge" `Quick test_registry_merge;
         ] );
       ( "observability",

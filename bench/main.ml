@@ -1,17 +1,12 @@
-(* Entry point: `dune exec bench/main.exe [--quick] [--sampler] [e1 .. e11 |
-   timing | all]` regenerates every experiment table of DESIGN.md /
-   EXPERIMENTS.md.  --sampler additionally attaches the statistical profiler
-   and the periodic series snapshotter to the timing benches (writes
-   bench_profile.folded; see FSA_SAMPLER_OUT / FSA_SERIES_OUT). *)
+(* Entry point: `dune exec bench/main.exe [--quick] [e1 .. e11 | timing |
+   all]` regenerates every experiment table of DESIGN.md /
+   EXPERIMENTS.md. *)
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let quick = List.mem "--quick" args in
-  let sampler = List.mem "--sampler" args in
-  let targets =
-    List.filter (fun a -> a <> "--quick" && a <> "--sampler") args
-  in
-  let run_timing () = Timings.run ~quick ~sampler () in
+  let targets = List.filter (fun a -> a <> "--quick") args in
+  let run_timing () = Timings.run ~quick () in
   Printf.printf "fsa experiment harness%s\n" (if quick then " (quick mode)" else "");
   match targets with
   | [] | [ "all" ] ->

@@ -225,7 +225,7 @@ let discovery_bench () =
   Test.make
     ~name:(Printf.sprintf "discovery chained %dkb" (discovery_genome_size () / 1024))
     (Staged.stage (fun () ->
-         Fsa_obs.Metric.Counter.incr ~by:0 band_fallbacks_probe;
+         Fsa_obs.Metric.Counter.add band_fallbacks_probe 0;
          ignore (Fsa_genome.Pipeline.discovery_instance ~h ~m ())))
 
 (* CSR_Improve on the discovery pair's instance, built once outside the
@@ -308,16 +308,6 @@ let bench_json_path () =
   | Some p when String.trim p <> "" -> p
   | _ -> "BENCH_solvers.json"
 
-let series_path () =
-  match Sys.getenv_opt "FSA_SERIES_OUT" with
-  | Some p when String.trim p <> "" -> p
-  | _ -> "bench_series.jsonl"
-
-let sampler_path () =
-  match Sys.getenv_opt "FSA_SAMPLER_OUT" with
-  | Some p when String.trim p <> "" -> p
-  | _ -> "bench_profile.folded"
-
 (* Provenance: prefer GIT_REV (set by CI) over asking git, fall back to
    "unknown" outside any checkout. *)
 let git_rev () =
@@ -377,7 +367,7 @@ let write_bench_json ~quick ~quota ~counters_of rows =
   close_out oc;
   Printf.printf "\nbench results written to %s\n" path
 
-let run ~quick ~sampler () =
+let run ~quick () =
   Printf.printf "\n== timing benches (Bechamel, monotonic clock) ==\n\n";
   let quota = if quick then 0.25 else 1.0 in
   let cfg_for test =
@@ -392,15 +382,9 @@ let run ~quick ~sampler () =
   (* Observe the whole run so the cmatch.* cache/prune counters below
      reflect the measured workloads.  Each bench runs separately: its
      counters are recorded per bench (and folded into grand totals for the
-     summary), one metrics-series point is appended, and the registry is
-     reset so the next bench starts from zero. *)
+     summary), and the registry is reset so the next bench starts from
+     zero. *)
   let registry = Fsa_obs.Registry.create () in
-  let series = Fsa_obs.Series.to_file registry (series_path ()) in
-  let smp = Fsa_obs.Sampler.create ~every:997 () in
-  if sampler then begin
-    Fsa_obs.Sampler.attach smp;
-    Fsa_obs.Series.attach ~period_s:0.25 series
-  end;
   let totals : (string, float) Hashtbl.t = Hashtbl.create 32 in
   let bench_counters : (string, (string * float) list) Hashtbl.t =
     Hashtbl.create 32
@@ -427,21 +411,8 @@ let run ~quick ~sampler () =
               let prev = Option.value ~default:0.0 (Hashtbl.find_opt totals name) in
               Hashtbl.replace totals name (prev +. v))
             counters;
-          Fsa_obs.Series.sample series;
           Fsa_obs.Registry.reset ())
         (test_list ()));
-  if sampler then begin
-    Fsa_obs.Series.detach series;
-    Fsa_obs.Sampler.detach smp;
-    Fsa_obs.Sampler.write_folded (sampler_path ()) smp;
-    Printf.printf "sampler: %d sample(s) over %d tick(s) written to %s\n"
-      (Fsa_obs.Sampler.samples smp)
-      (Fsa_obs.Sampler.ticks smp)
-      (sampler_path ())
-  end;
-  Fsa_obs.Series.close series;
-  Printf.printf "metrics series (%d point(s)) written to %s\n"
-    (Fsa_obs.Series.samples series) (series_path ());
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in

@@ -76,6 +76,10 @@ let setup_observation trace stats stats_json flight =
   let flight_state =
     match flight with
     | Some file ->
+        (* An unwritable path fails here, as --trace does, not at the
+           first dump after the solve. *)
+        (try close_out (open_out file)
+         with Sys_error msg -> die "cannot open flight-recorder file: %s" msg);
         let fr = Fsa_obs.Flight.create () in
         (* Dump on budget trips (with the trip as the last event), and at
            exit if nothing else dumped first. *)
@@ -127,7 +131,6 @@ let outcome_to_string = function
   | Fsa_portfolio.Portfolio.Completed -> "completed"
   | Fsa_portfolio.Portfolio.Tripped `Wall_clock -> "tripped (wall clock)"
   | Fsa_portfolio.Portfolio.Tripped `Probes -> "tripped (probes)"
-  | Fsa_portfolio.Portfolio.Tripped `Allocations -> "tripped (allocations)"
   | Fsa_portfolio.Portfolio.Skipped reason -> "skipped: " ^ reason
 
 let run_portfolio ~deadline_ms ~probes ~epsilon inst =

@@ -1,29 +1,23 @@
 (* fsa_trace: analyze JSONL traces recorded with --trace (fsa-trace/2,
-   headerless v1 files still read), flight-recorder dumps (fsa-flight/1,
-   from csr_solve --flight-recorder), and fsa-series/1 metrics time
-   series.  Multi-domain traces get a per-domain table in summarize, one
-   Chrome track per domain in export-chrome, and d<N>-prefixed folded
-   stacks in flame.
+   headerless v1 files still read) and flight-recorder dumps
+   (fsa-flight/1, from csr_solve --flight-recorder).  Multi-domain traces
+   get a per-domain table in summarize, one Chrome track per domain in
+   export-chrome, and d<N>-prefixed folded stacks in flame.
 
    Subcommands:
      summarize FILE          span-tree profile + per-solver round stats
      diff BASE CAND          per-span time deltas; exit 1 above threshold
      export-chrome FILE      Chrome Trace Event JSON (chrome://tracing, Perfetto)
      flame FILE              folded stacks for flamegraph.pl
-     series summarize FILE   totals of a metrics time series
-     series plot-ascii FILE --metric NAME   one metric over time
-     series export-prom FILE Prometheus text exposition of the final state
 
    Examples:
      dune exec bin/csr_solve.exe -- --trace t.jsonl instance.txt
      dune exec bin/fsa_trace.exe -- summarize t.jsonl
-     dune exec bin/fsa_trace.exe -- export-chrome t.jsonl -o chrome_trace.json
-     dune exec bin/fsa_trace.exe -- series summarize bench_series.jsonl *)
+     dune exec bin/fsa_trace.exe -- export-chrome t.jsonl -o chrome_trace.json *)
 
 open Cmdliner
 module Trace = Fsa_obs.Trace
 module Export = Fsa_obs.Export
-module Series = Fsa_obs.Series
 
 (* Exit code 2: bad input (unreadable trace file). *)
 let die fmt =
@@ -57,30 +51,6 @@ let write_output out text =
 (* Subcommands *)
 
 let summarize top path = print_string (Export.summary ~max_lines:top (load path))
-
-let load_series path =
-  try
-    let doc = Series.of_file path in
-    if doc.Series.points = [] && doc.Series.skipped > 0 then
-      die "%s contains no parseable series records (%d line(s) skipped)" path
-        doc.Series.skipped;
-    doc
-  with Sys_error msg -> die "cannot read series: %s" msg
-
-let series_summarize path = print_string (Series.doc_summary (load_series path))
-
-let series_plot metric width height path =
-  let doc = load_series path in
-  match metric with
-  | Some m -> print_string (Series.plot ~width ~height doc ~metric:m)
-  | None ->
-      (* No metric chosen: plot them all, separated by blank lines. *)
-      List.iter
-        (fun m -> print_string (Series.plot ~width ~height doc ~metric:m ^ "\n"))
-        (Series.metric_names doc)
-
-let series_export_prom path out =
-  write_output out (Series.prometheus_of_doc (load_series path))
 
 let diff threshold min_ms base cand =
   let b = load base and c = load cand in
@@ -167,51 +137,9 @@ let flame_cmd =
        ~doc:"emit folded stacks (pipe into flamegraph.pl --countname ns)")
     Term.(const flame $ trace_pos 0 $ out_arg)
 
-let series_pos n =
-  Arg.(
-    required
-    & pos n (some string) None
-    & info [] ~docv:"SERIES" ~doc:"fsa-series/1 JSONL file.")
-
-let metric_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metric" ] ~docv:"NAME"
-        ~doc:"Metric to plot (default: every metric in the series).")
-
-let width_arg =
-  Arg.(value & opt int 60 & info [ "width" ] ~docv:"COLS" ~doc:"Chart width.")
-
-let height_arg =
-  Arg.(value & opt int 8 & info [ "height" ] ~docv:"ROWS" ~doc:"Chart height.")
-
-let series_summarize_cmd =
-  Cmd.v
-    (Cmd.info "summarize" ~doc:"totals of a metrics time series")
-    Term.(const series_summarize $ series_pos 0)
-
-let series_plot_cmd =
-  Cmd.v
-    (Cmd.info "plot-ascii" ~doc:"ASCII chart of one metric over time")
-    Term.(const series_plot $ metric_arg $ width_arg $ height_arg $ series_pos 0)
-
-let series_export_prom_cmd =
-  Cmd.v
-    (Cmd.info "export-prom"
-       ~doc:
-         "Prometheus text exposition of the series' final cumulative state \
-          (push with curl to a Pushgateway)")
-    Term.(const series_export_prom $ series_pos 0 $ out_arg)
-
-let series_cmd =
-  Cmd.group
-    (Cmd.info "series" ~doc:"analyze fsa-series/1 metrics time series")
-    [ series_summarize_cmd; series_plot_cmd; series_export_prom_cmd ]
-
 let cmd =
   Cmd.group
     (Cmd.info "fsa_trace" ~doc:"analyze JSONL solver traces")
-    [ summarize_cmd; diff_cmd; export_chrome_cmd; flame_cmd; series_cmd ]
+    [ summarize_cmd; diff_cmd; export_chrome_cmd; flame_cmd ]
 
 let () = exit (Cmd.eval cmd)

@@ -71,7 +71,7 @@ let chain_one_strand ~max_gap anchors =
       f.(i) <- arr.(i).Seed.score +. !best;
       back.(i) <- !best_j
     done;
-    Fsa_obs.Metric.Counter.incr ~by:!pairs pairs_counter;
+    Fsa_obs.Metric.Counter.add pairs_counter !pairs;
     (* Peel chains best-end first; each anchor joins exactly one chain, and
        a walk stops where it meets an already claimed anchor. *)
     let order = Array.init n (fun i -> i) in
@@ -122,10 +122,10 @@ let chains ?(max_gap = 300) anchors =
   let fwd, rev = List.partition (fun a -> a.Seed.forward) anchors in
   let all = chain_one_strand ~max_gap fwd @ chain_one_strand ~max_gap rev in
   let kept = List.filter (fun c -> c.score >= min_score) all in
-  Fsa_obs.Metric.Counter.incr ~by:(List.length kept) chains_counter;
+  Fsa_obs.Metric.Counter.add chains_counter (List.length kept);
   List.iter
     (fun c ->
-      Fsa_obs.Metric.Counter.incr ~by:(Array.length c.anchors) chained_counter)
+      Fsa_obs.Metric.Counter.add chained_counter (Array.length c.anchors))
     kept;
   List.sort (fun a b -> Float.compare b.score a.score) kept
 

@@ -467,7 +467,7 @@ let scan_strand sc ~max_gap ~x_drop ~min_score idx targets ~forward query =
       lo := cnt.(t)
     done
   end;
-  Fsa_obs.Metric.Counter.incr ~by:!nruns runs_counter;
+  Fsa_obs.Metric.Counter.add runs_counter !nruns;
   out
 
 (* [anchors]' defaults, which [scan] always runs at: one copy of each, so
@@ -487,7 +487,7 @@ let scan ?(min_score = default_min_score) idx strands =
 
 let join_strands fwd rev =
   let all = fwd @ rev in
-  Fsa_obs.Metric.Counter.incr ~by:(List.length all) found_counter;
+  Fsa_obs.Metric.Counter.add found_counter (List.length all);
   List.sort (fun a b -> compare b.score a.score) all
 
 let anchors ?(max_gap = default_max_gap) ?(x_drop = default_x_drop)

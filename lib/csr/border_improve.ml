@@ -116,7 +116,7 @@ let candidate_counter = Fsa_obs.Metric.Counter.make "border_improve.border_candi
 let solve ?min_gain ?max_improvements inst =
   Fsa_obs.Span.with_ ~name:"border_improve.solve" @@ fun () ->
   let candidates = border_candidates inst in
-  Fsa_obs.Metric.Counter.incr ~by:(List.length candidates) candidate_counter;
+  Fsa_obs.Metric.Counter.add candidate_counter (List.length candidates);
   Improve.run ?min_gain ?max_improvements ~name:"border_improve"
     ~attempts:(attempts inst candidates)
     ~init:(Solution.empty inst) ()

@@ -232,8 +232,8 @@ let pair_viable inst ~full_side idx ~other_frag ~threshold =
   end
 
 let count_checks ~checks ~pruned =
-  if checks > 0 then Counter.incr ~by:checks checks_counter;
-  if pruned > 0 then Counter.incr ~by:pruned pruned_counter
+  if checks > 0 then Counter.add checks_counter checks;
+  if pruned > 0 then Counter.add pruned_counter pruned
 
 (* A border match aligns a sub-word of h against an oriented sub-word of m;
    the pair bound with the H fragment in the row role dominates it. *)

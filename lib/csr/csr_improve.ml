@@ -177,7 +177,7 @@ let solve ?(config = default_config) inst =
   Fsa_obs.Span.with_ ~name:"csr_improve.solve" @@ fun () ->
   let init = start inst in
   let candidates = Border_improve.border_candidates inst in
-  Fsa_obs.Metric.Counter.incr ~by:(List.length candidates) candidate_counter;
+  Fsa_obs.Metric.Counter.add candidate_counter (List.length candidates);
   Improve.run ~min_gain:config.min_gain ~max_improvements:config.max_improvements
     ~name:"csr_improve"
     ~attempts:(attempts config inst candidates)
@@ -201,7 +201,7 @@ let solve_budgeted ?(config = default_config) budget inst =
         (`Budget_exceeded
            ((empty, { Improve.rounds = 0; improvements = 0; evaluated = 0 }), reason))
   | Ok (init, candidates, attempts) ->
-      Fsa_obs.Metric.Counter.incr ~by:(List.length candidates) candidate_counter;
+      Fsa_obs.Metric.Counter.add candidate_counter (List.length candidates);
       Improve.run_budgeted ~min_gain:config.min_gain
         ~max_improvements:config.max_improvements ~name:"csr_improve" ~attempts ~init
         budget ()

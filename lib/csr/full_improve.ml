@@ -126,7 +126,7 @@ let solve ?site_mode ?min_gain ?max_improvements inst =
      attempt list is built once; applicability is re-checked inside apply. *)
   Fsa_obs.Span.with_ ~name:"full_improve.solve" @@ fun () ->
   let atts = attempts ?site_mode inst in
-  Fsa_obs.Metric.Counter.incr ~by:(List.length atts) attempt_counter;
+  Fsa_obs.Metric.Counter.add attempt_counter (List.length atts);
   Improve.run ?min_gain ?max_improvements ~name:"full_improve"
     ~attempts:(fun _ -> atts)
     ~init:(Solution.empty inst) ()
@@ -148,7 +148,7 @@ let solve_budgeted ?site_mode ?min_gain ?max_improvements budget inst =
                { Improve.rounds = 0; improvements = 0; evaluated = 0 } ),
              reason ))
   | Ok atts ->
-      Fsa_obs.Metric.Counter.incr ~by:(List.length atts) attempt_counter;
+      Fsa_obs.Metric.Counter.add attempt_counter (List.length atts);
       Improve.run_budgeted ?min_gain ?max_improvements ~name:"full_improve"
         ~attempts:(fun _ -> atts)
         ~init:(Solution.empty inst) budget ()

@@ -102,7 +102,7 @@ let solve_tracked ~track ~max_steps inst =
           (fun (a : Cmatch.t) b -> compare b.Cmatch.score a.Cmatch.score)
           (candidate_matches inst sol)
       in
-      Fsa_obs.Metric.Counter.incr ~by:(List.length cands) candidate_counter;
+      Fsa_obs.Metric.Counter.add candidate_counter (List.length cands);
       (* Best candidate that actually keeps the solution consistent (border
          path/cycle constraints can reject shape-valid candidates). *)
       let rec try_add = function

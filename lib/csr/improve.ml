@@ -55,9 +55,9 @@ let run_tracked ~track ~min_gain ~max_improvements ~name ~attempts ~init () =
           track
             (sol', { rounds; improvements = improvements + 1; evaluated = !evaluated });
           if Fsa_obs.Runtime.observing () then begin
-            Fsa_obs.Metric.Counter.incr ~by:scanned evaluated_counter;
+            Fsa_obs.Metric.Counter.add evaluated_counter scanned;
             Fsa_obs.Metric.Counter.incr accepted_counter;
-            Fsa_obs.Metric.Counter.incr ~by:(scanned - 1) rejected_counter;
+            Fsa_obs.Metric.Counter.add rejected_counter (scanned - 1);
             if Fsa_obs.Runtime.tracing () then
               Fsa_obs.Runtime.emit
                 (Fsa_obs.Event.Move
@@ -73,8 +73,8 @@ let run_tracked ~track ~min_gain ~max_improvements ~name ~attempts ~init () =
           loop sol' rounds (improvements + 1) winner
       | None ->
           if Fsa_obs.Runtime.observing () then begin
-            Fsa_obs.Metric.Counter.incr ~by:scanned evaluated_counter;
-            Fsa_obs.Metric.Counter.incr ~by:scanned rejected_counter;
+            Fsa_obs.Metric.Counter.add evaluated_counter scanned;
+            Fsa_obs.Metric.Counter.add rejected_counter scanned;
             if Fsa_obs.Runtime.tracing () then
               Fsa_obs.Runtime.emit
                 (Fsa_obs.Event.Step

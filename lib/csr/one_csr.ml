@@ -56,7 +56,7 @@ let isp_of inst ~jobs_side =
       end
     done
   done;
-  Fsa_obs.Metric.Counter.incr ~by:(List.length !cands) isp_candidate_counter;
+  Fsa_obs.Metric.Counter.add isp_candidate_counter (List.length !cands);
   Fsa_intervals.Isp.create ~jobs !cands
 
 let solve_side ?(algorithm = Tpa) inst ~jobs_side =

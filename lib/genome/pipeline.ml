@@ -175,10 +175,10 @@ let discovery_instance ?(k = 12) ?(min_anchor_score = 24.0) ?(cluster_gap = 5)
         if c.c_mi = ci then Some c.m_span else None)
   in
   Array.iter
-    (fun cs -> Fsa_obs.Metric.Counter.incr ~by:(List.length cs) regions_counter)
+    (fun cs -> Fsa_obs.Metric.Counter.add regions_counter (List.length cs))
     h_clusters;
   Array.iter
-    (fun cs -> Fsa_obs.Metric.Counter.incr ~by:(List.length cs) regions_counter)
+    (fun cs -> Fsa_obs.Metric.Counter.add regions_counter (List.length cs))
     m_clusters;
   (* Region alphabet: one per cluster, with side-distinct names. *)
   let alphabet = Alphabet.create () in

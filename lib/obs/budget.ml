@@ -1,59 +1,43 @@
 (* Cooperative resource budgets.
 
    A budget is ambient, like the Runtime sink/registry: solver hot loops
-   call [check ()] at every probe site, which is two branch reads when
+   call [check ()] at every probe site, which is one atomic read when
    nothing is installed.  With a budget installed, each check counts one
-   probe and, every [poll_every] probes, polls the wall clock and the minor
-   allocation counter; the first limit crossed raises [Exceeded], which the
-   budgeted solver entry points catch at their own boundary to return a
-   typed partial result.
+   probe and, every [poll_every] probes, polls the wall clock; the first
+   limit crossed raises [Exceeded], which the budgeted solver entry points
+   catch at their own boundary to return a typed partial result. *)
 
-   [check] is also the dispatch point for checkpoint tick hooks (the
-   sampling profiler and the metrics-series snapshotter register here), so
-   one call site in a hot loop powers budget enforcement, statistical
-   profiling, and live metrics at once. *)
+type reason = [ `Wall_clock | `Probes ]
 
-type reason = [ `Wall_clock | `Probes | `Allocations ]
-
-let reason_to_string = function
-  | `Wall_clock -> "wall_clock"
-  | `Probes -> "probes"
-  | `Allocations -> "allocations"
+let reason_to_string = function `Wall_clock -> "wall_clock" | `Probes -> "probes"
 
 exception Exceeded of reason
 
 type t = {
   deadline : float option;  (* absolute Clock.now () seconds *)
   max_probes : int option;
-  max_minor_words : float option;
-  minor_base : float;
-  poll_every : int;
   mutable probes : int;
   mutable tripped : reason option;
 }
 
-let create ?wall_s ?probes ?minor_words ?(poll_every = 32) () =
-  if poll_every <= 0 then invalid_arg "Budget.create: poll_every must be positive";
+(* The clock is read every [poll_every] probes, not on each: checkpoints
+   sit in ~20ns/iter inner loops (TPA steps). *)
+let poll_every = 32
+
+let create ?wall_s ?probes () =
   (match probes with
   | Some p when p < 0 -> invalid_arg "Budget.create: negative probe budget"
   | _ -> ());
   (* A NaN wall budget would make [Clock.now () > deadline] always false —
-     silently unlimited — and a NaN allocation limit likewise; reject both
-     along with negative limits, like the probe knob above. *)
+     silently unlimited; reject it along with negative limits, like the
+     probe knob above. *)
   (match wall_s with
   | Some s when Float.is_nan s || s < 0.0 ->
       invalid_arg "Budget.create: wall_s must be a non-negative number"
   | _ -> ());
-  (match minor_words with
-  | Some w when Float.is_nan w || w < 0.0 ->
-      invalid_arg "Budget.create: minor_words must be a non-negative number"
-  | _ -> ());
   {
     deadline = Option.map (fun s -> Clock.now () +. s) wall_s;
     max_probes = probes;
-    max_minor_words = minor_words;
-    minor_base = Gc.minor_words ();
-    poll_every;
     probes = 0;
     tripped = None;
   }
@@ -62,7 +46,7 @@ let probes t = t.probes
 let exceeded t = t.tripped
 
 (* ------------------------------------------------------------------ *)
-(* The ambient budget and the tick-hook list *)
+(* The ambient budget *)
 
 (* Domain-local: a budget installed in one domain can neither trip nor
    count probes from another.  A plain global ref here was a latent data
@@ -73,41 +57,26 @@ let exceeded t = t.tripped
    refuses to fan out while a budget is installed, so budgeted solver runs
    keep their exact sequential trip points.
 
-   The budget and the hook list live in ONE domain-local record so the
-   [check] fast path pays a single [Domain.DLS.get]: checkpoints sit in
-   solver inner loops (TPA steps, ISP candidates, layout pairs), where a
-   second DLS lookup per call is measurable. *)
+   The budget and the trip-hook list live in one domain-local record, so
+   the [check] slow path pays a single [Domain.DLS.get]. *)
 type state = {
   mutable budget : t option;
-  mutable hooks : (int * (unit -> unit)) list;
-  mutable snapshot : (unit -> unit) array;
-  mutable hooks_active : bool;
   mutable trip_hooks : (int * (reason -> unit)) list;
 }
 
 let state : state Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        budget = None;
-        hooks = [];
-        snapshot = [||];
-        hooks_active = false;
-        trip_hooks = [];
-      })
+  Domain.DLS.new_key (fun () -> { budget = None; trip_hooks = [] })
 
 let installed () = Option.is_some (Domain.DLS.get state).budget
 
-(* Live budget installs plus nonempty hook lists, summed over all domains.
-   While this is zero — the overwhelmingly common case, since budgets and
-   tick hooks bracket explicit runs — [check] is a single atomic load and
-   a branch, cheaper than even a DLS lookup; checkpoints sit in ~20ns/iter
-   inner loops (TPA steps), where that difference is a measurable fraction
-   of the whole iteration.  Nonzero only says "some domain might have
-   work": other domains then take the DLS slow path and fall through on
-   their own empty state, which costs them a lookup but never a behavior
-   change.  A domain that dies with hooks still registered leaves the
-   count elevated (slow path forever after) — harmless, and pool workers
-   never register hooks. *)
+(* Live budget installs, summed over all domains.  While this is zero —
+   the overwhelmingly common case, since budgets bracket explicit runs —
+   [check] is a single atomic load and a branch, cheaper than even a DLS
+   lookup; checkpoints sit in ~20ns/iter inner loops (TPA steps), where
+   that difference is a measurable fraction of the whole iteration.
+   Nonzero only says "some domain might have a budget": other domains
+   then take the DLS slow path and fall through on their own empty
+   state, which costs them a lookup but never a behavior change. *)
 let active = Atomic.make 0
 
 let exceeded_counter = Metric.Counter.make "budget.exceeded"
@@ -138,66 +107,18 @@ let spend st b =
         match b.max_probes with Some m -> b.probes > m | None -> false
       in
       if over_probes then trip st b `Probes
-      else if b.probes = 1 || b.probes mod b.poll_every = 0 then begin
-        let over_wall =
-          match b.deadline with Some d -> Clock.now () > d | None -> false
-        in
-        if over_wall then trip st b `Wall_clock
-        else
-          let over_minor =
-            match b.max_minor_words with
-            | Some m -> Gc.minor_words () -. b.minor_base > m
-            | None -> false
-          in
-          if over_minor then trip st b `Allocations else None
-      end
+      else if b.probes = 1 || b.probes mod poll_every = 0 then
+        match b.deadline with
+        | Some d when Clock.now () > d -> trip st b `Wall_clock
+        | _ -> None
       else None
-
-(* ------------------------------------------------------------------ *)
-(* Checkpoint tick hooks *)
-
-type hook = int
-
-let hook_id = Atomic.make 0
-
-(* Registration list (newest first) plus a flat snapshot that [check]
-   iterates.  The snapshot is rebuilt on every registration change, so a
-   hook that removes itself or registers another mid-tick mutates the
-   *next* tick's array while the in-flight iteration keeps walking the one
-   it captured — no stale-list skips, no double calls.  It also turns the
-   old O(n) [@ [x]] append into an O(1) cons.
-
-   Hook state is domain-local, like the budget (it shares the [state]
-   record above): the sampler and the series snapshotter are single-domain
-   consumers (they mutate their own unsynchronized state on every tick), so
-   a hook registered on one domain must never fire from another.
-   Worker-domain checkpoints see an empty hook list and fall through. *)
-
-let rebuild_snapshot st =
-  (* [List.rev_map] restores registration order from the newest-first list. *)
-  let was_active = st.hooks_active in
-  st.snapshot <- Array.of_list (List.rev_map snd st.hooks);
-  st.hooks_active <- st.hooks <> [];
-  if st.hooks_active && not was_active then Atomic.incr active
-  else if was_active && not st.hooks_active then Atomic.decr active
-
-let on_tick f =
-  let id = Atomic.fetch_and_add hook_id 1 + 1 in
-  let st = Domain.DLS.get state in
-  st.hooks <- (id, f) :: st.hooks;
-  rebuild_snapshot st;
-  id
-
-let remove_hook id =
-  let st = Domain.DLS.get state in
-  st.hooks <- List.filter (fun (i, _) -> i <> id) st.hooks;
-  rebuild_snapshot st
 
 (* Trip hooks ride on the budget install for activation: they only ever
    fire from [trip], which only runs with a budget installed on this
-   domain, and installing a budget already raises [active].  So unlike
-   tick hooks they never touch the fast-path counter. *)
+   domain, and installing a budget already raises [active]. *)
 type trip_hook = int
+
+let hook_id = Atomic.make 0
 
 let on_trip f =
   let id = Atomic.fetch_and_add hook_id 1 + 1 in
@@ -209,27 +130,11 @@ let remove_trip_hook id =
   let st = Domain.DLS.get state in
   st.trip_hooks <- List.filter (fun (i, _) -> i <> id) st.trip_hooks
 
-let run_hooks st =
-  if st.hooks_active then begin
-    let snapshot = st.snapshot in
-    for i = 0 to Array.length snapshot - 1 do
-      snapshot.(i) ()
-    done
-  end
-
 let check_slow () =
-  (* Hooks tick whether or not the budget raises: the sampler and series
-     snapshotter must keep observing after a sticky trip, otherwise the
-     first exceeded budget starves them for the rest of the run. *)
   let st = Domain.DLS.get state in
   match st.budget with
-  | None -> run_hooks st
-  | Some b -> (
-      match spend st b with
-      | None -> run_hooks st
-      | Some r ->
-          run_hooks st;
-          raise (Exceeded r))
+  | None -> ()
+  | Some b -> ( match spend st b with None -> () | Some r -> raise (Exceeded r))
 
 let check () = if Atomic.get active = 0 then () else check_slow ()
 

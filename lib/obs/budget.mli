@@ -1,15 +1,14 @@
-(** Cooperative per-task resource budgets, and the checkpoint that powers
-    the rest of the live observability layer.
+(** Cooperative per-task resource budgets.
 
     Solver hot loops call {!check} once per probe (a pair table build, an
     ISP candidate, a branch-and-bound node, a layout pair...).  When no
-    budget is installed and no tick hook is registered {e anywhere} — on
-    any domain — this is a single atomic load and a branch; once some
-    domain installs one, checks pay one domain-local lookup instead.  With a budget installed (via {!with_budget} or {!run}), each
-    check counts one probe against the probe limit and, every [poll_every]
-    probes (and on the very first), polls the {!Clock} against the
-    wall-clock deadline and [Gc.minor_words] against the allocation limit;
-    crossing any limit raises {!Exceeded}.
+    budget is installed {e anywhere} — on any domain — this is a single
+    atomic load and a branch; once some domain installs one, checks pay
+    one domain-local lookup instead.  With a budget installed (via
+    {!with_budget} or {!run}), each check counts one probe against the
+    probe limit and, every 32 probes (and on the very first), polls the
+    {!Clock} against the wall-clock deadline; crossing either limit
+    raises {!Exceeded}.
 
     Budgeted solver entry points ([Greedy.solve_budgeted],
     [One_csr.four_approx_budgeted], ...) catch the exception at their own
@@ -22,14 +21,15 @@
     every later checkpoint under it re-raises immediately, so multi-stage
     solvers degrade through their remaining stages without doing work.
 
-    The ambient budget (and the tick-hook list) is {e domain-local}: a
+    The ambient budget (and the trip-hook list) is {e domain-local}: a
     budget installed in one domain neither counts probes from nor trips
-    checkpoints in any other domain, and hooks registered on one domain
-    never fire from another.  The domain pool ([Fsa_parallel.Pool])
-    additionally runs sequentially whenever a budget is installed, so
-    budgeted solver runs keep their exact single-domain trip points. *)
+    checkpoints in any other domain, and trip hooks registered on one
+    domain never fire from another.  The domain pool
+    ([Fsa_parallel.Pool]) additionally runs sequentially whenever a
+    budget is installed, so budgeted solver runs keep their exact
+    single-domain trip points. *)
 
-type reason = [ `Allocations | `Probes | `Wall_clock ]
+type reason = [ `Probes | `Wall_clock ]
 
 val reason_to_string : reason -> string
 
@@ -37,21 +37,16 @@ exception Exceeded of reason
 
 type t
 
-val create :
-  ?wall_s:float -> ?probes:int -> ?minor_words:float -> ?poll_every:int -> unit -> t
-(** All limits optional; omitted means unlimited (a fully-unlimited budget
-    still counts probes, useful for overhead measurement).  [wall_s] is a
-    relative deadline from now; [minor_words] bounds minor-heap allocation
-    from now; [probes] bounds checkpoint count ([0] trips on the first
-    check).  [poll_every] (default 32) is the clock/GC polling stride.
-    @raise Invalid_argument on a negative probe budget, a NaN or negative
-    [wall_s] or [minor_words], or nonpositive [poll_every]. *)
+val create : ?wall_s:float -> ?probes:int -> unit -> t
+(** Both limits optional; omitted means unlimited (a fully-unlimited
+    budget still counts probes, useful for overhead measurement).
+    [wall_s] is a relative deadline from now; [probes] bounds checkpoint
+    count ([0] trips on the first check).
+    @raise Invalid_argument on a negative probe budget or a NaN or
+    negative [wall_s]. *)
 
 val check : unit -> unit
-(** The cooperative checkpoint.  Enforces the installed budget (if any)
-    and runs every registered tick hook.  Hooks tick on {e every} check,
-    including over-budget ones — a sticky trip must not starve the
-    sampler or the series snapshotter for the rest of the run.
+(** The cooperative checkpoint: enforces the installed budget, if any.
     @raise Exceeded when the installed budget is (or already was) over. *)
 
 val with_budget : t -> (unit -> 'a) -> 'a
@@ -77,21 +72,6 @@ val exceeded : t -> reason option
 (** [Some r] once the budget has tripped (sticky). *)
 
 val installed : unit -> bool
-
-(** {1 Checkpoint tick hooks}
-
-    The sampling profiler ({!Sampler}) and the metrics-series snapshotter
-    ({!Series}) register here so that one [check ()] call site in a hot
-    loop powers all three subsystems.  Hooks tick on every check, whether
-    or not the budget raised, and must not raise themselves.  The hook
-    list is snapshotted before each tick: a hook may remove itself or
-    register new hooks mid-tick; changes take effect from the next
-    tick. *)
-
-type hook
-
-val on_tick : (unit -> unit) -> hook
-val remove_hook : hook -> unit
 
 (** {1 Trip hooks}
 

@@ -2,7 +2,7 @@
    Unix lacks clock_gettime), so the observation clock is a monotonicized
    wall clock: reads never go backwards.  A backwards NTP step freezes the
    clock until real time catches up, which keeps every derived duration
-   nonnegative — the property the trace/series consumers rely on. *)
+   nonnegative — the property the trace consumers rely on. *)
 
 (* Domain-local high-water mark: each domain monotonicizes its own reads,
    so concurrent domains never race on (or stall behind) a shared cell. *)
@@ -12,10 +12,3 @@ let now () =
   let t = Unix.gettimeofday () in
   if t > Domain.DLS.get last then Domain.DLS.set last t;
   Domain.DLS.get last
-
-let wall = Unix.gettimeofday
-
-let iso_of_wall t =
-  let tm = Unix.gmtime t in
-  Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
-    (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec

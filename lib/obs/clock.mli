@@ -1,17 +1,9 @@
 (** The observation clock.
 
-    Every span duration, trace timestamp, and series timestamp goes through
-    {!now}, which is guaranteed non-decreasing within the process (a
-    monotonicized wall clock; see clock.ml for why a true monotonic source
-    is unavailable here).  Raw wall-clock time is reserved for provenance
-    fields — human-readable "when did this run happen" stamps — via {!wall}
-    and {!iso_of_wall}. *)
+    Every span duration and trace timestamp goes through {!now}, which is
+    guaranteed non-decreasing within the process (a monotonicized wall
+    clock; see clock.ml for why a true monotonic source is unavailable
+    here). *)
 
 val now : unit -> float
 (** Seconds; non-decreasing across calls. *)
-
-val wall : unit -> float
-(** Raw wall-clock seconds since the epoch — provenance only. *)
-
-val iso_of_wall : float -> string
-(** [2026-08-07T12:34:56Z]-style UTC rendering of a {!wall} time. *)

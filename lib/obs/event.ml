@@ -93,21 +93,3 @@ let of_json j =
       let* value = field_float j "value" in
       Some (Note { name; value })
   | Some _ | None -> None
-
-let pp ppf ev =
-  let indent depth = String.make (2 * depth) ' ' in
-  match ev with
-  | Span_begin { name; depth } ->
-      Format.fprintf ppf "%s> %s" (indent depth) name
-  | Span_end { name; depth; elapsed_ns; minor_words; _ } ->
-      Format.fprintf ppf "%s< %s (%.3f ms, %.0f minor words)" (indent depth) name
-        (elapsed_ns /. 1e6) minor_words
-  | Phase { name } -> Format.fprintf ppf "== phase: %s ==" name
-  | Move { solver; round; label; accepted; score_before; score_after } ->
-      Format.fprintf ppf "%s round %d %s %s: %.4g -> %.4g" solver round
-        (if accepted then "accept" else "reject")
-        label score_before score_after
-  | Step { solver; round; evaluated; score } ->
-      Format.fprintf ppf "%s round %d done (%d attempts evaluated, score %.4g)"
-        solver round evaluated score
-  | Note { name; value } -> Format.fprintf ppf "note %s = %.4g" name value

@@ -29,4 +29,3 @@ type t =
 
 val to_json : t -> Json.t
 val of_json : Json.t -> t option
-val pp : Format.formatter -> t -> unit

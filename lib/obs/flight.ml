@@ -86,11 +86,17 @@ let dump ?(reason = "on_demand") t path =
           | other -> line other)
         evs)
 
+let dump_errors = Metric.Counter.make "flight.dump_errors"
+
 let arm t ~path =
   Budget.on_trip (fun r ->
       (* Make "the last event matches the trip site" literal: the marker
          records the trip before the ring is flushed. *)
       note t ("flight.budget_trip." ^ Budget.reason_to_string r) 1.0;
-      dump ~reason:("budget_trip:" ^ Budget.reason_to_string r) t path)
+      (* Trip hooks must not raise: an exception here would escape from
+         inside [Budget.check] instead of the [Exceeded] that the budgeted
+         entry points catch, so an unwritable path is counted instead. *)
+      try dump ~reason:("budget_trip:" ^ Budget.reason_to_string r) t path
+      with Sys_error _ -> Metric.Counter.incr dump_errors)
 
 let disarm = Budget.remove_trip_hook

@@ -1,9 +1,8 @@
 (** Flight recorder: an always-cheap ring buffer of the last [capacity]
     stamped events, dumped to JSONL only when something goes wrong (a
-    {!Budget} trip, an uncaught solver exception) or on demand.  This is
-    the post-mortem primitive a long-running server installs per
-    request: recording costs two array writes per event, and the dump is
-    the tail of the event stream leading up to the failure.
+    {!Budget} trip, an uncaught solver exception) or on demand.
+    Recording costs two array writes per event, and the dump is the tail
+    of the event stream leading up to the failure.
 
     Dumps start with a [{"schema":"fsa-flight/1","reason":...}] header
     followed by one event per line in the trace-file format (relative
@@ -48,6 +47,7 @@ val dumps : t -> int
 val arm : t -> path:string -> Budget.trip_hook
 (** Register a {!Budget.on_trip} hook that records a
     [flight.budget_trip.<reason>] note (so the dump's last event is the
-    trip site) and dumps to [path].  Remove with {!disarm}. *)
+    trip site) and dumps to [path].  A dump that cannot be written counts
+    [flight.dump_errors] instead of raising.  Remove with {!disarm}. *)
 
 val disarm : Budget.trip_hook -> unit

@@ -246,5 +246,3 @@ let to_float_opt = function
 let to_int_opt = function Int i -> Some i | _ -> None
 let to_string_opt = function String s -> Some s | _ -> None
 let to_bool_opt = function Bool b -> Some b | _ -> None
-
-let pp ppf j = Format.pp_print_string ppf (to_string j)

@@ -32,4 +32,3 @@ val to_float_opt : t -> float option
 val to_int_opt : t -> int option
 val to_string_opt : t -> string option
 val to_bool_opt : t -> bool option
-val pp : Format.formatter -> t -> unit

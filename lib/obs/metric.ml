@@ -17,10 +17,10 @@ module Counter = struct
 
   let add t by =
     match Registry.current () with
-    | Some r -> Registry.incr_counter r t by
+    | Some r -> Registry.incr_counter r t (float_of_int by)
     | None -> ()
 
-  let incr ?(by = 1) t = add t (float_of_int by)
+  let incr t = add t 1
 end
 
 module Gauge = struct
@@ -46,5 +46,8 @@ module Histogram = struct
     | Some r -> Registry.observe r t v
     | None -> ()
 
-  let observe_int t v = observe t (float_of_int v)
+  let observe_int t v =
+    match Registry.current () with
+    | Some r -> Registry.observe r t (float_of_int v)
+    | None -> ()
 end

@@ -2,7 +2,7 @@
    instrumentation sites guard on [active] (a single domain-local read) and
    build no events, so uninstrumented runs pay one branch per site.
 
-   All three cells are domain-local: a sink or registry installed on one
+   Every cell is domain-local: a sink or registry installed on one
    domain is invisible to every other, so a parallel worker can never write
    into the caller's trace stream or registry concurrently.  The domain
    pool (Fsa_parallel.Pool) gives each worker a scratch registry and a
@@ -10,17 +10,11 @@
    both into the caller's after the join, in slot order. *)
 
 let current_sink : Sink.t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-(* Nonzero while a sampler is attached: keeps span bookkeeping (the live
-   name stack in Span) running even with no sink or registry installed. *)
-let span_users = Domain.DLS.new_key (fun () -> 0)
 let active = Domain.DLS.new_key (fun () -> false)
 
 let refresh () =
   Domain.DLS.set active
-    (Option.is_some (Domain.DLS.get current_sink)
-    || Option.is_some (Registry.current ())
-    || Domain.DLS.get span_users > 0)
+    (Option.is_some (Domain.DLS.get current_sink) || Option.is_some (Registry.current ()))
 
 let set_sink s =
   Domain.DLS.set current_sink s;
@@ -28,14 +22,6 @@ let set_sink s =
 
 let set_registry r =
   Registry.install r;
-  refresh ()
-
-let retain_spans () =
-  Domain.DLS.set span_users (Domain.DLS.get span_users + 1);
-  refresh ()
-
-let release_spans () =
-  Domain.DLS.set span_users (max 0 (Domain.DLS.get span_users - 1));
   refresh ()
 
 let sink () = Domain.DLS.get current_sink

@@ -20,14 +20,7 @@ val sink : unit -> Sink.t option
 val registry : unit -> Registry.t option
 
 val observing : unit -> bool
-(** True iff a sink or a registry is installed, or spans are retained. *)
-
-val retain_spans : unit -> unit
-(** Force {!observing} true even with no sink/registry, so {!Span} keeps
-    its depth/stack bookkeeping — the {!Sampler} needs the live span stack.
-    Refcounted; pair every call with {!release_spans}. *)
-
-val release_spans : unit -> unit
+(** True iff a sink or a registry is installed. *)
 
 val tracing : unit -> bool
 (** True iff a sink is installed (events will actually go somewhere). *)

@@ -20,13 +20,6 @@ let make ~emit_stamped ~close =
 
 let null = make ~emit_stamped:(fun _ -> ()) ~close:(fun () -> ())
 
-let pretty ?(ppf = Format.err_formatter) () =
-  let emit_stamped s =
-    if s.s_domain = 0 then Format.fprintf ppf "%a@." Event.pp s.s_event
-    else Format.fprintf ppf "[d%d] %a@." s.s_domain Event.pp s.s_event
-  in
-  make ~emit_stamped ~close:(fun () -> Format.pp_print_flush ppf ())
-
 (* Bumped from fsa-trace/1 (implicit: no header line) when the "domain"
    field was added.  Readers treat any line with a "schema" member as a
    header, so old readers would have choked — hence the version bump —

@@ -26,10 +26,6 @@ val null : t
 (** Swallows every event.  Installing it exercises the instrumentation
     paths without producing output — solver results must be identical. *)
 
-val pretty : ?ppf:Format.formatter -> unit -> t
-(** Human-readable lines (default stderr); events from a non-zero
-    domain slot are prefixed with ["[d<slot>] "]. *)
-
 val trace_schema : string
 (** Schema tag written as the header line of {!jsonl} files
     (["fsa-trace/2"]). *)

@@ -14,8 +14,3 @@ let get () = Domain.DLS.get slot
 let set s =
   if s < 0 then invalid_arg "Slot.set: negative slot id";
   Domain.DLS.set slot s
-
-let with_slot s f =
-  let old = get () in
-  set s;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set slot old) f

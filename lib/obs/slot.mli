@@ -12,7 +12,3 @@ val get : unit -> int
 
 val set : int -> unit
 (** @raise Invalid_argument on a negative slot id. *)
-
-val with_slot : int -> (unit -> 'a) -> 'a
-(** Run with the slot id set, restoring the previous id afterwards
-    (also on exceptions). *)

@@ -1,12 +1,11 @@
-(* Innermost-first names of the open spans plus the depth; maintained
-   whenever observation is on, so the sampling profiler can snapshot the
-   live stack at checkpoint ticks without signals.  Domain-local: each
-   domain tracks its own open spans, so parallel workers never interleave
-   their stacks (a worker's spans record into whatever registry that
-   worker has installed — see Fsa_parallel.Pool). *)
-type state = { mutable depth : int; mutable names : string list }
+(* The nesting depth of the open spans, maintained whenever observation
+   is on.  Domain-local: each domain tracks its own open spans, so
+   parallel workers never interleave their depths (a worker's spans record
+   into whatever registry that worker has installed — see
+   Fsa_parallel.Pool). *)
+type state = { mutable depth : int }
 
-let state = Domain.DLS.new_key (fun () -> { depth = 0; names = [] })
+let state = Domain.DLS.new_key (fun () -> { depth = 0 })
 
 let with_ ~name f =
   if not (Runtime.observing ()) then f ()
@@ -15,7 +14,6 @@ let with_ ~name f =
     let d = st.depth in
     if Runtime.tracing () then Runtime.emit (Event.Span_begin { name; depth = d });
     st.depth <- d + 1;
-    st.names <- name :: st.names;
     (* On OCaml 5.1 [Gc.quick_stat] reports major words only as of the last
        major slice, so a short span read 0 for a direct major allocation,
        and it costs microseconds; [Gc.counters] reads the live counts in
@@ -29,7 +27,6 @@ let with_ ~name f =
       let m1 = Gc.minor_words () in
       let _, _, j1 = Gc.counters () in
       st.depth <- st.depth - 1;
-      (match st.names with _ :: tl -> st.names <- tl | [] -> ());
       let elapsed_ns = (t1 -. t0) *. 1e9 in
       let minor_words = m1 -. m0 in
       let major_words = j1 -. j0 in
@@ -53,4 +50,3 @@ let phase name =
   if Runtime.tracing () then Runtime.emit (Event.Phase { name })
 
 let current_depth () = (Domain.DLS.get state).depth
-let stack () = (Domain.DLS.get state).names

@@ -16,8 +16,3 @@ val phase : string -> unit
 
 val current_depth : unit -> int
 (** Nesting depth of the innermost open span (0 at top level). *)
-
-val stack : unit -> string list
-(** Names of the currently open spans, innermost first; [[]] at top level
-    or when observation is off.  Spans opened before observation was
-    enabled are missing from the stack (their frames were never pushed). *)

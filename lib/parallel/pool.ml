@@ -14,12 +14,11 @@
    the caller's domain — the merge itself never races).  Likewise, if the
    caller has a sink, each worker gets a bounded in-memory buffer sink
    (stamped with the worker's slot id) replayed into the caller's sink
-   after the join in slot order, and if the caller has a sampler attached,
-   each worker attaches a fork of it whose tables are merged back in slot
-   order.  The pool also records its own metrics per batch (fan-out and
-   inline-fallback counters, per-slot busy time, busy skew, merge time)
-   into the caller's registry; these are wall-clock derived and hence not
-   part of the deterministic-counters contract.
+   after the join in slot order.  The pool also records its own metrics
+   per batch (fan-out and inline-fallback counters, per-slot busy time,
+   busy skew, merge time) into the caller's registry; these are
+   wall-clock derived and hence not part of the deterministic-counters
+   contract.
 
    Budgets: the pool refuses to fan out while an ambient Budget is
    installed and runs the whole range inline instead.  Budgets are
@@ -222,7 +221,6 @@ let fan_out ~n ~chunk =
          of an unboxed float array), so no synchronization is needed. *)
       let caller_registry = Fsa_obs.Runtime.registry () in
       let caller_sink = Fsa_obs.Runtime.sink () in
-      let caller_sampler = Fsa_obs.Sampler.ambient () in
       let scratches =
         match caller_registry with
         | Some _ -> Array.init (d - 1) (fun _ -> Fsa_obs.Registry.create ())
@@ -231,11 +229,6 @@ let fan_out ~n ~chunk =
       let buffers =
         match caller_sink with
         | Some _ -> Array.init (d - 1) (fun _ -> Fsa_obs.Sink.buffer ())
-        | None -> [||]
-      in
-      let forks =
-        match caller_sampler with
-        | Some sm -> Array.init (d - 1) (fun _ -> Fsa_obs.Sampler.fork sm)
         | None -> [||]
       in
       let batch_lock = Mutex.create () in
@@ -250,22 +243,18 @@ let fan_out ~n ~chunk =
       in
       let worker_job s () =
         (* Install the batch's observation state on this worker domain:
-           slot id (event stamps), buffer sink, forked sampler (tick
-           hooks are domain-local, so the caller's sampler can never
-           tick here — satellite fix for lost worker samples), scratch
-           registry.  Torn down in reverse order; [run_slot] never
-           raises, so the teardown always runs. *)
+           slot id (event stamps), buffer sink, scratch registry.  Torn
+           down in reverse order; [run_slot] never raises, so the
+           teardown always runs. *)
         Fsa_obs.Slot.set s;
         if Array.length buffers > 0 then begin
           let sink, _, _ = buffers.(s - 1) in
           Fsa_obs.Runtime.set_sink (Some sink)
         end;
-        if Array.length forks > 0 then Fsa_obs.Sampler.attach forks.(s - 1);
         if Array.length scratches > 0 then
           Fsa_obs.Runtime.set_registry (Some scratches.(s - 1));
         run_slot s;
         if Array.length scratches > 0 then Fsa_obs.Runtime.set_registry None;
-        if Array.length forks > 0 then Fsa_obs.Sampler.detach forks.(s - 1);
         if Array.length buffers > 0 then Fsa_obs.Runtime.set_sink None;
         Fsa_obs.Slot.set 0;
         Mutex.lock batch_lock;
@@ -277,7 +266,7 @@ let fan_out ~n ~chunk =
         push slot_workers.(s - 1) (worker_job s)
       done;
       (* The caller runs slot 0 itself, with nested fan-outs inlined; it
-         keeps its own sink/sampler/registry, so its events stay live. *)
+         keeps its own sink and registry, so its events stay live. *)
       Domain.DLS.set inside true;
       Fun.protect
         ~finally:(fun () -> Domain.DLS.set inside false)
@@ -288,7 +277,7 @@ let fan_out ~n ~chunk =
       done;
       Mutex.unlock batch_lock;
       (* Land worker telemetry in slot order; merging on this domain means
-         the caller's sink/registry/sampler are never touched
+         the caller's sink and registry are never touched
          concurrently.  Replayed events keep their original stamps, so
          the merged stream is "slot 1's events in order, then slot
          2's, ..." — deterministic for a deterministic workload. *)
@@ -299,22 +288,18 @@ let fan_out ~n ~chunk =
             (fun (_, drain, dropped) ->
               List.iter sink.Fsa_obs.Sink.emit_stamped (drain ());
               let dr = dropped () in
-              if dr > 0 then Fsa_obs.Metric.Counter.incr ~by:dr m_dropped)
+              if dr > 0 then Fsa_obs.Metric.Counter.add m_dropped dr)
             buffers
       | None -> ());
       (match caller_registry with
       | Some r -> Array.iter (fun s -> Fsa_obs.Registry.merge_into ~into:r s) scratches
-      | None -> ());
-      (match caller_sampler with
-      | Some sm ->
-          Array.iter (fun f -> Fsa_obs.Sampler.merge_into ~into:sm f) forks
       | None -> ());
       let merge_ns = (Fsa_obs.Clock.now () -. merge_t0) *. 1e9 in
       (* Pool metrics land in the caller's registry (the Metric calls
          are no-ops without one). *)
       (match caller_registry with
       | Some r ->
-          Fsa_obs.Metric.Counter.add m_merge_ns merge_ns;
+          Fsa_obs.Metric.Counter.add m_merge_ns (int_of_float merge_ns);
           let busy_total = ref 0.0 in
           let busy_min = ref infinity and busy_max = ref 0.0 in
           Array.iter
@@ -324,7 +309,7 @@ let fan_out ~n ~chunk =
               if b > !busy_max then busy_max := b;
               Fsa_obs.Metric.Histogram.observe m_slot_busy (b *. 1e9))
             busy;
-          Fsa_obs.Metric.Counter.add m_busy_ns (!busy_total *. 1e9);
+          Fsa_obs.Metric.Counter.add m_busy_ns (int_of_float (!busy_total *. 1e9));
           (* Chunk skew: slowest slot over fastest, this batch; the gauge
              keeps the worst ratio seen since the registry was reset. *)
           if !busy_min > 0.0 then begin

@@ -37,11 +37,7 @@
     When the caller has a trace sink, each worker gets a bounded
     in-memory buffer sink; buffered events are stamped with the worker's
     slot id ([Fsa_obs.Slot]) and replayed into the caller's sink after
-    the join, in slot order, with their original timestamps.  When the
-    caller has a sampler attached ([Fsa_obs.Sampler.ambient]), each
-    worker attaches a fresh fork on its own domain and the forks' sample
-    tables are merged back in slot order — checkpoint tick hooks are
-    domain-local, so without the forks worker samples would be lost.
+    the join, in slot order, with their original timestamps.
 
     See DESIGN.md §14 for the full domain-safety contract and §15 for
     the multicore observability contract. *)

@@ -78,7 +78,7 @@ val solve :
   report
 (** [solve ?deadline ?probes inst] answers within roughly [deadline]
     seconds (and/or [probes] checkpoints) — "roughly" because budget
-    slices poll the clock every [poll_every] checkpoints and partial
+    slices poll the clock every 32 checkpoints and partial
     results are assembled after the trip; overshoot stays well under 2×
     the deadline (bench-gated).  With neither knob every tier runs
     unbudgeted, except that the exact certificate still respects its

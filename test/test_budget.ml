@@ -26,9 +26,6 @@ let test_create_validation () =
   Alcotest.check_raises "negative probes"
     (Invalid_argument "Budget.create: negative probe budget") (fun () ->
       ignore (Budget.create ~probes:(-1) ()));
-  Alcotest.check_raises "poll_every zero"
-    (Invalid_argument "Budget.create: poll_every must be positive") (fun () ->
-      ignore (Budget.create ~poll_every:0 ()));
   (* Regression: a NaN wall_s made [Clock.now () > deadline] always false —
      a silently unlimited budget; negative limits were accepted too. *)
   let rejects what f =
@@ -38,70 +35,8 @@ let test_create_validation () =
   in
   rejects "NaN wall_s" (fun () -> Budget.create ~wall_s:Float.nan ());
   rejects "negative wall_s" (fun () -> Budget.create ~wall_s:(-1.0) ());
-  rejects "NaN minor_words" (fun () -> Budget.create ~minor_words:Float.nan ());
-  rejects "negative minor_words" (fun () -> Budget.create ~minor_words:(-5.0) ());
   (* Zero is a legitimate (instantly tripping) limit, not a misconfiguration. *)
-  ignore (Budget.create ~wall_s:0.0 ~minor_words:0.0 ())
-
-(* Regression: [check] used to enforce the budget *before* ticking hooks,
-   so once a budget tripped (sticky re-raise) the sampler/series hooks
-   were starved for the rest of the run. *)
-let test_hooks_tick_when_budget_tripped () =
-  let ticks = ref 0 in
-  let h = Budget.on_tick (fun () -> incr ticks) in
-  Fun.protect ~finally:(fun () -> Budget.remove_hook h) @@ fun () ->
-  let b = Budget.create ~probes:0 () in
-  (match Budget.run b ~partial:(fun () -> ()) (fun () ->
-       Budget.check ();
-       Alcotest.fail "zero-probe budget did not trip")
-   with
-  | Ok () -> Alcotest.fail "unreachable"
-  | Error (`Budget_exceeded ((), `Probes)) -> ()
-  | Error (`Budget_exceeded ((), _)) -> Alcotest.fail "wrong reason");
-  check_int "hook ticked on the tripping check" 1 !ticks;
-  (* Sticky re-raises must keep ticking hooks too. *)
-  (match Budget.run b ~partial:(fun () -> ()) (fun () -> Budget.check ()) with
-  | Ok () -> Alcotest.fail "sticky budget did not re-trip"
-  | Error (`Budget_exceeded ((), _)) -> ());
-  check_int "hook ticked on the sticky re-raise" 2 !ticks
-
-let test_hook_removes_itself_mid_tick () =
-  let fired = ref 0 and witness = ref 0 in
-  let self = ref None in
-  let h1 =
-    Budget.on_tick (fun () ->
-        incr fired;
-        match !self with Some id -> Budget.remove_hook id | None -> ())
-  in
-  self := Some h1;
-  let h2 = Budget.on_tick (fun () -> incr witness) in
-  Fun.protect ~finally:(fun () -> Budget.remove_hook h2) @@ fun () ->
-  Budget.check ();
-  Budget.check ();
-  check_int "self-removing hook fired exactly once" 1 !fired;
-  (* The hook registered after it keeps firing on the same ticks: removal
-     mid-tick must not derail the in-flight iteration. *)
-  check_int "later hook saw every tick" 2 !witness
-
-let test_hook_registers_hook_mid_tick () =
-  let parent_fired = ref 0 and child_fired = ref 0 in
-  let child = ref None in
-  let h =
-    Budget.on_tick (fun () ->
-        incr parent_fired;
-        if !child = None then
-          child := Some (Budget.on_tick (fun () -> incr child_fired)))
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Budget.remove_hook h;
-      Option.iter Budget.remove_hook !child)
-  @@ fun () ->
-  Budget.check ();
-  check_int "child not called on the registering tick" 0 !child_fired;
-  Budget.check ();
-  check_int "child called from the next tick" 1 !child_fired;
-  check_int "parent called on both ticks" 2 !parent_fired
+  ignore (Budget.create ~wall_s:0.0 ())
 
 let test_zero_probe_budget_trips_first_check () =
   let b = Budget.create ~probes:0 () in
@@ -343,12 +278,6 @@ let () =
       ( "checkpoint",
         [
           Alcotest.test_case "create validation" `Quick test_create_validation;
-          Alcotest.test_case "hooks tick when budget tripped" `Quick
-            test_hooks_tick_when_budget_tripped;
-          Alcotest.test_case "hook removes itself mid-tick" `Quick
-            test_hook_removes_itself_mid_tick;
-          Alcotest.test_case "hook registers hook mid-tick" `Quick
-            test_hook_registers_hook_mid_tick;
           Alcotest.test_case "zero probes trips first check" `Quick
             test_zero_probe_budget_trips_first_check;
           Alcotest.test_case "unlimited never trips" `Quick

@@ -202,6 +202,30 @@ let test_cli_malformed_file () =
   check_bool "names the file" true (contains ~needle:"csr_bad" text);
   check_bool "no raw backtrace" false (contains ~needle:"Fatal error" text)
 
+(* An unwritable --flight-recorder path is a user error caught at setup,
+   as --trace's is, even when a portfolio deadline trips and the dump
+   would happen inside the budget's trip hook. *)
+let test_cli_flight_unwritable () =
+  let rng = Fsa_util.Rng.create 16 in
+  let inst =
+    Instance.random_sparse rng ~regions:128 ~h_fragments:32 ~m_fragments:32
+      ~inversion_rate:0.2 ~noise_pairs:64 ~noise_span:3
+  in
+  let path = Filename.temp_file "csr_sparse" ".txt" in
+  let oc = open_out path in
+  output_string oc (Instance.to_text inst);
+  close_out oc;
+  let code, text =
+    run_csr_solve
+      (Printf.sprintf
+         "--flight-recorder /nonexistent/dir/fd.jsonl --portfolio --deadline-ms 5 %s"
+         (Filename.quote path))
+  in
+  Sys.remove path;
+  check_int "exit code" 2 code;
+  check_bool "prefixed error" true (contains ~needle:"csr_solve: error" text);
+  check_bool "no uncaught exception" false (contains ~needle:"uncaught exception" text)
+
 (* genome_sim discover: a bad flag value is a user error (exit 2, a
    prefixed message naming the flag), checked before the FASTA files are
    read; exit 1 is kept for "no conserved regions discovered". *)
@@ -300,6 +324,8 @@ let () =
         [
           Alcotest.test_case "missing instance file" `Quick test_cli_missing_file;
           Alcotest.test_case "malformed instance file" `Quick test_cli_malformed_file;
+          Alcotest.test_case "unwritable flight recorder" `Quick
+            test_cli_flight_unwritable;
           Alcotest.test_case "discover rejects bad flags" `Quick test_discover_bad_flags;
           Alcotest.test_case "discover finds nothing" `Quick test_discover_nothing_found;
           Alcotest.test_case "discovery run finds nothing" `Quick test_run_nothing_found;

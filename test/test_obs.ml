@@ -98,7 +98,7 @@ let test_event_roundtrip_exhaustive () =
       (* Through the Json tree... *)
       (match Event.of_json (Event.to_json ev) with
       | Some ev' -> check_bool "tree roundtrip" true (ev = ev')
-      | None -> Alcotest.failf "of_json rejected %s" (Format.asprintf "%a" Event.pp ev));
+      | None -> Alcotest.failf "of_json rejected %s" (Json.to_string (Event.to_json ev)));
       (* ...and through the serialized text, as a sink would write it. *)
       match Event.of_json (Json.of_string (Json.to_string (Event.to_json ev))) with
       | Some ev' -> check_bool "text roundtrip" true (ev = ev')
@@ -202,15 +202,37 @@ let test_counter_aggregation () =
   let c = Metric.Counter.make "test.hits" in
   Runtime.with_observation ~registry:r1 (fun () ->
       Metric.Counter.incr c;
-      Metric.Counter.incr ~by:4 c;
-      Metric.Counter.add c 0.5);
+      Metric.Counter.add c 4);
   Runtime.with_observation ~registry:r2 (fun () -> Metric.Counter.incr c);
-  check_bool "r1 total" true (Registry.counter_value r1 "test.hits" = Some 5.5);
+  check_bool "r1 total" true (Registry.counter_value r1 "test.hits" = Some 5.0);
   check_bool "r2 independent" true (Registry.counter_value r2 "test.hits" = Some 1.0);
   (* With no registry installed, metric ops are no-ops. *)
   Metric.Counter.incr c;
   check_bool "r1 unchanged when off" true
-    (Registry.counter_value r1 "test.hits" = Some 5.5)
+    (Registry.counter_value r1 "test.hits" = Some 5.0)
+
+(* With nothing installed, the hot-path telemetry calls must not allocate:
+   solver inner loops make thousands of them per solve. *)
+let test_disabled_allocates_nothing () =
+  let c = Metric.Counter.make "alloc.c" and h = Metric.Histogram.make "alloc.h" in
+  let thunk () = () in
+  let minor_words_of f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let calls = 10_000 in
+  List.iter
+    (fun (what, f) -> check_float what 0.0 (minor_words_of f))
+    [
+      ("Counter.incr", fun () -> for _ = 1 to calls do Metric.Counter.incr c done);
+      ("Counter.add", fun () -> for i = 1 to calls do Metric.Counter.add c i done);
+      ( "Histogram.observe_int",
+        fun () -> for i = 1 to calls do Metric.Histogram.observe_int h i done );
+      ( "Span.with_",
+        fun () -> for _ = 1 to calls do Span.with_ ~name:"alloc.s" thunk done );
+      ("Budget.check", fun () -> for _ = 1 to calls do Budget.check () done);
+    ]
 
 let test_gauge_and_histogram () =
   let r = Registry.create () in
@@ -398,6 +420,25 @@ let test_flight_dump_on_budget_trip () =
       | _ -> Alcotest.fail "last dump line is not the trip note")
   | [] -> assert false
 
+(* An armed recorder whose path cannot be written must not raise from
+   inside the checkpoint: the trip still reaches [Budget.run] as a typed
+   partial, and the failed dump is counted. *)
+let test_flight_unwritable_path () =
+  let not_a_dir = Filename.temp_file "fsa_flight" ".file" in
+  let fr = Flight.create () in
+  let hook = Flight.arm fr ~path:(Filename.concat not_a_dir "fd.jsonl") in
+  let registry = Registry.create () in
+  let outcome =
+    Runtime.with_observation ~registry (fun () ->
+        Budget.run (Budget.create ~probes:0 ()) ~partial:(fun () -> ()) Budget.check)
+  in
+  Flight.disarm hook;
+  Sys.remove not_a_dir;
+  check_bool "budget outcome" true
+    (match outcome with Error (`Budget_exceeded ((), `Probes)) -> true | _ -> false);
+  check_bool "dump error counted" true
+    (Registry.counter_value registry "flight.dump_errors" = Some 1.0)
+
 (* ------------------------------------------------------------------ *)
 (* Zero interference: instrumentation must not change solver output *)
 
@@ -452,7 +493,7 @@ let contains_sub text needle =
 let test_registry_reset () =
   let r = Registry.create () in
   Runtime.with_observation ~registry:r (fun () ->
-      Metric.Counter.incr ~by:3 (Metric.Counter.make "reset.c");
+      Metric.Counter.add (Metric.Counter.make "reset.c") 3;
       Metric.Gauge.set (Metric.Gauge.make "reset.g") 2.0;
       Span.with_ ~name:"reset.span" (fun () -> ());
       Registry.reset ();
@@ -463,240 +504,6 @@ let test_registry_reset () =
   check_bool "span totals cleared" true (Registry.span_summary r "reset.span" = None);
   (* No registry installed: reset is a harmless no-op. *)
   Registry.reset ()
-
-(* ------------------------------------------------------------------ *)
-(* Sampler: deterministic count-based sampling of the live span stack *)
-
-let sampler_workload s =
-  Runtime.with_observation ~sink:Sink.null (fun () ->
-      Span.with_ ~name:"a" (fun () ->
-          (* Ticks 1-4: stride 3 samples tick 3 with only [a] open. *)
-          for _ = 1 to 4 do
-            Sampler.tick s
-          done;
-          Span.with_ ~name:"b" (fun () ->
-              (* Ticks 5-9: samples ticks 6 and 9 under a;b. *)
-              for _ = 1 to 5 do
-                Sampler.tick s
-              done));
-      (* Ticks 10-12: sample at 12 finds no open span — idle. *)
-      for _ = 1 to 3 do
-        Sampler.tick s
-      done)
-
-let test_sampler_deterministic () =
-  let run () =
-    let s = Sampler.create ~every:3 () in
-    sampler_workload s;
-    (Sampler.ticks s, Sampler.samples s, Sampler.idle s, Sampler.folded s)
-  in
-  let ticks, samples, idle, folded = run () in
-  check_int "ticks" 12 ticks;
-  check_int "samples" 4 samples;
-  check_int "idle" 1 idle;
-  check_string "folded stacks" "a 1\na;b 2\n" folded;
-  let _, _, _, folded' = run () in
-  check_string "identical on rerun" folded folded';
-  (* reset clears every accumulator but keeps the stride. *)
-  let s = Sampler.create ~every:3 () in
-  sampler_workload s;
-  Sampler.reset s;
-  check_int "reset ticks" 0 (Sampler.ticks s);
-  check_string "reset folded" "" (Sampler.folded s);
-  sampler_workload s;
-  check_string "same stream after reset" folded (Sampler.folded s)
-
-let test_sampler_counts_and_top_frames () =
-  let s = Sampler.create ~every:3 () in
-  sampler_workload s;
-  Alcotest.(check (list (pair string int)))
-    "counts, most-sampled first"
-    [ ("a;b", 2); ("a", 1) ]
-    (Sampler.counts s);
-  Alcotest.(check (list (pair string int)))
-    "leaf frames" [ ("b", 2); ("a", 1) ] (Sampler.top_frames s);
-  Alcotest.check_raises "every must be positive"
-    (Invalid_argument "Sampler.create: every must be positive") (fun () ->
-      ignore (Sampler.create ~every:0 ()))
-
-let test_sampler_attach_ticks_on_check () =
-  let s = Sampler.create ~every:2 () in
-  Sampler.with_ s (fun () ->
-      Runtime.with_observation ~sink:Sink.null (fun () ->
-          Span.with_ ~name:"hot" (fun () ->
-              for _ = 1 to 10 do
-                Budget.check ()
-              done)));
-  check_int "hooked ticks" 10 (Sampler.ticks s);
-  check_int "hooked samples" 5 (Sampler.samples s);
-  check_string "hooked folded" "hot 5\n" (Sampler.folded s);
-  (* Detached: checkpoints no longer tick the sampler. *)
-  Budget.check ();
-  check_int "no tick after detach" 10 (Sampler.ticks s)
-
-(* The statistical profile must agree with full tracing on what is hot:
-   the sampler's most-sampled leaf frame is among the top self-time spans
-   of the trace of the same run. *)
-let test_sampler_consistent_with_trace () =
-  let inst = small_instance 42 in
-  let s = Sampler.create ~every:1 () in
-  let sink, events = Sink.memory () in
-  Sampler.with_ s (fun () ->
-      Runtime.with_observation ~sink (fun () ->
-          ignore (Fsa_csr.Csr_improve.solve inst)));
-  check_bool "sampled something" true (Sampler.samples s > Sampler.idle s);
-  let trace = Trace.of_events (List.map (fun ev -> (None, ev)) (events ())) in
-  let top_trace =
-    List.filteri (fun i _ -> i < 3) (Trace.profile trace)
-    |> List.map (fun r -> r.Trace.row_name)
-  in
-  match Sampler.top_frames s with
-  | [] -> Alcotest.fail "no frames sampled"
-  | (top_frame, _) :: _ ->
-      check_bool
-        (Printf.sprintf "sampler top frame %s in trace top-3 [%s]" top_frame
-           (String.concat "; " top_trace))
-        true
-        (List.mem top_frame top_trace)
-
-(* ------------------------------------------------------------------ *)
-(* Series: fsa-series/1 write/read round-trip *)
-
-let with_series_file f =
-  let path = Filename.temp_file "fsa_series_test" ".jsonl" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
-
-let test_series_roundtrip () =
-  with_series_file @@ fun path ->
-  let r = Registry.create () in
-  let w = Series.to_file r path in
-  let c = Metric.Counter.make "series.hits" in
-  let g = Metric.Gauge.make "series.depth" in
-  let h = Metric.Histogram.make "series.size" in
-  Runtime.with_observation ~registry:r (fun () ->
-      Metric.Counter.incr ~by:5 c;
-      Metric.Gauge.set g 2.0;
-      List.iter (Metric.Histogram.observe h) [ 1.0; 3.0 ];
-      Series.sample w;
-      Metric.Counter.incr ~by:2 c;
-      Metric.Gauge.set g 7.0;
-      Series.sample w);
-  Series.close w;
-  check_int "samples counted" 3 (Series.samples w);
-  Series.sample w;
-  check_int "sample after close is a no-op" 3 (Series.samples w);
-  (* Header line first, then one record per sample. *)
-  let lines = read_lines path in
-  check_int "header + one line per sample" 4 (List.length lines);
-  check_bool "header first" true
-    (String.length (List.hd lines) > 0
-    && Json.member "schema" (Json.of_string (List.hd lines))
-       = Some (Json.String "fsa-series/1"));
-  let doc = Series.of_file path in
-  check_int "no skipped lines" 0 doc.Series.skipped;
-  check_bool "started recorded" true (doc.Series.started <> None);
-  match doc.Series.points with
-  | [ p1; p2; p3 ] ->
-      check_bool "t monotonic" true
-        (0.0 <= p1.Series.t && p1.Series.t <= p2.Series.t
-        && p2.Series.t <= p3.Series.t);
-      check_bool "first deltas" true
-        (List.assoc "series.hits" p1.Series.counters = 5.0);
-      check_bool "second deltas" true
-        (List.assoc "series.hits" p2.Series.counters = 2.0);
-      (* Final close-sample has no new counter activity. *)
-      check_bool "no stale delta" true
-        (List.assoc_opt "series.hits" p3.Series.counters = None);
-      check_bool "gauges absolute" true
-        (List.assoc "series.depth" p1.Series.gauges = 2.0
-        && List.assoc "series.depth" p2.Series.gauges = 7.0);
-      let hp = List.assoc "series.size" p1.Series.hists in
-      check_int "hist dcount" 2 hp.Series.dcount;
-      check_float "hist dsum" 4.0 hp.Series.dsum
-  | pts -> Alcotest.failf "expected 3 points, got %d" (List.length pts)
-
-let test_series_reset_clamps_deltas () =
-  with_series_file @@ fun path ->
-  let r = Registry.create () in
-  let w = Series.to_file r path in
-  let c = Metric.Counter.make "clamp.c" in
-  Runtime.with_observation ~registry:r (fun () ->
-      Metric.Counter.incr ~by:5 c;
-      Series.sample w;
-      (* Bench harness pattern: zero the registry between workloads. *)
-      Registry.reset ();
-      Metric.Counter.incr ~by:2 c;
-      Series.sample w);
-  Series.close w;
-  let doc = Series.of_file path in
-  match doc.Series.points with
-  | p1 :: p2 :: _ ->
-      check_bool "pre-reset delta" true (List.assoc "clamp.c" p1.Series.counters = 5.0);
-      (* Not 2 - 5 = -3: a reading below the previous one clamps to the
-         current value, so resets never produce negative rates. *)
-      check_bool "post-reset delta clamped" true
-        (List.assoc "clamp.c" p2.Series.counters = 2.0)
-  | _ -> Alcotest.fail "expected at least 2 points"
-
-let test_series_of_string_forgiving () =
-  let doc =
-    Series.of_string
-      "{\"schema\":\"fsa-series/1\",\"clock\":\"monotonic\",\"started\":\"x\"}\n\
-       not json at all\n\
-       {\"t\":0.5,\"counters\":{\"a\":1.0},\"gauges\":{},\"future_field\":[1,2]}\n\
-       {\"t\":\"not a number\"}\n"
-  in
-  check_int "skipped junk" 2 doc.Series.skipped;
-  check_int "kept the valid record" 1 (List.length doc.Series.points);
-  check_bool "unknown fields ignored" true
-    ((List.hd doc.Series.points).Series.counters = [ ("a", 1.0) ])
-
-let test_series_prometheus () =
-  let r = Registry.create () in
-  Runtime.with_observation ~registry:r (fun () ->
-      Metric.Counter.incr ~by:3 (Metric.Counter.make "prom.hits");
-      Metric.Gauge.set (Metric.Gauge.make "prom.depth-max") 4.5;
-      List.iter
-        (Metric.Histogram.observe (Metric.Histogram.make "prom.size"))
-        [ 1.0; 2.0 ];
-      Span.with_ ~name:"prom.span" (fun () -> ()));
-  let text = Series.prometheus r in
-  let has needle =
-    check_bool
-      (Printf.sprintf "exposition contains %S" needle)
-      true (contains_sub text needle)
-  in
-  has "# TYPE fsa_prom_hits counter";
-  has "fsa_prom_hits 3";
-  (* '-' is outside the Prometheus charset and must be sanitized. *)
-  has "fsa_prom_depth_max 4.5";
-  has "# TYPE fsa_prom_size summary";
-  has "fsa_prom_size{quantile=\"0.5\"}";
-  has "fsa_prom_size_count 2";
-  has "fsa_span_prom_span_count 1";
-  has "fsa_span_prom_span_total_ns"
-
-let test_series_plot_and_summary () =
-  with_series_file @@ fun path ->
-  let r = Registry.create () in
-  let w = Series.to_file r path in
-  let c = Metric.Counter.make "plot.c" in
-  Runtime.with_observation ~registry:r (fun () ->
-      for i = 1 to 5 do
-        Metric.Counter.incr ~by:i c;
-        Series.sample w
-      done);
-  Series.close w;
-  let doc = Series.of_file path in
-  Alcotest.(check (list string)) "metric names" [ "plot.c" ] (Series.metric_names doc);
-  let chart = Series.plot ~width:20 ~height:4 doc ~metric:"plot.c" in
-  check_bool "chart mentions metric" true
-    (String.length chart > 0 && String.sub chart 0 6 = "plot.c");
-  check_bool "chart has columns" true (String.contains chart '#');
-  check_bool "summary lists totals" true (contains_sub (Series.doc_summary doc) "plot.c");
-  (* prometheus_of_doc sums the deltas back to the cumulative total. *)
-  check_bool "doc exposition totals" true
-    (contains_sub (Series.prometheus_of_doc doc) "fsa_plot_c 15")
 
 (* ------------------------------------------------------------------ *)
 (* Export: the span-tree line cap *)
@@ -761,6 +568,8 @@ let () =
         [
           Alcotest.test_case "counter aggregation" `Quick test_counter_aggregation;
           Alcotest.test_case "gauge and histogram" `Quick test_gauge_and_histogram;
+          Alcotest.test_case "disabled telemetry allocates nothing" `Quick
+            test_disabled_allocates_nothing;
         ] );
       ( "sink",
         [
@@ -774,6 +583,8 @@ let () =
           Alcotest.test_case "dump readable" `Quick test_flight_dump_readable;
           Alcotest.test_case "dump on budget trip" `Quick
             test_flight_dump_on_budget_trip;
+          Alcotest.test_case "unwritable path still trips" `Quick
+            test_flight_unwritable_path;
         ] );
       ( "integration",
         [
@@ -783,25 +594,6 @@ let () =
             test_solver_trace_has_spans_and_moves;
           Alcotest.test_case "observation restored" `Quick test_observation_restored;
           Alcotest.test_case "registry reset" `Quick test_registry_reset;
-        ] );
-      ( "sampler",
-        [
-          Alcotest.test_case "deterministic" `Quick test_sampler_deterministic;
-          Alcotest.test_case "counts and top frames" `Quick
-            test_sampler_counts_and_top_frames;
-          Alcotest.test_case "attach ticks on check" `Quick
-            test_sampler_attach_ticks_on_check;
-          Alcotest.test_case "consistent with trace" `Quick
-            test_sampler_consistent_with_trace;
-        ] );
-      ( "series",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_series_roundtrip;
-          Alcotest.test_case "reset clamps deltas" `Quick
-            test_series_reset_clamps_deltas;
-          Alcotest.test_case "forgiving parse" `Quick test_series_of_string_forgiving;
-          Alcotest.test_case "prometheus" `Quick test_series_prometheus;
-          Alcotest.test_case "plot and summary" `Quick test_series_plot_and_summary;
         ] );
       ( "export",
         [ Alcotest.test_case "max lines cap" `Quick test_export_max_lines ] );

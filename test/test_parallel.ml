@@ -252,8 +252,8 @@ let test_registry_merge () =
     (Option.value ~default:Float.nan (Registry.gauge_value a "g"))
 
 (* ------------------------------------------------------------------ *)
-(* Multicore observability: worker events/samples/metrics land in the
-   caller's sink/sampler/registry after the join, deterministically.    *)
+(* Multicore observability: worker events and metrics land in the
+   caller's sink and registry after the join, deterministically.        *)
 
 (* Each chunk opens one span; with a sink installed, the caller must see
    span events from every slot, stamped with the emitting slot id, and
@@ -289,31 +289,6 @@ let test_worker_events_propagate () =
         (List.for_all2 ( <= ) (List.map fst evs)
            (List.tl (List.map fst evs) @ [ max_int ]));
       check_bool "merge is deterministic" true (trace_fan_out () = evs))
-
-(* Regression (lost worker profiler samples): sampler ticks ride on
-   domain-local Budget hooks, so without per-slot forks merged after the
-   join, only slot 0's spans would ever be sampled. *)
-let test_worker_samples_merged () =
-  Pool.with_domains 4 (fun () ->
-      let s = Fsa_obs.Sampler.create ~every:1 () in
-      Fsa_obs.Sampler.with_ s (fun () ->
-          ignore
-            (Pool.fan_out ~n:4 ~chunk:(fun ~slot ~lo:_ ~hi:_ ->
-                 Fsa_obs.Span.with_ ~name:(Printf.sprintf "slot%d" slot)
-                   (fun () ->
-                     for _ = 1 to 10 do
-                       Fsa_obs.Budget.check ()
-                     done;
-                     slot))));
-      let counts = Fsa_obs.Sampler.counts s in
-      List.iter
-        (fun slot ->
-          check_bool
-            (Printf.sprintf "slot%d's span was sampled" slot)
-            true
-            (List.mem_assoc (Printf.sprintf "slot%d" slot) counts))
-        [ 0; 1; 2; 3 ];
-      check_bool "worker ticks counted" true (Fsa_obs.Sampler.ticks s >= 40))
 
 (* Satellite: Registry.merge_into histogram determinism beyond 2 domains.
    The same observation stream split 1, 2, and 4 ways and merged in slot
@@ -619,8 +594,6 @@ let () =
         [
           Alcotest.test_case "worker events propagate" `Quick
             test_worker_events_propagate;
-          Alcotest.test_case "worker samples merged" `Quick
-            test_worker_samples_merged;
           Alcotest.test_case "histogram merge determinism" `Quick
             test_histogram_merge_determinism;
           Alcotest.test_case "pool metrics recorded" `Quick

@@ -499,85 +499,6 @@ let test_cli_summarize_top () =
   (* The aggregated profile survives the cap. *)
   check_bool "--top keeps the hot-spans table" true (contains_sub capped "hot spans")
 
-(* fsa_trace series: write a small fsa-series/1 file in-process, then read
-   it back through each subcommand. *)
-let record_series () =
-  let path = Filename.temp_file "fsa_series_cli" ".jsonl" in
-  let r = Registry.create () in
-  let w = Series.to_file r path in
-  let c = Metric.Counter.make "cli.hits" in
-  Runtime.with_observation ~registry:r (fun () ->
-      for i = 1 to 4 do
-        Metric.Counter.incr ~by:i c;
-        Metric.Gauge.set (Metric.Gauge.make "cli.depth") (float_of_int i);
-        Series.sample w
-      done);
-  Series.close w;
-  path
-
-let test_cli_series_summarize () =
-  let series_file = record_series () in
-  let code, out =
-    run_cmd
-      (Printf.sprintf "%s series summarize %s" (fsa_trace_exe ())
-         (Filename.quote series_file))
-  in
-  Sys.remove series_file;
-  check_int "series summarize exit 0" 0 code;
-  check_bool "names the schema" true (contains_sub out "fsa-series/1");
-  check_bool "sums counter deltas" true (contains_sub out "cli.hits");
-  check_bool "total is 1+2+3+4" true (contains_sub out "10")
-
-let test_cli_series_plot_ascii () =
-  let series_file = record_series () in
-  let code, out =
-    run_cmd
-      (Printf.sprintf "%s series plot-ascii --metric cli.hits --width 20 %s"
-         (fsa_trace_exe ()) (Filename.quote series_file))
-  in
-  check_int "plot-ascii exit 0" 0 code;
-  check_bool "chart header" true (contains_sub out "cli.hits");
-  check_bool "chart columns" true (contains_sub out "#");
-  (* Without --metric, every metric in the series is plotted. *)
-  let code, out =
-    run_cmd
-      (Printf.sprintf "%s series plot-ascii %s" (fsa_trace_exe ())
-         (Filename.quote series_file))
-  in
-  Sys.remove series_file;
-  check_int "plot-ascii all metrics exit 0" 0 code;
-  check_bool "plots the gauge too" true (contains_sub out "cli.depth")
-
-let test_cli_series_export_prom () =
-  let series_file = record_series () in
-  let out_file = Filename.temp_file "fsa_series_prom" ".txt" in
-  let code, out =
-    run_cmd
-      (Printf.sprintf "%s series export-prom %s -o %s" (fsa_trace_exe ())
-         (Filename.quote series_file) (Filename.quote out_file))
-  in
-  Sys.remove series_file;
-  if code <> 0 then Alcotest.failf "export-prom failed (%d): %s" code out;
-  let ic = open_in out_file in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  Sys.remove out_file;
-  check_bool "counter total" true (contains_sub text "fsa_cli_hits 10");
-  check_bool "last gauge" true (contains_sub text "fsa_cli_depth 4");
-  check_bool "typed" true (contains_sub text "# TYPE fsa_cli_hits counter")
-
-let test_cli_series_rejects_garbage () =
-  let path = Filename.temp_file "fsa_series_junk" ".jsonl" in
-  write_file path "this is not\na series file\n";
-  let code, _ =
-    run_cmd
-      (Printf.sprintf "%s series summarize %s" (fsa_trace_exe ())
-         (Filename.quote path))
-  in
-  Sys.remove path;
-  check_int "garbage input exits 2" 2 code
-
 (* ------------------------------------------------------------------ *)
 (* benchgate *)
 
@@ -811,11 +732,6 @@ let () =
           Alcotest.test_case "export-chrome" `Quick test_cli_export_chrome;
           Alcotest.test_case "diff same run" `Quick test_cli_diff_same_run_quiet;
           Alcotest.test_case "summarize --top" `Quick test_cli_summarize_top;
-          Alcotest.test_case "series summarize" `Quick test_cli_series_summarize;
-          Alcotest.test_case "series plot-ascii" `Quick test_cli_series_plot_ascii;
-          Alcotest.test_case "series export-prom" `Quick test_cli_series_export_prom;
-          Alcotest.test_case "series rejects garbage" `Quick
-            test_cli_series_rejects_garbage;
         ] );
       ( "benchgate",
         [

@@ -42,11 +42,14 @@ let seed_extend_bench len =
         Fsa_seq.Dna.point_mutate rng ~rate:0.03 (Fsa_seq.Dna.sub target ~pos:(len / 4) ~len:(len / 2));
         Fsa_seq.Dna.random rng (len / 4) ]
   in
-  let idx = Fsa_align.Seed.build_index ~k:12 target in
+  (* The pipeline's path, on one target: [index_targets], both strands
+     in one [scan], joined. *)
+  let idx = Fsa_align.Seed.index_targets ~k:12 [| target |] in
   Test.make
     ~name:(Printf.sprintf "seed+extend %db" len)
     (Staged.stage (fun () ->
-         ignore (Fsa_align.Seed.anchors idx ~target ~query)))
+         let strands = Fsa_align.Seed.scan idx [| (query, true); (query, false) |] in
+         ignore (Fsa_align.Seed.join_strands strands.(0).(0) strands.(1).(0))))
 
 let csr_improve_bench () =
   let inst = Fsa_csr.Instance.paper_example () in
@@ -201,8 +204,8 @@ let discovery_genome_size () =
   / 2
 
 (* The index build alone, on either side of the split width: the 7 M
-   contigs of the discovery pair (about 2^18 entries, an 8-bit split) and
-   one 4 kb target (2^12 entries, a 2-bit one). *)
+   contigs of the discovery pair (about 49 000 minimizers, a 6-bit split)
+   and one 4 kb target (about 750, one sort). *)
 let seed_index_bench ~name targets =
   Test.make ~name
     (Staged.stage (fun () -> ignore (Fsa_align.Seed.index_targets ~k:12 targets)))
@@ -260,11 +263,13 @@ let exact_bench () =
 (* Benches whose sub-millisecond body GC pauses scatter get a longer
    quota: more samples at large run counts steady the OLS fit (at the
    default quota the CSR_Improve row read r² 0.83–0.94 and the tpa_fill
-   row 0.86–0.90 over three runs).  The discovery bench's body takes
-   ~0.1 s, so the default quota fits only 4 runs; 8× gives it at least 10.
-   The discovered instance's ~35 ms solve read r² 0.876 at a quarter of
-   the default quota, and 0.957–0.985 over 14–15 runs at 4×.
-   The 260 kb index build's ~20 ms fits 9 runs at the default quota. *)
+   row 0.86–0.90 over three runs).  The discovery bench's body took
+   ~0.1 s before minimizer sampling, when the default quota fitted only 4
+   runs; at ~30 ms, 8× gives it over 20.  The discovered instance's
+   ~35 ms solve read r² 0.876 at a quarter of the default quota, and
+   0.957–0.985 over 14–15 runs at 4×.  The 260 kb index build took
+   ~20 ms and fitted 9 runs at the default quota; at ~6 ms, 2× gives it
+   over 20. *)
 let long_quota =
   [
     ("CSR_Improve paper example", 4.0);
@@ -391,6 +396,10 @@ let run ~quick () =
   in
   let raw : (string, Benchmark.t) Hashtbl.t = Hashtbl.create 64 in
   Fsa_obs.Runtime.with_observation ~registry (fun () ->
+      (* Building the list runs set-up work (the discovered instance, the
+         index builds) whose counters belong to no bench. *)
+      let tests = test_list () in
+      Fsa_obs.Registry.reset ();
       List.iter
         (fun test ->
           let grouped = Test.make_grouped ~name:"fsa" ~fmt:"%s %s" [ test ] in
@@ -412,7 +421,7 @@ let run ~quick () =
               Hashtbl.replace totals name (prev +. v))
             counters;
           Fsa_obs.Registry.reset ())
-        (test_list ()));
+        tests);
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in

@@ -83,20 +83,90 @@ let radix_sort ~counts ~bits keys (vals : int array) ~lo ~n tk tv =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Sorted k-mer index                                                   *)
+(* (w,k)-minimizers                                                     *)
 
-(* Every kept k-mer occurrence of every target, sorted by k-mer: entry [e]
-   is k-mer [keys.(e)] at payload [vals.(e)] = (target lsl 32) lor position,
-   for [e < size].  Within a k-mer, payloads ascend, so entries run target
-   by target, each in position order.  A (k-mer, target) pair occurring
-   more than [max_occ] times has no entries.
+(* Both sides sample their k-mers by (w,k)-minimizers (Roberts et al.,
+   Bioinformatics 2004): of every [window] consecutive k-mers, the one whose
+   [mix]ed key is least, the leftmost on ties.  A stretch of
+   [window + k - 1] bases that two sequences share holds a whole window, so
+   both sample its minimizer: one hit on the stretch's diagonal.
+
+   Runs merge hits on a diagonal whose starts lie within k + max_gap.  An
+   index of every k-mer (window 1) has hits k + d apart around d damaged
+   bases in a row, and its [max_gap] of 4 bridged every d <= 4.  Sampled,
+   the last whole window before the damage and the first after it each
+   give a hit at most [window] - 1 positions further out, so those hits
+   lie within k + d + 2 ([window] - 1): [default_max_gap] must be at least
+   2 ([window] - 1) + 4 = 22 to bridge what the full index bridged.  At 32
+   it bridges d <= 14. *)
+let window = 10
+let default_max_gap = 32
+
+(* A bijection of [2k]-bit keys (odd multipliers and xor-shifts, each
+   invertible modulo 2^(2k)), so two distinct k-mers never tie. *)
+let[@inline] mix ~k ~mask x =
+  let x = (x * 0x3F58476D1CE4E5B9) land mask in
+  let x = x lxor (x lsr k) in
+  let x = (x * 0x14D049BB133111EB) land mask in
+  x lxor (x lsr k)
+
+(* [f key pos] for each minimizer of [s], in increasing position order,
+   [key] being its [mix]ed k-mer.  A sequence of fewer than [window]
+   k-mers holds no whole window and has none.  The window's keys sit in a
+   ring; the minimum is rescanned, oldest first, only when it leaves. *)
+let iter_minimizers ~k s f =
+  let b = Dna.unsafe_bytes s in
+  let n = Bytes.length b - k + 1 in
+  if n >= window then begin
+    let mask = (1 lsl (2 * k)) - 1 and ring = Array.make window 0 in
+    let kmer = ref 0 in
+    for i = 0 to k - 2 do
+      kmer := (!kmer lsl 2) lor Dna.base_code (Bytes.unsafe_get b i)
+    done;
+    let best = ref max_int and best_pos = ref 0 and last = ref (-1) and slot = ref 0 in
+    for pos = 0 to n - 1 do
+      kmer := ((!kmer lsl 2) lor Dna.base_code (Bytes.unsafe_get b (pos + k - 1))) land mask;
+      let h = mix ~k ~mask !kmer in
+      Array.unsafe_set ring !slot h;
+      slot := if !slot = window - 1 then 0 else !slot + 1;
+      if h < !best then begin
+        best := h;
+        best_pos := pos
+      end
+      else if !best_pos <= pos - window then begin
+        (* [slot] is now the window's oldest k-mer. *)
+        best := max_int;
+        for i = 0 to window - 1 do
+          let r = !slot + i in
+          let hr = Array.unsafe_get ring (if r >= window then r - window else r) in
+          if hr < !best then begin
+            best := hr;
+            best_pos := pos - window + 1 + i
+          end
+        done
+      end;
+      if pos >= window - 1 && !best_pos <> !last then begin
+        last := !best_pos;
+        f !best !best_pos
+      end
+    done
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Sorted minimizer index                                               *)
+
+(* Every kept minimizer of every target, sorted by mixed key: entry [e] is
+   key [keys.(e)] at payload [vals.(e)] = (target lsl 32) lor position, for
+   [e < size].  Within a key, payloads ascend, so entries run target by
+   target, each in position order.  A (key, target) pair sampled more than
+   [max_occ] times has no entries.
 
    Two side tables answer a probe without touching most of the keys.  The
    directory holds, for each value p of a key's top bits
    ([key lsr dir_shift]), the first entry whose prefix is at least p, so a
-   k-mer's entries lie in [dir.(p), dir.(p + 1)).  The presence bitmap has
+   key's entries lie in [dir.(p), dir.(p + 1)).  The presence bitmap has
    bit [key lsr present_shift] set iff some entry has that longer prefix:
-   most absent k-mers stop at one bit test. *)
+   most absent keys stop at one bit test. *)
 type index = {
   k : int;
   targets : Dna.t array;
@@ -141,47 +211,67 @@ let side_tables ~k keys size =
   done;
   (dir, dir_shift, present, present_shift)
 
+let entries_counter = Fsa_obs.Metric.Counter.make "seed.index_entries"
+
+(* [a], or a copy at least twice as long when it is shorter than [n]. *)
+let grow a n =
+  if Array.length a >= n then a
+  else begin
+    let b = Array.make (max n (2 * Array.length a)) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
 let index_targets ?(max_occ = 32) ~k targets =
   if k < 1 || k > 30 then invalid_arg "Seed.index_targets: k out of [1,30]";
   Array.iter (fun t -> check_lengths ~target:(Dna.length t) ~query:0) targets;
   Fsa_obs.Span.with_ ~name:"seed.index" @@ fun () ->
-  let total =
-    Array.fold_left (fun n t -> n + max 0 (Dna.length t - k + 1)) 0 targets
-  in
+  (* One pass per target appends its minimizers to [pk] (keys) and [pv]
+     (payloads), sized above the 2 / (window + 1) of the k-mers that random
+     DNA samples, and grown when a repeat samples more. *)
+  let kmers = Array.fold_left (fun n t -> n + max 0 (Dna.length t - k + 1)) 0 targets in
+  let pk = ref (Array.make ((kmers / 4) + window) 0) in
+  let pv = ref (Array.make (Array.length !pk) 0) and total = ref 0 in
+  Array.iteri
+    (fun ti t ->
+      let tag = ti lsl 32 in
+      iter_minimizers ~k t (fun key pos ->
+          let n = !total in
+          if n = Array.length !pk then begin
+            pk := grow !pk (n + 1);
+            pv := grow !pv (n + 1)
+          end;
+          Array.unsafe_set !pk n key;
+          Array.unsafe_set !pv n (tag lor pos);
+          total := n + 1))
+    targets;
+  let total = !total and pk = !pk and pv = !pv in
   (* Part p holds the entries whose keys' top [split] bits read p.  Parts
      average 2^9–2^10 entries until [split] reaches 8, so a part's keys,
      payloads and scratch (32 KB) stay in cache while its other [shift]
-     bits are sorted.  Below 2^10 entries the index is one part: its arrays
-     fit in cache whole, and each part costs its own histograms. *)
+     bits are sorted.  Below 2^10 entries the index is one part. *)
   let key_bits = 2 * k in
   let split = max 0 (min (min 8 key_bits) (bit_length total - 10)) in
   let shift = key_bits - split and parts = 1 lsl split in
   (* [start.(p)] is part p's first entry, [start.(parts)] = [total]. *)
   let start = Array.make (parts + 1) 0 in
-  if split = 0 then start.(1) <- total
-  else begin
-    Array.iter
-      (fun t ->
-        Dna.fold_kmers ~k t ~init:() ~f:(fun () ~pos:_ ~kmer ->
-            let p = (kmer lsr shift) + 1 in
-            Array.unsafe_set start p (Array.unsafe_get start p + 1)))
-      targets;
-    for p = 1 to parts do
-      start.(p) <- start.(p) + start.(p - 1)
-    done
-  end;
+  for i = 0 to total - 1 do
+    let p = (Array.unsafe_get pk i lsr shift) + 1 in
+    Array.unsafe_set start p (Array.unsafe_get start p + 1)
+  done;
+  for p = 1 to parts do
+    start.(p) <- start.(p) + start.(p - 1)
+  done;
   let keys = Array.make total 0 and vals = Array.make total 0 in
   let fill = Array.sub start 0 parts in
-  Array.iteri
-    (fun ti t ->
-      let tag = ti lsl 32 in
-      Dna.fold_kmers ~k t ~init:() ~f:(fun () ~pos ~kmer ->
-          let p = kmer lsr shift in
-          let e = Array.unsafe_get fill p in
-          Array.unsafe_set keys e kmer;
-          Array.unsafe_set vals e (tag lor pos);
-          Array.unsafe_set fill p (e + 1)))
-    targets;
+  for i = 0 to total - 1 do
+    let key = Array.unsafe_get pk i in
+    let p = key lsr shift in
+    let e = Array.unsafe_get fill p in
+    Array.unsafe_set keys e key;
+    Array.unsafe_set vals e (Array.unsafe_get pv i);
+    Array.unsafe_set fill p (e + 1)
+  done;
   let largest = ref 0 in
   for p = 0 to parts - 1 do
     largest := max !largest (start.(p + 1) - start.(p))
@@ -192,11 +282,11 @@ let index_targets ?(max_occ = 32) ~k targets =
   for p = 0 to parts - 1 do
     let lo = start.(p) and hi = start.(p + 1) in
     (* Filled target by target in position order, so the stable sort
-       leaves each k-mer's payloads ascending. *)
+       leaves each key's payloads ascending. *)
     radix_sort ~counts ~bits:shift keys vals ~lo ~n:(hi - lo) tk tv;
     (* Repeat k-mers seed quadratically many spurious diagonals: drop each
-       (k-mer, target) run longer than [max_occ], compacting toward the
-       front.  A k-mer's runs lie in one part, and [size] never passes
+       (key, target) run longer than [max_occ], compacting toward the
+       front.  A key's runs lie in one part, and [size] never passes
        [lo], so no later part is overwritten. *)
     let i = ref lo in
     while !i < hi do
@@ -215,15 +305,15 @@ let index_targets ?(max_occ = 32) ~k targets =
     done
   done;
   let size = !size in
+  Fsa_obs.Metric.Counter.add entries_counter size;
   let dir, dir_shift, present, present_shift = side_tables ~k keys size in
   { k; targets; keys; vals; size; dir; dir_shift; present; present_shift }
 
 let build_index ?max_occ ~k target = index_targets ?max_occ ~k [| target |]
-let index_k idx = idx.k
 
-(* The first entry of k-mer [key] (a k-mer of [idx.k] bases), or -1 when
-   the index holds none: a bitmap test, then a binary search of the key's
-   directory bucket.  Its entries run on from there. *)
+(* The first entry of mixed key [key], or -1 when the index holds none: a
+   bitmap test, then a binary search of the key's directory bucket.  Its
+   entries run on from there. *)
 let probe idx key =
   let b = key lsr idx.present_shift in
   if Char.code (Bytes.unsafe_get idx.present (b lsr 3)) land (1 lsl (b land 7)) = 0
@@ -239,18 +329,6 @@ let probe idx key =
     if !lo < stop && Array.unsafe_get keys !lo = key then !lo else -1
   end
 
-let lookup idx kmer =
-  (* A logical shift also sends every negative int past the key range. *)
-  let e0 = if kmer lsr (2 * idx.k) <> 0 then -1 else probe idx kmer in
-  if e0 < 0 then [||]
-  else begin
-    let e = ref e0 in
-    while !e < idx.size && idx.keys.(!e) = kmer && idx.vals.(!e) lsr 32 = 0 do
-      incr e
-    done;
-    Array.init (!e - e0) (fun i -> idx.vals.(e0 + i) land pos_mask)
-  end
-
 type anchor = {
   t_lo : int;
   t_hi : int;
@@ -260,6 +338,7 @@ type anchor = {
   score : float;
 }
 
+let hits_counter = Fsa_obs.Metric.Counter.make "seed.hits"
 let runs_counter = Fsa_obs.Metric.Counter.make "seed.runs_extended"
 let found_counter = Fsa_obs.Metric.Counter.make "seed.anchors_found"
 let filtered_counter = Fsa_obs.Metric.Counter.make "seed.anchors_filtered"
@@ -365,19 +444,10 @@ let scratch () =
     counts = Array.make (8 * 256) 0;
   }
 
-(* [a], or a copy at least twice as long when it is shorter than [n]. *)
-let grow a n =
-  if Array.length a >= n then a
-  else begin
-    let b = Array.make (max n (2 * Array.length a)) 0 in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-  end
-
 (* One strand of [query] against every target of [idx] ([targets] are the
-   index's targets): each of the strand's k-mers probes the index, the hits
-   are bucketed per target, and each bucket is radix-sorted and turned into
-   anchors.  Returns one anchor list per target. *)
+   index's targets): each of the strand's minimizers probes the index, the
+   hits are bucketed per target, and each bucket is radix-sorted and turned
+   into anchors.  Returns one anchor list per target. *)
 let scan_strand sc ~max_gap ~x_drop ~min_score idx targets ~forward query =
   let k = idx.k and nt = Array.length targets in
   let q = if forward then query else Dna.reverse_complement query in
@@ -401,33 +471,29 @@ let scan_strand sc ~max_gap ~x_drop ~min_score idx targets ~forward query =
   in
   let out = Array.make nt [] and nruns = ref 0 in
   if ql >= k && idx.size > 0 then begin
-    (* Each k-mer the index holds is a group: its query position and its
-       entries [e0, e1); record it and count its hits per target. *)
+    (* Each minimizer the index holds is a group: its query position and
+       its entries [e0, e1); record it and count its hits per target. *)
     sc.per_target <- grow sc.per_target nt;
     let cnt = sc.per_target in
     Array.fill cnt 0 nt 0;
     let ik = idx.keys and iv = idx.vals and ngroups = ref 0 in
-    let qb = Dna.unsafe_bytes q and mask = (1 lsl (2 * k)) - 1 and kmer = ref 0 in
-    for i = 0 to ql - 1 do
-      kmer := ((!kmer lsl 2) lor Dna.base_code (Bytes.unsafe_get qb i)) land mask;
-      let kmer = !kmer and pos = i - k + 1 in
-      let e0 = if pos >= 0 then probe idx kmer else -1 in
-      if e0 >= 0 then begin
-        let e1 = ref e0 in
-        while !e1 < idx.size && Array.unsafe_get ik !e1 = kmer do
-          let t = Array.unsafe_get iv !e1 lsr 32 in
-          cnt.(t) <- cnt.(t) + 1;
-          incr e1
-        done;
-        let g = 3 * !ngroups in
-        if g + 3 > Array.length sc.groups then sc.groups <- grow sc.groups (g + 3);
-        let groups = sc.groups in
-        groups.(g) <- pos;
-        groups.(g + 1) <- e0;
-        groups.(g + 2) <- !e1;
-        incr ngroups
-      end
-    done;
+    iter_minimizers ~k q (fun key pos ->
+        let e0 = probe idx key in
+        if e0 >= 0 then begin
+          let e1 = ref e0 in
+          while !e1 < idx.size && Array.unsafe_get ik !e1 = key do
+            let t = Array.unsafe_get iv !e1 lsr 32 in
+            cnt.(t) <- cnt.(t) + 1;
+            incr e1
+          done;
+          let g = 3 * !ngroups in
+          if g + 3 > Array.length sc.groups then sc.groups <- grow sc.groups (g + 3);
+          let groups = sc.groups in
+          groups.(g) <- pos;
+          groups.(g + 1) <- e0;
+          groups.(g + 2) <- !e1;
+          incr ngroups
+        end);
     (* Counts become bucket starts; filling moves each to its bucket's
        end. *)
     let total = ref 0 in
@@ -436,6 +502,7 @@ let scan_strand sc ~max_gap ~x_drop ~min_score idx targets ~forward query =
       cnt.(t) <- !total;
       total := !total + c
     done;
+    Fsa_obs.Metric.Counter.add hits_counter !total;
     sc.hits <- grow sc.hits !total;
     sc.tmp_k <- grow sc.tmp_k !total;
     let hits = sc.hits and groups = sc.groups in
@@ -472,7 +539,6 @@ let scan_strand sc ~max_gap ~x_drop ~min_score idx targets ~forward query =
 
 (* [anchors]' defaults, which [scan] always runs at: one copy of each, so
    [join_strands] of a scan stays equal to [anchors] at its defaults. *)
-let default_max_gap = 4
 let default_x_drop = 10.0
 let default_min_score = 20.0
 

@@ -110,9 +110,11 @@ let tpa_fill_counter = Fsa_obs.Metric.Counter.make "improve.tpa_fill_calls"
    runs.  I1 frees f's old site on f when it prepares g, then plugs f into
    g, and a fill may plug as a job a fragment whose freed site a later
    fill of the same attempt refills.  The selected job is then left
-   detached.  On perfbench's [fragmented] seed-1 pairs this fires about
-   41 times per solve under FSA_NO_PRUNE=1, and never with pruning on:
-   Attempt_bound refuses every attempt that would reach it. *)
+   detached.  Pruning does not rule it out.  On perfbench's [fragmented]
+   seed-1 pairs it fires about 41 times per solve under FSA_NO_PRUNE=1
+   and never with pruning on, but with pruning on it fires about 29 times
+   per solve in the [Full_Improve (12 regions)] timing bench, and about
+   0.2 times per perfbench [chromosome] job. *)
 let prepare_miss_counter = Fsa_obs.Metric.Counter.make "improve.tpa_fill_prepare_misses"
 let add_error_counter = Fsa_obs.Metric.Counter.make "improve.tpa_fill_add_errors"
 

@@ -4,10 +4,3 @@ let other = function H -> M | M -> H
 let equal a b = a = b
 let to_string = function H -> "H" | M -> "M"
 let pp ppf s = Format.pp_print_string ppf (to_string s)
-
-type 'a pair = { h : 'a; m : 'a }
-
-let get p = function H -> p.h | M -> p.m
-let set p side v = match side with H -> { p with h = v } | M -> { p with m = v }
-let map f p = { h = f p.h; m = f p.m }
-let make h m = { h; m }

@@ -6,11 +6,3 @@ val other : t -> t
 val equal : t -> t -> bool
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
-
-type 'a pair = { h : 'a; m : 'a }
-(** A value per side. *)
-
-val get : 'a pair -> t -> 'a
-val set : 'a pair -> t -> 'a -> 'a pair
-val map : ('a -> 'b) -> 'a pair -> 'b pair
-val make : 'a -> 'a -> 'a pair

@@ -99,31 +99,6 @@ let codes =
 
 let base_code c = Char.code (String.unsafe_get codes (Char.code c))
 
-let pack_kmer t ~pos ~k =
-  if k < 1 || k > 30 then invalid_arg "Dna.pack_kmer: k out of [1,30]";
-  if pos < 0 || pos + k > Bytes.length t then invalid_arg "Dna.pack_kmer: out of range";
-  let v = ref 0 in
-  for i = pos to pos + k - 1 do
-    v := (!v lsl 2) lor base_code (Bytes.unsafe_get t i)
-  done;
-  !v
-
-let fold_kmers ~k t ~init ~f =
-  if k < 1 || k > 30 then invalid_arg "Dna.fold_kmers: k out of [1,30]";
-  let n = Bytes.length t in
-  if n < k then init
-  else begin
-    let mask = (1 lsl (2 * k)) - 1 in
-    let acc = ref init in
-    let v = ref (pack_kmer t ~pos:0 ~k) in
-    acc := f !acc ~pos:0 ~kmer:!v;
-    for pos = 1 to n - k do
-      v := ((!v lsl 2) lor base_code (Bytes.unsafe_get t (pos + k - 1))) land mask;
-      acc := f !acc ~pos ~kmer:!v
-    done;
-    !acc
-  end
-
 let unsafe_bytes t = t
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)

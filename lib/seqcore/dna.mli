@@ -41,15 +41,9 @@ val identity : t -> t -> float
 (** Fraction of equal positions (length mismatch compares the overlap and
     counts the overhang as mismatches). *)
 
-val fold_kmers : k:int -> t -> init:'a -> f:('a -> pos:int -> kmer:int -> 'a) -> 'a
-(** Folds over all k-mers as 2-bit packed integers (A=0 C=1 G=2 T=3, high
-    bits first).  Requires [1 <= k <= 30]. *)
-
-val pack_kmer : t -> pos:int -> k:int -> int
-
 val base_code : char -> int
-(** A base's 2-bit code in {!fold_kmers}' packing (A=0 C=1 G=2 T=3), one
-    table load: for kernels that roll k-mers in their own loop. *)
+(** A base's 2-bit code (A=0 C=1 G=2 T=3), one table load: for kernels
+    that roll k-mers as packed ints (high bits first) in their own loop. *)
 
 val unsafe_bytes : t -> Bytes.t
 (** The bases themselves, shared, not copied: for kernels that read one

@@ -304,19 +304,6 @@ let test_hit_packing_guard () =
       ((1 lsl 31, 0), ((1 lsl 31) + 1, 0));
     ]
 
-let test_index_lookup () =
-  let t = Dna.of_string "ACGTACGT" in
-  let idx = Seed.build_index ~k:4 t in
-  check_int "k" 4 (Seed.index_k idx);
-  let kmer = Dna.pack_kmer t ~pos:0 ~k:4 in
-  Alcotest.(check (array int)) "positions of ACGT" [| 0; 4 |] (Seed.lookup idx kmer)
-
-let test_index_max_occ () =
-  let t = Dna.of_string (String.concat "" (List.init 50 (fun _ -> "A"))) in
-  let idx = Seed.build_index ~max_occ:8 ~k:4 t in
-  let kmer = Dna.pack_kmer t ~pos:0 ~k:4 in
-  check_int "repeat kmer dropped" 0 (Array.length (Seed.lookup idx kmer))
-
 let test_anchor_forward () =
   let rng = Fsa_util.Rng.create 44 in
   let core = Dna.random rng 60 in
@@ -416,46 +403,74 @@ let test_filter_dominated_sweep_qcheck =
       let anchors = random_anchor_set seed in
       Seed.filter_dominated anchors = filter_dominated_quadratic anchors)
 
-(* Reference model of the seed kernel: the Hashtbl index and the closure
-   x-drop that the flat kernel replaced, verbatim except for telemetry.
-   The flat kernel must agree with it exactly, floats included. *)
+(* Reference model of the seed kernel: a Hashtbl index of naively found
+   (w,k)-minimizers, and the closure x-drop that the flat kernel replaced.
+   Each window of w consecutive k-mers is scanned whole for its least
+   k-mer under the kernel's documented order (a bijective mix of the
+   2k-bit k-mer, restated below), leftmost on ties: O(n·w).  The flat
+   kernel must agree with it exactly, floats included. *)
 module Seed_reference = struct
-  type index = { k : int; table : (int, int array) Hashtbl.t; max_occ : int }
+  type index = { k : int; table : (int, int array) Hashtbl.t; entries : int }
+
+  let window = 10
+
+  let mix ~k x =
+    let mask = (1 lsl (2 * k)) - 1 in
+    let x = (x * 0x3F58476D1CE4E5B9) land mask in
+    let x = x lxor (x lsr k) in
+    let x = (x * 0x14D049BB133111EB) land mask in
+    x lxor (x lsr k)
+
+  (* [s]'s k-mers, and the position each window of [window] of them
+     picks, window by window. *)
+  let window_picks ~k s =
+    let kmers =
+      Array.of_list (List.rev (Kmers.fold ~k s ~init:[] ~f:(fun acc ~pos:_ ~kmer -> kmer :: acc)))
+    in
+    let mixed = Array.map (mix ~k) kmers in
+    let picks =
+      Array.init (max 0 (Array.length kmers - window + 1)) (fun p ->
+          let best = ref p in
+          for i = p + 1 to p + window - 1 do
+            if mixed.(i) < mixed.(!best) then best := i
+          done;
+          !best)
+    in
+    (kmers, picks)
+
+  (* [s]'s minimizers as (position, k-mer), in position order. *)
+  let minimizers ~k s =
+    let kmers, picks = window_picks ~k s in
+    List.map (fun i -> (i, kmers.(i))) (List.sort_uniq Int.compare (Array.to_list picks))
 
   let build_index ?(max_occ = 32) ~k target =
-    (* Two counting passes so occurrence lists land in flat int arrays with no
-       intermediate list cells: count per k-mer, then fill in position order. *)
-    let counts = Hashtbl.create 1024 in
-    Dna.fold_kmers ~k target ~init:() ~f:(fun () ~pos:_ ~kmer ->
-        let c = match Hashtbl.find_opt counts kmer with Some c -> c | None -> 0 in
-        Hashtbl.replace counts kmer (c + 1));
-    let table = Hashtbl.create (Hashtbl.length counts) in
-    let fill = Hashtbl.create (Hashtbl.length counts) in
-    Dna.fold_kmers ~k target ~init:() ~f:(fun () ~pos ~kmer ->
-        (* Repeat k-mers seed quadratically many spurious diagonals: drop. *)
-        if Hashtbl.find counts kmer <= max_occ then begin
-          let occs =
-            match Hashtbl.find_opt table kmer with
-            | Some occs -> occs
-            | None ->
-                let occs = Array.make (Hashtbl.find counts kmer) 0 in
-                Hashtbl.add table kmer occs;
-                occs
-          in
-          let i =
-            match Hashtbl.find_opt fill kmer with Some i -> i | None -> 0
-          in
-          occs.(i) <- pos;
-          Hashtbl.replace fill kmer (i + 1)
-        end);
-    { k; table; max_occ }
+    let mins = minimizers ~k target in
+    let counts = Hashtbl.create 64 in
+    List.iter
+      (fun (_, kmer) ->
+        Hashtbl.replace counts kmer (1 + Option.value ~default:0 (Hashtbl.find_opt counts kmer)))
+      mins;
+    (* Repeat k-mers seed quadratically many spurious diagonals: drop. *)
+    let kept = List.filter (fun (_, kmer) -> Hashtbl.find counts kmer <= max_occ) mins in
+    let table = Hashtbl.create 64 in
+    List.iter
+      (fun (pos, kmer) ->
+        let occs = Option.value ~default:[||] (Hashtbl.find_opt table kmer) in
+        Hashtbl.replace table kmer (Array.append occs [| pos |]))
+      kept;
+    { k; table; entries = List.length kept }
 
-  let empty_occs : int array = [||]
+  let lookup idx kmer = Option.value ~default:[||] (Hashtbl.find_opt idx.table kmer)
 
-  let lookup idx kmer =
-    match Hashtbl.find_opt idx.table kmer with
-    | Some occs -> occs
-    | None -> empty_occs
+  (* Hits of both strands of [query]: each query minimizer against each
+     indexed occurrence of its k-mer. *)
+  let hits idx query =
+    List.fold_left
+      (fun n q ->
+        List.fold_left
+          (fun n (_, kmer) -> n + Array.length (lookup idx kmer))
+          n (minimizers ~k:idx.k q))
+      0 [ query; Dna.reverse_complement query ]
 
   let xdrop_extend ~score ~x_drop ~la ~lb ~a_start ~b_start =
     let rec go k running best best_len =
@@ -473,7 +488,8 @@ module Seed_reference = struct
     let k = idx.k in
     let ql = Dna.length q in
     let buf = ref (Array.make 256 0) and len = ref 0 in
-    Dna.fold_kmers ~k q ~init:() ~f:(fun () ~pos ~kmer ->
+    List.iter
+      (fun (pos, kmer) ->
         let occs = lookup idx kmer in
         for i = 0 to Array.length occs - 1 do
           let cap = Array.length !buf in
@@ -484,7 +500,8 @@ module Seed_reference = struct
           end;
           !buf.(!len) <- ((occs.(i) - pos + ql) lsl 31) lor pos;
           incr len
-        done);
+        done)
+      (minimizers ~k q);
     let hits = Array.sub !buf 0 !len in
     Array.sort Int.compare hits;
     (* Merge hits on a common diagonal whose starts are within k + max_gap. *)
@@ -543,7 +560,7 @@ module Seed_reference = struct
         if score >= min_score then Some (d, q_lo, q_hi, score) else None)
       !runs
 
-  let anchors ?(max_gap = 4) ?(x_drop = 10.0) ?(min_score = 20.0) idx ~target ~query =
+  let anchors ?(max_gap = 32) ?(x_drop = 10.0) ?(min_score = 20.0) idx ~target ~query =
     let fwd =
       strand_runs ~max_gap ~x_drop ~min_score idx ~target ~q:query
       |> List.map (fun (d, q_lo, q_hi, score) ->
@@ -566,9 +583,52 @@ module Seed_reference = struct
     List.sort (fun (a : Seed.anchor) b -> compare b.score a.score) (fwd @ rev)
 end
 
+(* [f ()] and the counters it added, under a fresh registry. *)
+let counted f =
+  let reg = Fsa_obs.Registry.create () in
+  let v = Fsa_obs.Runtime.with_observation ~registry:reg f in
+  let count name =
+    int_of_float (Option.value ~default:0.0 (Fsa_obs.Registry.counter_value reg name))
+  in
+  (v, count)
+
+let test_index_lookup () =
+  (* A target scanned against itself: every minimizer the index keeps is
+     hit by the same minimizer of the query, and the main diagonal's run
+     covers the whole target. *)
+  let t = Dna.random (Fsa_util.Rng.create 43) 200 in
+  let anchors, count =
+    counted (fun () -> Seed.anchors (Seed.build_index ~k:8 t) ~target:t ~query:t)
+  in
+  let entries = count "seed.index_entries" and kmers = 200 - 8 + 1 in
+  check_int "entries = minimizers" (List.length (Seed_reference.minimizers ~k:8 t)) entries;
+  (* Each of the kmers - w + 1 windows picks one k-mer, and a k-mer is
+     picked by at most w windows. *)
+  let w = Seed_reference.window in
+  check_bool "a minimizer per window, far fewer than k-mers" true
+    (entries * w >= kmers - w + 1 && entries < kmers / 3);
+  check_bool "every entry hit by itself" true (count "seed.hits" >= entries);
+  check_bool "main diagonal covered" true
+    (List.exists
+       (fun (a : Seed.anchor) ->
+         a.forward && a.t_lo = 0 && a.q_lo = 0 && a.t_hi = 199 && a.q_hi = 199)
+       anchors)
+
+let test_index_max_occ () =
+  (* Every window of a poly-A run ties, so each picks its leftmost k-mer:
+     the one key is sampled 38 times, past max_occ, and dropped. *)
+  let t = Dna.of_string (String.make 50 'A') in
+  let anchors, count =
+    counted (fun () ->
+        Seed.anchors ~min_score:1.0 (Seed.build_index ~max_occ:8 ~k:4 t) ~target:t ~query:t)
+  in
+  check_int "repeat dropped" 0 (count "seed.index_entries");
+  check_int "no hits" 0 (count "seed.hits");
+  check_int "no anchors" 0 (List.length anchors)
+
 (* A run over one or two bases (poly-A, say, or an AC mix) with sparse
-   substitutions: its k-mers share long key prefixes, so they crowd a few
-   directory buckets and bitmap bytes of the index. *)
+   substitutions: its windows tie often and its k-mers recur, past
+   max_occ for short k. *)
 let low_complexity rng n =
   let letters = Dna.random rng (1 + Fsa_util.Rng.int rng 2) in
   let run =
@@ -578,30 +638,43 @@ let low_complexity rng n =
   in
   Dna.point_mutate rng ~rate:0.02 run
 
-(* [dna] cut or padded with random bases to hold [count] k-mers. *)
-let with_kmer_count rng ~k count dna =
-  let len = count + k - 1 and n = Dna.length dna in
-  if len <= n then Dna.sub dna ~pos:0 ~len
-  else Dna.concat [ dna; Dna.random rng (len - n) ]
+(* [dna], padded with random bases as needed, cut to its shortest prefix
+   holding [count] >= 1 minimizers.  A prefix's minimizers are the picks
+   of its whole windows, each as in [dna], so the count grows by at most
+   one per window. *)
+let with_minimizer_count rng ~k count dna =
+  let w = Seed_reference.window in
+  let rec padded d =
+    let _, picks = Seed_reference.window_picks ~k d in
+    if List.length (List.sort_uniq Int.compare (Array.to_list picks)) >= count then (d, picks)
+    else padded (Dna.concat [ d; Dna.random rng (8 * (count + w + k)) ])
+  in
+  let d, picks = padded dna in
+  let windows = ref 0 and distinct = ref 0 in
+  while !distinct < count do
+    if !windows = 0 || picks.(!windows) <> picks.(!windows - 1) then incr distinct;
+    incr windows
+  done;
+  Dna.sub d ~pos:0 ~len:(!windows + w + k - 2)
 
-(* For a quarter of the queries, a poly-T run: its k-mers are the largest
-   keys there are, above every key of an index without one. *)
+(* For a quarter of the queries, a poly-T run: every window of it ties, so
+   each picks its leftmost k-mer. *)
 let poly_t_tail rng ~k =
   if Fsa_util.Rng.int rng 4 = 0 then
     [ Dna.of_string (String.make (k + Fsa_util.Rng.int rng 40) 'T') ]
   else []
 
-(* A k-mer count just below, at or just above a power of two: the index
-   derives its directory and bitmap widths from the bit length of its
-   entry count, so these sizes flip them. *)
+(* A minimizer count just below, at or just above a power of two: the
+   index derives its sort split, directory and bitmap widths from the bit
+   lengths of its entry counts, so these sizes flip them. *)
 let near_power_of_two rng = (1 lsl (2 + Fsa_util.Rng.int rng 9)) - 1 + Fsa_util.Rng.int rng 3
 
 (* One seed-kernel case: k, index and extension knobs, and a target/query
    pair mixing uniform DNA, low-complexity tandem repeats (a 1–6 bp unit, so
    k-mers exceed max_occ and cluster in the table), one- and two-letter
    runs, and mutated copies of target stretches, some reverse-complemented.
-   A quarter of the targets are cut to a k-mer count near a power of two,
-   and a quarter of the queries end in a poly-T run. *)
+   A quarter of the targets are cut to a minimizer count near a power of
+   two, and a quarter of the queries end in a poly-T run. *)
 let seed_kernel_case seed =
   let rng = Fsa_util.Rng.create seed in
   let pick xs = Fsa_util.Rng.choose rng (Array.of_list xs) in
@@ -620,7 +693,8 @@ let seed_kernel_case seed =
   in
   let target = Dna.concat (List.init (1 + Fsa_util.Rng.int rng 4) (fun _ -> piece ())) in
   let target =
-    if Fsa_util.Rng.int rng 4 = 0 then with_kmer_count rng ~k (near_power_of_two rng) target
+    if Fsa_util.Rng.int rng 4 = 0 then
+      with_minimizer_count rng ~k (near_power_of_two rng) target
     else target
   in
   let copy () =
@@ -641,57 +715,49 @@ let seed_kernel_case seed =
            if Fsa_util.Rng.bool rng then copy () else piece ())
       @ poly_t_tail rng ~k)
   in
-  let max_occ = pick [ 1; 3; 32 ] and max_gap = pick [ 0; 4; 30 ] in
+  let max_occ = pick [ 1; 3; 32 ] and max_gap = pick [ 0; 4; 22; 32 ] in
   let x_drop = pick [ 2.0; 10.0 ] and min_score = pick [ 6.0; 20.0 ] in
   (k, max_occ, max_gap, x_drop, min_score, target, query)
 
+(* The kernel's anchors equal the reference's, and so do its index entries
+   and hits, which max_occ cuts per (k-mer, target). *)
 let test_seed_oracle_qcheck =
   QCheck.Test.make ~name:"seed kernel = Hashtbl reference" ~count:400
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let k, max_occ, max_gap, x_drop, min_score, target, query = seed_kernel_case seed in
-      let idx = Seed.build_index ~max_occ ~k target in
+      let found, count =
+        counted (fun () ->
+            Seed.anchors ~max_gap ~x_drop ~min_score
+              (Seed.build_index ~max_occ ~k target)
+              ~target ~query)
+      in
       let ref_idx = Seed_reference.build_index ~max_occ ~k target in
-      (* Every k-mer of either sequence, a few drawn at random, the
-         largest k-mer, and ints past either end of the k-mer range. *)
-      let rng = Fsa_util.Rng.create (seed + 1) in
-      let kmers =
-        [ min_int; -1; (1 lsl (2 * k)) - 1; 1 lsl (2 * k); (2 lsl (2 * k)) - 1; max_int ]
-        @ List.init 20 (fun _ -> Fsa_util.Rng.int rng (1 lsl (2 * k)))
-        @ List.concat_map
-            (fun s ->
-              Dna.fold_kmers ~k s ~init:[] ~f:(fun acc ~pos:_ ~kmer -> kmer :: acc))
-            [ target; query ]
-      in
-      let lookups_agree =
-        List.for_all
-          (fun kmer -> Seed.lookup idx kmer = Seed_reference.lookup ref_idx kmer)
-          kmers
-      in
-      let found = Seed.anchors ~max_gap ~x_drop ~min_score idx ~target ~query in
       let expected =
         Seed_reference.anchors ~max_gap ~x_drop ~min_score ref_idx ~target ~query
       in
-      lookups_agree && found = expected
+      count "seed.index_entries" = ref_idx.entries
+      && count "seed.hits" = Seed_reference.hits ref_idx query
+      && found = expected
       && Seed.filter_dominated found = filter_dominated_quadratic expected)
 
 (* One multi-target case: 0–6 targets and a query.  The targets take the
    roles below in a shuffled order, so a set of three or more holds an
-   empty target, one shorter than k, and one whose tandem repeat puts its
-   k-mers past max_occ; a fourth holds a short stretch of the same repeat,
-   and the query a longer one, so the repeat's k-mers are kept in one
-   target and dropped in another.  A fifth is a one- or two-letter run.
-   A quarter of the sets gain a random target that brings their k-mer
-   count to just below, at or just above a power of two, and a quarter of
-   the queries end in a poly-T run.
+   empty target, one too short for a whole window of k-mers, and one
+   whose tandem repeat puts its minimizers past max_occ; a fourth holds a
+   short stretch of the same repeat, and the query a longer one, so the
+   repeat's minimizers are kept in one target and dropped in another.  A
+   fifth is a one- or two-letter run.  A quarter of the sets gain a random
+   target that brings their minimizer count to just below, at or just
+   above a power of two, and a quarter of the queries end in a poly-T run.
 
    A twenty-fourth of the sets instead gain a random target that brings
    their count near a power of two from 2^13 to 2^17.  The index splits
    its sort on min(8, 2k, b - 10) key bits for b the count's bit length,
    so these cases split 3 to 8 bits wide where the others split 0 to 2,
    and short k-mers recur in such a target past max_occ across many
-   parts.  That target leads the set, so [lookup] reads its entries, and
-   the query copies a stretch of it. *)
+   parts.  That target leads the set, and the query copies a stretch of
+   it. *)
 let multi_target_case seed =
   let rng = Fsa_util.Rng.create seed in
   let pick xs = Fsa_util.Rng.choose rng (Array.of_list xs) in
@@ -702,11 +768,12 @@ let multi_target_case seed =
   let repeat = Dna.concat (List.init (max_occ + k + 2) (fun _ -> u)) in
   let stretch len = Dna.sub repeat ~pos:0 ~len:(min len (Dna.length repeat)) in
   let random () = Dna.random rng (Fsa_util.Rng.int rng 300) in
-  let short_stretch () = stretch (k + Fsa_util.Rng.int rng (Dna.length u)) in
+  let w = Seed_reference.window in
+  let short_stretch () = stretch (k + w - 1 + Fsa_util.Rng.int rng (Dna.length u)) in
   let roles =
     [|
       (fun () -> Dna.of_string "");
-      (fun () -> Dna.random rng (Fsa_util.Rng.int rng k));
+      (fun () -> Dna.random rng (Fsa_util.Rng.int rng (k + w - 1)));
       (fun () -> Dna.concat [ random (); repeat; random () ]);
       (fun () -> Dna.concat [ random (); short_stretch (); random () ]);
       (fun () -> low_complexity rng (50 + Fsa_util.Rng.int rng 250));
@@ -716,11 +783,13 @@ let multi_target_case seed =
   let n = Fsa_util.Rng.int rng 7 in
   let targets = Array.init n (fun i -> roles.(min i 5) ()) in
   let total =
-    Array.fold_left (fun c t -> c + max 0 (Dna.length t - k + 1)) 0 targets
+    Array.fold_left
+      (fun c t -> c + List.length (Seed_reference.minimizers ~k t))
+      0 targets
   in
   (* A target that brings the count to p - 1, p or p + 1. *)
   let padding p =
-    with_kmer_count rng ~k (p - 1 + Fsa_util.Rng.int rng 3 - total) (Dna.of_string "")
+    with_minimizer_count rng ~k (p - 1 + Fsa_util.Rng.int rng 3 - total) (Dna.of_string "")
   in
   let wide, targets =
     match Fsa_util.Rng.int rng 24 with
@@ -760,46 +829,131 @@ let multi_target_case seed =
   in
   (k, max_occ, min_score, targets, query)
 
-(* Each target's anchors equal those of its own reference index, and
-   [lookup] of every k-mer of the first target and of the query returns
-   the reference's positions in that target. *)
+(* Each target's anchors equal those of its own reference index, and the
+   index's entries and the scan's hits are the sums of the targets' own. *)
 let test_seed_multi_target_qcheck =
   QCheck.Test.make ~name:"multi-target scan = per-target Hashtbl reference" ~count:300
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let k, max_occ, min_score, targets, query = multi_target_case seed in
-      let idx = Seed.index_targets ~max_occ ~k targets in
+      let strands, count =
+        counted (fun () ->
+            Seed.scan ~min_score (Seed.index_targets ~max_occ ~k targets)
+              [| (query, true); (query, false) |])
+      in
       let refs = Array.map (Seed_reference.build_index ~max_occ ~k) targets in
-      let strands = Seed.scan ~min_score idx [| (query, true); (query, false) |] in
       let agrees t target =
         Seed.join_strands strands.(0).(t) strands.(1).(t)
         = Seed_reference.anchors ~min_score refs.(t) ~target ~query
       in
-      let lookups_agree () =
-        Array.length targets = 0
-        || List.for_all
-             (fun s ->
-               Dna.fold_kmers ~k s ~init:true ~f:(fun ok ~pos:_ ~kmer ->
-                   ok && Seed.lookup idx kmer = Seed_reference.lookup refs.(0) kmer))
-             [ targets.(0); query ]
-      in
+      let sum f = Array.fold_left (fun n r -> n + f r) 0 refs in
       Array.for_all (fun s -> Array.length s = Array.length targets) strands
       && List.for_all Fun.id (List.mapi agrees (Array.to_list targets))
-      && lookups_agree ())
+      && count "seed.index_entries" = sum (fun r -> r.Seed_reference.entries)
+      && count "seed.hits" = sum (fun r -> Seed_reference.hits r query))
 
 let test_index_targets_lookup () =
-  (* lookup reads the first target; the second target's copies of the
-     k-mer do not count against the first's max_occ. *)
-  let a = Dna.of_string "ACGTACGT" and b = Dna.of_string "ACGTTTACGTACGT" in
-  let kmer = Dna.pack_kmer a ~pos:0 ~k:4 in
-  let idx = Seed.index_targets ~max_occ:2 ~k:4 [| a; b |] in
-  Alcotest.(check (array int)) "first target's positions" [| 0; 4 |]
-    (Seed.lookup idx kmer);
-  let idx = Seed.index_targets ~max_occ:2 ~k:4 [| b; a |] in
-  check_int "three copies dropped in the first" 0 (Array.length (Seed.lookup idx kmer));
-  match Seed.anchors idx ~target:a ~query:a with
+  (* [a] holds two copies of a stretch [u], [b] three: max_occ 2 keeps
+     [u]'s minimizers in [a], though [b]'s copies make five, and drops
+     them from [b] alone.  Each target's entries are its own index's. *)
+  let rng = Fsa_util.Rng.create 48 in
+  let u = Dna.random rng 60 and spacer () = Dna.random rng 40 in
+  let a = Dna.concat [ u; spacer (); u ] in
+  let b = Dna.concat [ u; spacer (); u; spacer (); u ] in
+  let entries ?(max_occ = 2) targets =
+    snd (counted (fun () -> Seed.index_targets ~max_occ ~k:8 targets)) "seed.index_entries"
+  in
+  check_int "two-target entries" (entries [| a |] + entries [| b |]) (entries [| a; b |]);
+  check_int "nothing dropped from a" (entries ~max_occ:3 [| a |]) (entries [| a |]);
+  check_bool "u's minimizers dropped from b" true
+    (entries [| b |] < entries ~max_occ:3 [| b |]);
+  (* Scanning u finds both copies in a, whichever slot a takes. *)
+  List.iter
+    (fun (targets, slot) ->
+      let idx = Seed.index_targets ~max_occ:2 ~k:8 targets in
+      let strands = Seed.scan idx [| (u, true); (u, false) |] in
+      let found = Seed.join_strands strands.(0).(slot) strands.(1).(slot) in
+      List.iter
+        (fun t_lo ->
+          check_bool "copy of u anchored" true
+            (List.exists
+               (fun (x : Seed.anchor) -> x.forward && x.t_lo = t_lo && x.t_hi = t_lo + 59)
+               found))
+        [ 0; 100 ])
+    [ ([| a; b |], 0); ([| b; a |], 1) ];
+  match Seed.anchors (Seed.index_targets ~k:8 [| a; b |]) ~target:a ~query:a with
   | _ -> Alcotest.fail "anchors accepted a two-target index"
   | exception Invalid_argument _ -> ()
+
+(* A stretch shared by target and query, planted in random flanks, on a
+   random strand of the query: [pair rng ~k] gives the target's copy and
+   the query's, of one length. *)
+let planted_case seed ~pair =
+  let rng = Fsa_util.Rng.create seed in
+  let k = Fsa_util.Rng.choose rng [| 8; 12; 16 |] in
+  let t_copy, q_copy = pair rng ~k in
+  let flank () = Dna.random rng (Fsa_util.Rng.int rng 150) in
+  let t_left = flank () and q_left = flank () and forward = Fsa_util.Rng.bool rng in
+  let target = Dna.concat [ t_left; t_copy; flank () ] in
+  let q_copy = if forward then q_copy else Dna.reverse_complement q_copy in
+  let query = Dna.concat [ q_left; q_copy; flank () ] in
+  let t_lo = Dna.length t_left and q_lo = Dna.length q_left and len = Dna.length t_copy in
+  (k, target, query, forward, (t_lo, t_lo + len - 1), (q_lo, q_lo + len - 1))
+
+(* Some anchor on [forward]'s strand covers both ranges. *)
+let covered anchors ~forward (t_lo, t_hi) (q_lo, q_hi) =
+  List.exists
+    (fun (a : Seed.anchor) ->
+      a.forward = forward && a.t_lo <= t_lo && a.t_hi >= t_hi && a.q_lo <= q_lo
+      && a.q_hi >= q_hi)
+    anchors
+
+(* [window + k - 1] to 61 random bases. *)
+let exact_stretch rng ~k =
+  let w = Seed_reference.window in
+  Dna.random rng (w + k - 1 + Fsa_util.Rng.int rng (62 - w - k))
+
+(* Any exact match of [window + k - 1] bases holds a whole window, whose
+   minimizer both sides sample: its hit's run is extended over the whole
+   match.  Every run is kept ([min_score] -infinity), so this checks the
+   seeding alone. *)
+let test_seed_planted_match_qcheck =
+  QCheck.Test.make ~name:"planted exact match is anchored" ~count:1000
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let k, target, query, forward, t_range, q_range =
+        planted_case seed ~pair:(fun rng ~k ->
+            let s = exact_stretch rng ~k in
+            (s, s))
+      in
+      let found =
+        Seed.anchors ~min_score:Float.neg_infinity (Seed.build_index ~k target) ~target ~query
+      in
+      covered found ~forward t_range q_range)
+
+(* Two exact stretches of [window + k - 1] bases or more around a
+   substitution of d = 1 to 4 bases in a row, which an index of every
+   k-mer bridged at max_gap 4: the last window before it and the first
+   after it give hits at most k + d + 2 (window - 1) apart, within the
+   merge gap, so one run spans the substitution.  An x-drop of 0.5 stops
+   extension at the first mismatch, so only that run's anchor covers both
+   stretches. *)
+let test_seed_run_bridges_substitution_qcheck =
+  QCheck.Test.make ~name:"sampled run bridges a substitution" ~count:2000
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let k, target, query, forward, t_range, q_range =
+        planted_case seed ~pair:(fun rng ~k ->
+            let left = exact_stretch rng ~k and right = exact_stretch rng ~k in
+            let bases = Dna.random rng (1 + Fsa_util.Rng.int rng 4) in
+            let others = Dna.point_mutate rng ~rate:1.0 bases in
+            (Dna.concat [ left; bases; right ], Dna.concat [ left; others; right ]))
+      in
+      let found =
+        Seed.anchors ~x_drop:0.5 ~min_score:Float.neg_infinity
+          (Seed.build_index ~k target) ~target ~query
+      in
+      covered found ~forward t_range q_range)
 
 (* ------------------------------------------------------------------ *)
 (* Chaining and stitching                                               *)
@@ -941,6 +1095,8 @@ let () =
           Alcotest.test_case "hit packing guard" `Quick test_hit_packing_guard;
           qtest test_seed_oracle_qcheck;
           qtest test_seed_multi_target_qcheck;
+          qtest test_seed_planted_match_qcheck;
+          qtest test_seed_run_bridges_substitution_qcheck;
           Alcotest.test_case "multi-target lookup" `Quick test_index_targets_lookup;
           Alcotest.test_case "index lookup" `Quick test_index_lookup;
           Alcotest.test_case "repeat filtering" `Quick test_index_max_occ;

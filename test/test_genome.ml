@@ -391,10 +391,12 @@ let smoke_golden_counters =
     ("chain.chains_built", 13.0);
     ("chain.dp_pairs", 17.0);
     ("pipeline.regions_called", 10.0);
-    ("seed.anchors_dominated", 1357.0);
-    ("seed.anchors_filtered", 6651.0);
-    ("seed.anchors_found", 1380.0);
-    ("seed.runs_extended", 8031.0);
+    ("seed.anchors_dominated", 196.0);
+    ("seed.anchors_filtered", 1072.0);
+    ("seed.anchors_found", 219.0);
+    ("seed.hits", 33490.0);
+    ("seed.index_entries", 49146.0);
+    ("seed.runs_extended", 1291.0);
   ]
 
 let test_discovery_golden_smoke_pair () =

@@ -323,9 +323,9 @@ let test_dna_identity () =
 let test_dna_kmers () =
   let d = Dna.of_string "ACGT" in
   (* A=0 C=1 G=2 T=3; "AC" = 1, "CG" = 6, "GT" = 11 *)
-  let kmers = Dna.fold_kmers ~k:2 d ~init:[] ~f:(fun acc ~pos ~kmer -> (pos, kmer) :: acc) in
+  let kmers = Kmers.fold ~k:2 d ~init:[] ~f:(fun acc ~pos ~kmer -> (pos, kmer) :: acc) in
   Alcotest.(check (list (pair int int))) "rolling kmers" [ (2, 11); (1, 6); (0, 1) ] kmers;
-  check_int "pack agrees" 6 (Dna.pack_kmer d ~pos:1 ~k:2)
+  check_int "pack agrees" 6 (Kmers.pack d ~pos:1 ~k:2)
 
 let test_dna_kmer_rolling_qcheck =
   QCheck.Test.make ~name:"rolling k-mers equal direct packing" ~count:100
@@ -333,8 +333,8 @@ let test_dna_kmer_rolling_qcheck =
     (fun (k, n) ->
       let rng = Fsa_util.Rng.create (k + (n * 1000)) in
       let d = Dna.random rng n in
-      Dna.fold_kmers ~k d ~init:true ~f:(fun acc ~pos ~kmer ->
-          acc && kmer = Dna.pack_kmer d ~pos ~k))
+      Kmers.fold ~k d ~init:true ~f:(fun acc ~pos ~kmer ->
+          acc && kmer = Kmers.pack d ~pos ~k))
 
 let test_dna_hamming_mismatch () =
   Alcotest.check_raises "length mismatch" (Invalid_argument "Dna.hamming: length mismatch")

@@ -358,52 +358,6 @@ let test_uf_sizes_sum_qcheck =
       total = 15)
 
 (* ------------------------------------------------------------------ *)
-(* Pqueue                                                               *)
-
-let test_pqueue_order () =
-  let q = Pqueue.create compare in
-  List.iter (fun p -> Pqueue.push q p (string_of_int p)) [ 5; 1; 4; 2; 3 ];
-  let order = List.map fst (Pqueue.to_sorted_list q) in
-  Alcotest.(check (list int)) "sorted ascending" [ 1; 2; 3; 4; 5 ] order;
-  check_int "queue unchanged" 5 (Pqueue.length q)
-
-let test_pqueue_pop () =
-  let q = Pqueue.create compare in
-  Pqueue.push q 2 "b";
-  Pqueue.push q 1 "a";
-  (match Pqueue.pop q with
-  | Some (1, "a") -> ()
-  | _ -> Alcotest.fail "expected (1, a)");
-  check_int "length" 1 (Pqueue.length q)
-
-let test_pqueue_empty () =
-  let q : (int, unit) Pqueue.t = Pqueue.create compare in
-  check_bool "is_empty" true (Pqueue.is_empty q);
-  check_bool "peek none" true (Pqueue.peek q = None);
-  check_bool "pop none" true (Pqueue.pop q = None);
-  Alcotest.check_raises "pop_exn" (Invalid_argument "Pqueue.pop_exn: empty queue")
-    (fun () -> ignore (Pqueue.pop_exn q))
-
-let test_pqueue_heapsort_qcheck =
-  QCheck.Test.make ~name:"pqueue drains sorted" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let q = Pqueue.create compare in
-      List.iter (fun x -> Pqueue.push q x ()) xs;
-      let drained = List.map fst (Pqueue.to_sorted_list q) in
-      drained = List.sort compare xs)
-
-let test_pqueue_growth () =
-  let q = Pqueue.create ~capacity:1 compare in
-  for i = 100 downto 1 do
-    Pqueue.push q i i
-  done;
-  check_int "length" 100 (Pqueue.length q);
-  (match Pqueue.peek q with
-  | Some (1, 1) -> ()
-  | _ -> Alcotest.fail "min should be 1")
-
-(* ------------------------------------------------------------------ *)
 (* Bitset                                                               *)
 
 let test_bitset_basics () =
@@ -533,12 +487,6 @@ let () =
         Alcotest.test_case "basics" `Quick test_uf_basics
         :: Alcotest.test_case "groups" `Quick test_uf_groups
         :: qsuite [ test_uf_transitivity_qcheck; test_uf_sizes_sum_qcheck ] );
-      ( "pqueue",
-        Alcotest.test_case "ordering" `Quick test_pqueue_order
-        :: Alcotest.test_case "pop" `Quick test_pqueue_pop
-        :: Alcotest.test_case "empty" `Quick test_pqueue_empty
-        :: Alcotest.test_case "growth" `Quick test_pqueue_growth
-        :: qsuite [ test_pqueue_heapsort_qcheck ] );
       ( "bitset",
         Alcotest.test_case "basics" `Quick test_bitset_basics
         :: Alcotest.test_case "bounds" `Quick test_bitset_bounds

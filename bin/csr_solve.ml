@@ -163,6 +163,8 @@ let run_portfolio ~deadline_ms ~probes ~epsilon inst =
 
 let solve algorithm portfolio deadline_ms portfolio_probes show_conjecture scaled
     epsilon output trace stats stats_json flight path =
+  if scaled then (
+    try Improve.check_epsilon "--epsilon" epsilon with Invalid_argument msg -> die "%s" msg);
   let flight_state = setup_observation trace stats stats_json flight in
   let inst = load_instance path in
   (* An uncaught solver exception dumps the flight ring before it

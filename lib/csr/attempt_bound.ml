@@ -48,10 +48,6 @@ type t = {
   zhost : int array array;  (** the current attempt's refill zones: host ... *)
   zsite : Site.t array array;  (** ... and site ... *)
   nzones : int array;  (** ... the first [nzones] entries of each side *)
-  cols : float array array array;
-      (** [Bound.host_column] against each host, [[||]] until first read *)
-  offers : float array array array;
-      (** [Bound.offers] of each fragment, [[||]] until first read *)
   zone_cols : float array array;  (** the current zones' host columns *)
 }
 
@@ -80,8 +76,6 @@ let create inst =
     zhost = per_side (fun _ -> Array.make zone_room 0);
     zsite = per_side (fun _ -> Array.make zone_room (Site.make 0 0));
     nzones = [| 0; 0 |];
-    cols = per_side (fun side -> Array.make (count side) [||]);
-    offers = per_side (fun side -> Array.make (count side) [||]);
     zone_cols = Array.make zone_room [||];
   }
 
@@ -165,26 +159,6 @@ let rec restore t side skip = function
       if p <> skip then t.cu.(idx side).(p) <- t.contrib.(idx side).(p);
       restore t side skip rest
 
-let column t host_side h =
-  let cs = t.cols.(idx host_side) in
-  let c = cs.(h) in
-  if Array.length c > 0 then c
-  else begin
-    let c = Bound.host_column t.inst ~full_side:(Species.other host_side) ~other_frag:h in
-    cs.(h) <- c;
-    c
-  end
-
-let offers t side j =
-  let os = t.offers.(idx side) in
-  let o = os.(j) in
-  if Array.length o > 0 then o
-  else begin
-    let o = Bound.offers t.inst side j in
-    os.(j) <- o;
-    o
-  end
-
 (* What fragment [j] offers the symbols of a zone, summed forward and
    backward: a plug's DP adds its matched σ values in one of those orders,
    and each term is at most the zone symbol's offer. *)
@@ -211,7 +185,7 @@ let refill_term t host_side ~excluded ~cutoff acc =
     let cols = t.zone_cols and hosts = t.zhost.(ih) and sites = t.zsite.(ih) in
     let ids = t.ids.(ih) and cu = t.cu.(idx job_side) in
     for k = 0 to n - 1 do
-      cols.(k) <- column t host_side hosts.(k)
+      cols.(k) <- Bound.host_column t.inst ~full_side:job_side ~other_frag:hosts.(k)
     done;
     let acc = ref acc and j = ref 0 in
     while !j < Array.length cu && !acc < cutoff do
@@ -222,7 +196,7 @@ let refill_term t host_side ~excluded ~cutoff acc =
         for k = 0 to n - 1 do
           let c = cols.(k).(jj) in
           if c > !best then begin
-            let z = zone_sum (offers t job_side jj) ids.(hosts.(k)) sites.(k) in
+            let z = zone_sum (Bound.offers t.inst job_side jj) ids.(hosts.(k)) sites.(k) in
             let v = Float.min c z in
             if v > !best then best := v
           end

@@ -58,9 +58,9 @@ val shape :
     TPA-refills every site it frees.  The fills never plug [a] or [b]. *)
 
 type t
-(** Per-solve scratch: the contributions of the last base solution seen,
-    and the host columns and {!Bound.offers} arrays read so far.  Not for
-    use from two domains at once. *)
+(** Per-solve scratch: the contributions of the last base solution seen
+    and the current attempt's refill zones.  Not for use from two domains
+    at once. *)
 
 val create : Instance.t -> t
 

@@ -1,6 +1,5 @@
 open Fsa_seq
 module Counter = Fsa_obs.Metric.Counter
-module Lru = Fsa_util.Lru
 module Bitset = Fsa_util.Bitset
 
 (* Admissible upper bounds on match scores.
@@ -30,38 +29,10 @@ module Bitset = Fsa_util.Bitset
    contributes exactly nothing in the unpruned run as well — candidate
    lists, their order, tie-breaking, and stats are all unchanged. *)
 
-type frag_summary = {
-  regions : Bitset.t;  (** region ids occurring in the fragment *)
-  mutable best_vs : float array option;
-      (** lazily built: index r on the {e other} species' region ids,
-          value = best clipped σ against any region of this fragment *)
-}
-
-type summary = {
-  stride : int;  (** 1 + max region id over σ and both fragment sets *)
-  pair_max : float array;
-      (** (h_region · stride + m_region) ↦ max(0, σ) over both orientation
-          classes *)
-  max_sigma : float;
-  h_frags : frag_summary array;
-  m_frags : frag_summary array;
-  h_full_cols : float array array;
-      (** memoized [ms_bound] with an H fragment full: one column per host
-          M fragment, indexed by the H fragment; [[||]] until first use *)
-  m_full_cols : float array array;  (** the same with an M fragment full *)
-}
-
-let summary_weight s = (s.stride * s.stride) + 1
-
-(* Keyed by instance uid, owned by the domain that loads this module, like
-   Cmatch's caches. *)
-let summaries : (int, summary) Lru.t =
-  Lru.create ~budget:4_000_000 ~weight:summary_weight ()
-
 let frag_summary stride f =
   let regions = Bitset.create stride in
   Array.iter (fun sym -> Bitset.set regions (Symbol.id sym)) (Fragment.symbols f);
-  { regions; best_vs = None }
+  { Memo.regions; best_vs = Atomic.make [||] }
 
 let build_summary inst =
   let max_id = ref (-1) in
@@ -89,49 +60,47 @@ let build_summary inst =
       end)
     entries;
   {
-    stride;
+    Memo.stride;
     pair_max;
     max_sigma = !max_sigma;
     h_frags = Array.map (frag_summary stride) (Instance.fragments inst Species.H);
     m_frags = Array.map (frag_summary stride) (Instance.fragments inst Species.M);
-    h_full_cols = Array.make (Instance.fragment_count inst Species.M) [||];
-    m_full_cols = Array.make (Instance.fragment_count inst Species.H) [||];
+    h_full_cols = Memo.columns (Instance.fragment_count inst Species.M);
+    m_full_cols = Memo.columns (Instance.fragment_count inst Species.H);
   }
 
 let summary inst =
-  match Lru.find summaries inst.Instance.uid with
+  let cell = inst.Instance.memo.Memo.summary in
+  match Atomic.get cell with
   | Some s -> s
-  | None ->
-      let s = build_summary inst in
-      Lru.add summaries inst.Instance.uid s;
-      s
+  | None -> Option.get (Memo.fill cell ~empty:None (fun () -> Some (build_summary inst)))
 
-let frag_of_summary s side idx =
+let frag_of_summary (s : Memo.summary) side idx =
   match side with Species.H -> s.h_frags.(idx) | Species.M -> s.m_frags.(idx)
 
 (* best_vs for a host fragment on [host_side]: indexed by the other side's
    region id, the best clipped σ this fragment can offer it.  σ's argument
    order is (h, m), so the lookup direction depends on the side. *)
-let best_vs s host_side fs =
-  match fs.best_vs with
-  | Some a -> a
-  | None ->
-      let a = Array.make (max 1 s.stride) 0.0 in
-      Bitset.iter
-        (fun host_r ->
-          for other_r = 0 to s.stride - 1 do
-            let v =
-              match host_side with
-              | Species.M -> s.pair_max.((other_r * s.stride) + host_r)
-              | Species.H -> s.pair_max.((host_r * s.stride) + other_r)
-            in
-            if v > a.(other_r) then a.(other_r) <- v
-          done)
-        fs.regions;
-      fs.best_vs <- Some a;
-      a
+let best_vs (s : Memo.summary) host_side (fs : Memo.frag_summary) =
+  let a = Atomic.get fs.best_vs in
+  if Array.length a > 0 then a
+  else
+    Memo.fill fs.best_vs ~empty:a @@ fun () ->
+    let a = Array.make (max 1 s.stride) 0.0 in
+    Bitset.iter
+      (fun host_r ->
+        for other_r = 0 to s.stride - 1 do
+          let v =
+            match host_side with
+            | Species.M -> s.pair_max.((other_r * s.stride) + host_r)
+            | Species.H -> s.pair_max.((host_r * s.stride) + other_r)
+          in
+          if v > a.(other_r) then a.(other_r) <- v
+        done)
+      fs.regions;
+    a
 
-let compute_bound inst s ~full_side idx ~other_frag =
+let compute_bound inst (s : Memo.summary) ~full_side idx ~other_frag =
   let other_side = Species.other full_side in
   let full = Instance.fragment inst full_side idx in
   let host = Instance.fragment inst other_side other_frag in
@@ -169,19 +138,15 @@ let compute_bound inst s ~full_side idx ~other_frag =
    callers sweep a host's jobs together, so one fill serves the sweep. *)
 let host_column inst ~full_side ~other_frag =
   let s = summary inst in
-  let cols =
-    match full_side with Species.H -> s.h_full_cols | Species.M -> s.m_full_cols
+  let cell =
+    (match full_side with Species.H -> s.h_full_cols | Species.M -> s.m_full_cols).(other_frag)
   in
-  let col = cols.(other_frag) in
+  let col = Atomic.get cell in
   if Array.length col > 0 then col
-  else begin
-    let col =
-      Array.init (Instance.fragment_count inst full_side) (fun idx ->
-          compute_bound inst s ~full_side idx ~other_frag)
-    in
-    cols.(other_frag) <- col;
-    col
-  end
+  else
+    Memo.fill cell ~empty:col @@ fun () ->
+    Array.init (Instance.fragment_count inst full_side) (fun idx ->
+        compute_bound inst s ~full_side idx ~other_frag)
 
 let ms_bound inst ~full_side idx ~other_frag =
   (host_column inst ~full_side ~other_frag).(idx)
@@ -199,9 +164,9 @@ let parse_no_prune raw =
   | "0" -> Ok false
   | _ -> Error (Printf.sprintf "expected 0 or 1, got %S" raw)
 
-(* A malformed value warns and keeps pruning on, as FSA_TABLE_BUDGET and
-   FSA_DOMAINS keep their defaults: reading any non-empty value as "off"
-   would let FSA_NO_PRUNE=0 disable every pruning layer. *)
+(* A malformed value warns and keeps pruning on, as FSA_DOMAINS keeps its
+   default: reading any non-empty value as "off" would let FSA_NO_PRUNE=0
+   disable every pruning layer. *)
 let enabled_cell =
   ref
     (match Sys.getenv_opt "FSA_NO_PRUNE" with
@@ -239,6 +204,3 @@ let count_checks ~checks ~pruned =
    the pair bound with the H fragment in the row role dominates it. *)
 let border_viable inst ~h_frag ~m_frag ~threshold =
   pair_viable inst ~full_side:Species.H h_frag ~other_frag:m_frag ~threshold
-
-let invalidate inst = Lru.remove summaries inst.Instance.uid
-let clear_cache () = Lru.clear summaries

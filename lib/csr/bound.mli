@@ -12,16 +12,15 @@
     output-preserving bit for bit (see DESIGN.md §12 for the soundness and
     tie argument).
 
-    Summaries are memoized per instance uid in one process-wide,
-    weight-bounded LRU owned by the domain that loads this module, like
-    {!Cmatch}'s caches (σ must not be mutated after construction, as for
-    {!Cmatch.full_table}). *)
+    The summary, its host columns and its offers are memoized on the
+    instance ({!Memo}), which any domain may read and fill (σ must not be
+    mutated after construction, as for {!Cmatch.full_table}). *)
 
 val ms_bound :
   Instance.t -> full_side:Species.t -> int -> other_frag:int -> float
 (** Upper bound on [fst (Cmatch.table_ms tbl ~lo ~hi)] over every site
     [lo, hi] of the host fragment, i.e. on the best full-match MS of the
-    pair.  Always [>= 0].  Memoized per instance uid in {!host_column}. *)
+    pair.  Always [>= 0].  Read from {!host_column}. *)
 
 val host_column :
   Instance.t -> full_side:Species.t -> other_frag:int -> float array
@@ -75,8 +74,3 @@ val parse_no_prune : string -> (bool, string) result
 val set_enabled : bool -> unit
 (** Toggle pruning at runtime (used by the differential fuzz oracle to
     verify bit-identical outputs with pruning on vs off). *)
-
-val invalidate : Instance.t -> unit
-(** Drop the instance's cached summary ({!Cmatch.invalidate} calls it). *)
-
-val clear_cache : unit -> unit

@@ -1,5 +1,4 @@
 open Fsa_seq
-module Lru = Fsa_util.Lru
 module Counter = Fsa_obs.Metric.Counter
 
 type t = {
@@ -51,114 +50,71 @@ let recompute_score inst t =
     ~lb:(Site.length t.m_site)
 
 (* MS values depend only on the instance's σ and the site geometry, never
-   on the current solution, so they are memoized per instance uid.  The
-   local-search algorithms evaluate *every* site of the same
-   (full fragment, host fragment) pair, so the memo unit is a whole-pair
-   site table: MS for all (lo, hi) windows of the host, built by the
-   all-windows column kernel in O(full·host²) — amortized O(1) per site —
-   instead of an O(full·site) alignment per probe. *)
+   on the current solution, so they are memoized on the instance
+   ({!Memo}).  The local-search algorithms evaluate *every* site of the
+   same (full fragment, host fragment) pair, so the memo unit is a
+   whole-pair site table: MS for all (lo, hi) windows of the host, built by
+   the all-windows column kernel in O(full·host²) — amortized O(1) per
+   site — instead of an O(full·site) alignment per probe. *)
 
-type site_table = { host_len : int; fwd : float array; rev : float array }
+type site_table = Memo.site_table
 
 let builds_counter = Counter.make "cmatch.table_builds"
 let hits_counter = Counter.make "cmatch.cache_hits"
-let evictions_counter = Counter.make "cmatch.evictions"
 
-(* Bound the memo by total float cells, not table count: one long host
-   fragment costs host²·2 cells.  Eviction is LRU by cell weight (the old
-   whole-cache reset dropped the live instance's tables mid-solve and caused
-   rebuild thrash); the budget is configurable via FSA_TABLE_BUDGET or
-   {!set_table_budget}. *)
-let fallback_table_budget = 16_000_000
+let build_table inst ~full_side idx ~other_frag =
+  let other_side = Species.other full_side in
+  let full_word = Fragment.symbols (Instance.fragment inst full_side idx) in
+  let host_word = Fragment.symbols (Instance.fragment inst other_side other_frag) in
+  let get = Scoring.dense_get (Scoring.dense inst.Instance.sigma) in
+  let fwd, rev =
+    match full_side with
+    | Species.H ->
+        (* σ takes (h, m): the full H word is the row word, host M sites
+           are the windows. *)
+        ( Fsa_align.Region_align.ms_windows_fwd ~get full_word host_word,
+          Fsa_align.Region_align.ms_windows_rev ~get full_word host_word )
+    | Species.M ->
+        (* Full M word as rows is the *transpose* of the per-site DP
+           (bit-identical: every cell is the same max of the same
+           neighbors), with σ's arguments swapped back into (h, m)
+           order.  The reversed orientation reverses the full M word —
+           a fixed row word — so both tables use the forward kernel. *)
+        let get_hm m_sym h_sym = get h_sym m_sym in
+        ( Fsa_align.Region_align.ms_windows_fwd ~get:get_hm full_word host_word,
+          Fsa_align.Region_align.ms_windows_fwd ~get:get_hm
+            (Fsa_align.Region_align.reverse_word full_word)
+            host_word )
+  in
+  Counter.incr builds_counter;
+  { Memo.host_len = Array.length host_word; fwd; rev }
 
-let parse_table_budget raw =
-  match int_of_string_opt (String.trim raw) with
-  | Some n when n >= 0 -> Ok n
-  | Some n -> Error (Printf.sprintf "negative cell budget %d" n)
-  | None -> Error (Printf.sprintf "not an integer: %S" raw)
-
-(* A malformed or negative FSA_TABLE_BUDGET used to be swallowed silently —
-   a typo'd knob ran with the 16M default and nobody noticed.  Warn loudly
-   and fall back instead. *)
-let default_table_budget =
-  match Sys.getenv_opt "FSA_TABLE_BUDGET" with
-  | None -> fallback_table_budget
-  | Some raw -> (
-      match parse_table_budget raw with
-      | Ok n -> n
-      | Error msg ->
-          Printf.eprintf
-            "fsa: warning: ignoring FSA_TABLE_BUDGET (%s); using %d cells\n%!"
-            msg fallback_table_budget;
-          fallback_table_budget)
-
-(* One process-wide set of caches, owned by the domain that loads this
-   module: the solvers run on the calling domain, and an Lru raises
-   [Cross_domain_use] when a solve is started from any other (see
-   Fsa_util.Lru).  Keys embed the instance uid. *)
-let tables : (int * bool * int * int, site_table) Lru.t =
-  Lru.create ~budget:default_table_budget
-    ~on_evict:(fun _ _ -> Counter.incr evictions_counter)
-    ~weight:(fun t -> 2 * t.host_len * t.host_len)
-    ()
-
-let set_table_budget cells =
-  if cells < 0 then invalid_arg "Cmatch.set_table_budget: negative budget";
-  Lru.set_budget tables cells
-
-let table_budget () = Lru.budget tables
-
-let clear_cache () =
-  Lru.clear tables;
-  Bound.clear_cache ()
-
-(* No later probe can hit a finished instance's tables or bound summary
-   (uids are never reused): only eviction would free them, and a stream of
-   small instances never fills the budget. *)
-let invalidate inst =
-  let uid = inst.Instance.uid in
-  Lru.filter_out tables (fun (u, _, _, _) -> u = uid);
-  Bound.invalidate inst
+(* A new table goes into a copy of its column; the retry keeps a table a
+   racing domain added to the column meanwhile. *)
+let rec publish column ~len idx table =
+  let col = Atomic.get column in
+  let col' = if Array.length col = 0 then Array.make len None else Array.copy col in
+  col'.(idx) <- Some table;
+  if not (Atomic.compare_and_set column col col') then publish column ~len idx table
 
 let full_table inst ~full_side idx ~other_frag =
-  let key = (inst.Instance.uid, full_side = Species.H, idx, other_frag) in
-  match Lru.find tables key with
+  let memo = inst.Instance.memo in
+  let column =
+    (match full_side with
+    | Species.H -> memo.Memo.h_full_tables
+    | Species.M -> memo.Memo.m_full_tables).(other_frag)
+  in
+  let col = Atomic.get column in
+  match if Array.length col = 0 then None else col.(idx) with
   | Some t ->
       Counter.incr hits_counter;
       t
   | None ->
-      let other_side = Species.other full_side in
-      let full_word = Fragment.symbols (Instance.fragment inst full_side idx) in
-      let host_word =
-        Fragment.symbols (Instance.fragment inst other_side other_frag)
-      in
-      let get = Scoring.dense_get (Scoring.dense inst.Instance.sigma) in
-      let fwd, rev =
-        match full_side with
-        | Species.H ->
-            (* σ takes (h, m): the full H word is the row word, host M sites
-               are the windows. *)
-            ( Fsa_align.Region_align.ms_windows_fwd ~get full_word host_word,
-              Fsa_align.Region_align.ms_windows_rev ~get full_word host_word )
-        | Species.M ->
-            (* Full M word as rows is the *transpose* of the per-site DP
-               (bit-identical: every cell is the same max of the same
-               neighbors), with σ's arguments swapped back into (h, m)
-               order.  The reversed orientation reverses the full M word —
-               a fixed row word — so both tables use the forward kernel. *)
-            let get_hm m_sym h_sym = get h_sym m_sym in
-            ( Fsa_align.Region_align.ms_windows_fwd ~get:get_hm full_word
-                host_word,
-              Fsa_align.Region_align.ms_windows_fwd ~get:get_hm
-                (Fsa_align.Region_align.reverse_word full_word)
-                host_word )
-      in
-      let t = { host_len = Array.length host_word; fwd; rev } in
-      Counter.incr builds_counter;
-      Lru.add tables key t;
+      let t = build_table inst ~full_side idx ~other_frag in
+      publish column ~len:(Instance.fragment_count inst full_side) idx t;
       t
 
-let table_ms t ~lo ~hi =
+let table_ms (t : site_table) ~lo ~hi =
   let i = (lo * t.host_len) + hi in
   let f = t.fwd.(i) and r = t.rev.(i) in
   if r > f then (r, true) else (f, false)

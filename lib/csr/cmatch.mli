@@ -47,7 +47,7 @@ val full :
 (** Best full match plugging the whole fragment [full_side, index] into
     [other_site] of fragment [other_frag] on the other side: evaluates both
     orientations (Def 4 / Fig 7) and records the winner.  Backed by
-    {!full_table}, so results are memoized per instance uid (σ must not be
+    {!full_table}, so results are memoized on the instance (σ must not be
     mutated after construction; see {!Instance.with_sigma}) and a repeat
     probe of any site of the same fragment pair is O(1). *)
 
@@ -59,42 +59,14 @@ type site_table
     and bit-identical to per-site {!Fsa_align.Region_align.ms_full} calls. *)
 
 val full_table : Instance.t -> full_side:Species.t -> int -> other_frag:int -> site_table
-(** Memoized per instance uid; the cache is bounded by total cells with LRU
-    eviction ([FSA_TABLE_BUDGET] cells, default 16M), so a solve whose
-    working set fits the budget never rebuilds a table.  Builds, hits, and
-    evictions are counted in the [cmatch.table_builds] /
-    [cmatch.cache_hits] / [cmatch.evictions] metrics. *)
+(** Memoized in the instance's {!Memo}, which any domain may read and fill:
+    one instance never builds the same table twice, unless two domains
+    race on it.  Builds and hits are counted in the [cmatch.table_builds]
+    and [cmatch.cache_hits] metrics. *)
 
 val table_ms : site_table -> lo:int -> hi:int -> float * bool
 (** MS of the host site [lo, hi] and whether the reversed orientation
     attains it (ties prefer forward, as in {!Fsa_align.Region_align.ms_full}). *)
-
-val clear_cache : unit -> unit
-(** Drops the MS memo tables and {!Bound} summaries.  The
-    caches are process-wide and single-domain: they belong to the domain
-    that loads this module, and any use from another domain raises
-    [Fsa_util.Lru.Cross_domain_use]. *)
-
-val invalidate : Instance.t -> unit
-(** Drops this instance's memoized tables and bound summary.
-    For callers done with an instance — short-lived derived instances
-    ({!Instance.with_sigma}), or a finished solve
-    ({!Csr_improve.solve_best}) — whose entries would otherwise stay
-    resident until evicted by LRU weight (uids are never reused, so nothing
-    hits them again).  The instance stays usable: a later probe rebuilds
-    what it needs. *)
-
-val set_table_budget : int -> unit
-(** Override the table-cache cell budget; the cache trims immediately.
-    @raise Invalid_argument on a negative budget. *)
-
-val table_budget : unit -> int
-
-val parse_table_budget : string -> (int, string) result
-(** Validate an [FSA_TABLE_BUDGET]-style value: a non-negative cell count.
-    At startup a malformed or negative value is rejected with a loud
-    [stderr] warning (never silently swallowed) and the 16M-cell default is
-    used instead. *)
 
 val border :
   Instance.t -> h_frag:int -> h_site:Site.t -> m_frag:int -> m_site:Site.t -> t option

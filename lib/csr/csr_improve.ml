@@ -210,6 +210,4 @@ let solve_scaled ?config ?epsilon inst =
   Improve.with_scaling ?epsilon inst (fun scaled -> fst (solve ?config scaled))
 
 let solve_best inst =
-  Fsa_obs.Span.with_ ~name:"csr_improve.solve_best" @@ fun () ->
-  (* Nothing needs the instance's memo after the solve. *)
-  Fun.protect ~finally:(fun () -> Cmatch.invalidate inst) @@ fun () -> fst (solve inst)
+  Fsa_obs.Span.with_ ~name:"csr_improve.solve_best" @@ fun () -> fst (solve inst)

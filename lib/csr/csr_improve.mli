@@ -55,6 +55,6 @@ val solve_scaled : ?config:config -> ?epsilon:float -> Instance.t -> Solution.t
 
 val solve_best : Instance.t -> Solution.t
 (** Convenience used by examples and the genome pipeline: [fst (solve
-    inst)].  On exit, normal or not, it releases the instance's memo
-    ({!Cmatch.invalidate}), so a stream of fresh instances keeps a flat
-    heap; a later solve of the same instance rebuilds its tables. *)
+    inst)].  The tables it builds stay in the instance's memo, so a later
+    solve of the same instance reuses them, and the GC frees them with the
+    instance. *)

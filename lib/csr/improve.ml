@@ -216,25 +216,25 @@ let rescore inst sol =
   | Ok sol' -> sol'
   | Error e -> invalid_arg ("Improve.rescore: " ^ e)
 
+let check_epsilon who epsilon =
+  if not (Float.is_finite epsilon && epsilon > 0.0) then
+    invalid_arg (Printf.sprintf "%s: epsilon must be positive and finite, got %g" who epsilon)
+
 let truncated_instance ?(epsilon = 0.05) ~reference inst =
   if reference <= 0.0 then None
   else begin
     let k = float_of_int (Instance.max_matches inst) in
     let unit_ = epsilon *. reference /. Float.max k 1.0 in
-    Some
-      ( Instance.with_sigma inst
-          (Fsa_seq.Scoring.truncate_to_multiples inst.Instance.sigma unit_),
-        unit_ )
+    (* A unit that underflows to 0 truncates nothing. *)
+    let sigma = inst.Instance.sigma in
+    let sigma = if unit_ > 0.0 then Fsa_seq.Scoring.truncate_to_multiples sigma unit_ else sigma in
+    Some (Instance.with_sigma inst sigma, unit_)
   end
 
-let with_scaling ?epsilon inst algorithm =
+let with_scaling ?(epsilon = 0.05) inst algorithm =
+  check_epsilon "Improve.with_scaling" epsilon;
   let reference = Solution.score (One_csr.four_approx inst) in
-  match truncated_instance ?epsilon ~reference inst with
+  match truncated_instance ~epsilon ~reference inst with
   | None -> Solution.empty inst
   | Some (truncated, _unit) ->
-      let sol = algorithm truncated in
-      let sol = rescore inst sol in
-      (* The truncated instance is throwaway: release its memoized tables and
-         summaries instead of letting them age out of the LRU. *)
-      Cmatch.invalidate truncated;
-      sol
+      rescore inst (algorithm truncated)

@@ -90,18 +90,22 @@ val rescore : Instance.t -> Solution.t -> Solution.t
 (** The same matches (sites and orientations) rescored under the σ of the
     given instance — used to lift a solution of a scaled instance back. *)
 
+val check_epsilon : string -> float -> unit
+(** [check_epsilon who eps] raises [Invalid_argument], naming [who], unless
+    the scaling precision [eps] is positive and finite.  {!with_scaling}
+    and the anytime portfolio check theirs with it, before any work. *)
+
 val truncated_instance :
   ?epsilon:float -> reference:float -> Instance.t -> (Instance.t * float) option
 (** The §4.1 truncated instance for a known reference score X: σ entries
-    rounded down to multiples of u = εX/k (k = {!Instance.max_matches});
-    returns the instance and u, or [None] when [reference <= 0] (nothing
-    positive to scale against).  Callers must {!rescore} solutions of the
-    truncated instance back under the original σ and should
-    [Cmatch.invalidate] the throwaway instance when done.  This is the
-    scaling core of {!with_scaling}, exposed so schedulers that already
-    hold a reference score (e.g. the anytime portfolio, which reuses its
-    4-approximation tier's result) can scale without re-running the
-    reference algorithm. *)
+    rounded down to multiples of u = εX/k (k = {!Instance.max_matches}),
+    for an ε that passed {!check_epsilon}; returns the instance and u, or
+    [None] when [reference <= 0] (nothing positive to scale against).
+    Callers must {!rescore} solutions of the truncated instance back under
+    the original σ.  This is the scaling core of {!with_scaling}, exposed
+    so schedulers that already hold a reference score (e.g. the anytime
+    portfolio, which reuses its 4-approximation tier's result) can scale
+    without re-running the reference algorithm. *)
 
 val with_scaling :
   ?epsilon:float -> Instance.t -> (Instance.t -> Solution.t) -> Solution.t

@@ -1,22 +1,19 @@
 open Fsa_seq
 
 type t = {
-  uid : int;
   alphabet : Alphabet.t;
   h : Fragment.t array;
   m : Fragment.t array;
   sigma : Scoring.t;
+  memo : Memo.t;
 }
 
-(* Atomic so two domains building instances at once never mint the same
-   uid: the solver caches are keyed by uid, and uids are never reused
-   (DESIGN.md §14). *)
-let next_uid = Atomic.make 0
-let fresh_uid () = Atomic.fetch_and_add next_uid 1 + 1
+let of_arrays alphabet h m sigma =
+  { alphabet; h; m; sigma; memo = Memo.create ~h:(Array.length h) ~m:(Array.length m) }
 
 let make ~alphabet ~h ~m ~sigma =
   if h = [] || m = [] then invalid_arg "Instance.make: a side has no fragments";
-  { uid = fresh_uid (); alphabet; h = Array.of_list h; m = Array.of_list m; sigma }
+  of_arrays alphabet (Array.of_list h) (Array.of_list m) sigma
 
 let fragments t = function Species.H -> t.h | Species.M -> t.m
 let fragment t side i = (fragments t side).(i)
@@ -27,7 +24,7 @@ let total_length t side =
 
 let max_matches t = min (total_length t Species.H) (total_length t Species.M)
 
-let with_sigma t sigma = { t with uid = fresh_uid (); sigma }
+let with_sigma t sigma = of_arrays t.alphabet t.h t.m sigma
 
 let paper_example () =
   let alphabet = Alphabet.of_names [ "a"; "b"; "c"; "d"; "s"; "t"; "u"; "v" ] in
@@ -80,41 +77,52 @@ let to_text t =
 let of_text text =
   let alphabet = Alphabet.create () in
   let h = ref [] and m = ref [] in
+  let names = Hashtbl.create 16 in
   let sigma = Scoring.create () in
-  let parse_fragment rest =
-    match String.index_opt rest ':' with
-    | None -> failwith "Instance.of_text: fragment line missing ':'"
-    | Some i ->
-        let name = String.trim (String.sub rest 0 i) in
-        let syms =
-          String.sub rest (i + 1) (String.length rest - i - 1)
-          |> String.split_on_char ' '
-          |> List.filter (fun s -> s <> "")
-          |> List.map (Alphabet.symbol_of_string alphabet)
-        in
-        Fragment.make name (Array.of_list syms)
-  in
-  let parse_line line =
+  let parse_line lineno line =
+    let fail fmt =
+      Printf.ksprintf (fun msg -> failwith (Printf.sprintf "Instance.of_text: line %d: %s" lineno msg)) fmt
+    in
+    let parse_fragment tag side rest =
+      match String.index_opt rest ':' with
+      | None -> fail "fragment line missing ':'"
+      | Some i ->
+          let name = String.trim (String.sub rest 0 i) in
+          if name = "" then fail "empty fragment name";
+          (* Solution text names its fragments, so a side's names must differ. *)
+          if Hashtbl.mem names (tag, name) then fail "%c fragment %S named twice" tag name;
+          Hashtbl.add names (tag, name) ();
+          let syms =
+            String.sub rest (i + 1) (String.length rest - i - 1)
+            |> String.split_on_char ' '
+            |> List.filter (fun s -> s <> "")
+            |> List.map (Alphabet.symbol_of_string alphabet)
+          in
+          side := Fragment.make name (Array.of_list syms) :: !side
+    in
     let line = String.trim line in
     if line = "" || line.[0] = '#' then ()
     else
       match (line.[0], String.sub line 1 (String.length line - 1)) with
-      | 'H', rest -> h := parse_fragment rest :: !h
-      | 'M', rest -> m := parse_fragment rest :: !m
+      | 'H', rest -> parse_fragment 'H' h rest
+      | 'M', rest -> parse_fragment 'M' m rest
       | 'S', rest -> (
           match
             String.split_on_char ' ' (String.trim rest)
             |> List.filter (fun s -> s <> "")
           with
-          | [ a; b; v ] ->
-              Scoring.set sigma
-                (Alphabet.symbol_of_string alphabet a)
-                (Alphabet.symbol_of_string alphabet b)
-                (float_of_string v)
-          | _ -> failwith "Instance.of_text: malformed S line")
-      | _ -> failwith (Printf.sprintf "Instance.of_text: bad line %S" line)
+          | [ a; b; v ] -> (
+              match float_of_string_opt v with
+              | Some x when Float.is_finite x ->
+                  Scoring.set sigma
+                    (Alphabet.symbol_of_string alphabet a)
+                    (Alphabet.symbol_of_string alphabet b)
+                    x
+              | _ -> fail "score %S is not a finite number" v)
+          | _ -> fail "malformed S line")
+      | _ -> fail "bad line %S" line
   in
-  List.iter parse_line (String.split_on_char '\n' text);
+  List.iteri (fun i line -> parse_line (i + 1) line) (String.split_on_char '\n' text);
   make ~alphabet ~h:(List.rev !h) ~m:(List.rev !m) ~sigma
 
 (* Cut positions 0 < c1 < ... < c_{k-1} < n partition [0, n) into k pieces. *)

@@ -7,16 +7,17 @@
 
 open Fsa_seq
 
-type t = {
-  uid : int;  (** unique per construction; keys the match-score memo table *)
+type t = private {
   alphabet : Alphabet.t;
   h : Fragment.t array;
   m : Fragment.t array;
   sigma : Scoring.t;
+  memo : Memo.t;  (** what the solvers derive from [sigma] and the fragments *)
 }
 (** Invariant: [sigma] must not be mutated after the instance is built —
-    match scores are memoized per [uid] ({!Cmatch.full}).  Derive modified
-    instances with {!with_sigma} (which allocates a fresh uid) instead. *)
+    the solvers memoize match scores and bounds in [memo] ({!Cmatch.full},
+    {!Bound}).  Derive modified instances with {!with_sigma}, which starts
+    an empty memo, instead. *)
 
 val make :
   alphabet:Alphabet.t ->
@@ -47,7 +48,11 @@ val to_text : t -> string
     [S hsym msym score]; a reversed symbol is written with a trailing [']. *)
 
 val of_text : string -> t
-(** Inverse of {!to_text}.  @raise Failure on malformed input. *)
+(** Inverse of {!to_text}.
+    @raise Failure naming the line on malformed input: a line of no known
+    kind, a fragment without a name or with the name of an earlier one on
+    its side, or an [S] line without three fields or whose score is not a
+    finite number. *)
 
 val random_planted :
   Fsa_util.Rng.t ->

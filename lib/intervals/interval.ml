@@ -26,49 +26,3 @@ let compare a b =
 
 let equal a b = a.lo = b.lo && a.hi = b.hi
 let pp ppf i = Format.fprintf ppf "[%d,%d]" i.lo i.hi
-
-module Set = struct
-  type interval = t
-  type nonrec t = t list (* sorted by lo, pairwise non-touching *)
-
-  let empty = []
-  let to_list s = s
-
-  let add s iv =
-    let rec insert = function
-      | [] -> [ iv ]
-      | x :: rest ->
-          if touches x iv then
-            (* Merge and keep absorbing subsequent touching members. *)
-            insert_merged (hull x iv) rest
-          else if x.lo > iv.hi then iv :: x :: rest
-          else x :: insert rest
-    and insert_merged merged = function
-      | x :: rest when touches x merged -> insert_merged (hull x merged) rest
-      | rest -> merged :: rest
-    in
-    insert s
-
-  let of_list l = List.fold_left add empty l
-
-  let remove s iv =
-    List.concat_map
-      (fun x ->
-        match intersect x iv with
-        | None -> [ x ]
-        | Some c ->
-            let left = if x.lo < c.lo then [ { lo = x.lo; hi = c.lo - 1 } ] else [] in
-            let right = if c.hi < x.hi then [ { lo = c.hi + 1; hi = x.hi } ] else [] in
-            left @ right)
-      s
-
-  let mem_point s p = List.exists (fun x -> x.lo <= p && p <= x.hi) s
-  let overlaps_any s iv = List.exists (fun x -> overlaps x iv) s
-  let total_length s = List.fold_left (fun acc x -> acc + length x) 0 s
-  let cardinal = List.length
-
-  let pp ppf s =
-    Format.fprintf ppf "{%a}"
-      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ") pp)
-      s
-end

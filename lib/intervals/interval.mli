@@ -1,4 +1,4 @@
-(** Closed integer intervals [\[lo, hi\]] and sorted disjoint interval sets.
+(** Closed integer intervals [\[lo, hi\]].
 
     This is the abstract domain of the interval selection problem (paper
     §3.4); it is deliberately independent of the sequence layer. *)
@@ -27,26 +27,3 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-
-(** Sets of pairwise disjoint intervals kept sorted by [lo]. *)
-module Set : sig
-  type interval = t
-  type t
-
-  val empty : t
-  val of_list : interval list -> t
-  (** Merges touching input intervals. *)
-
-  val to_list : t -> interval list
-  val add : t -> interval -> t
-  (** Unions, merging with any touching members. *)
-
-  val remove : t -> interval -> t
-  (** Set difference: removes the region covered by the argument. *)
-
-  val mem_point : t -> int -> bool
-  val overlaps_any : t -> interval -> bool
-  val total_length : t -> int
-  val cardinal : t -> int
-  val pp : Format.formatter -> t -> unit
-end

@@ -108,28 +108,3 @@ let solve_exactly_brute w =
     end
   in
   go 0
-
-let greedy w =
-  let rows = Array.length w in
-  let cols = if rows = 0 then 0 else Array.length w.(0) in
-  let cells = ref [] in
-  for i = 0 to rows - 1 do
-    for j = 0 to cols - 1 do
-      if w.(i).(j) > 0.0 then cells := (w.(i).(j), i, j) :: !cells
-    done
-  done;
-  let cells = List.sort (fun (a, _, _) (b, _, _) -> compare b a) !cells in
-  let row_used = Array.make (max rows 1) false in
-  let col_used = Array.make (max cols 1) false in
-  let pairs, total =
-    List.fold_left
-      (fun (pairs, total) (v, i, j) ->
-        if row_used.(i) || col_used.(j) then (pairs, total)
-        else begin
-          row_used.(i) <- true;
-          col_used.(j) <- true;
-          ((i, j) :: pairs, total +. v)
-        end)
-      ([], 0.0) cells
-  in
-  (List.rev pairs, total)

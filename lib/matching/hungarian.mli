@@ -16,6 +16,3 @@ val solve : float array array -> (int * int) list * float
 val solve_exactly_brute : float array array -> float
 (** Optimal total by exhaustive search over partial matchings — exponential,
     for cross-checking [solve] on tiny matrices in tests. *)
-
-val greedy : float array array -> (int * int) list * float
-(** Baseline: repeatedly take the largest remaining positive weight. *)

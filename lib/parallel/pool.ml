@@ -38,7 +38,7 @@ let parse_domains raw =
   | Some n -> Error (Printf.sprintf "domain count %d out of range [1, %d]" n max_domains)
   | None -> Error (Printf.sprintf "not an integer: %S" raw)
 
-(* Malformed knobs are rejected loudly (same policy as FSA_TABLE_BUDGET and
+(* Malformed knobs are rejected loudly (same policy as FSA_NO_PRUNE and
    Budget.create): a typo'd FSA_DOMAINS must not silently serialize a run
    that was meant to be parallel. *)
 let default_domains =

@@ -203,8 +203,7 @@ let solve ?deadline ?probes ?(epsilon = 0.05) inst =
   (match probes with
   | Some p when p < 0 -> invalid_arg "Portfolio.solve: negative probe budget"
   | _ -> ());
-  if Float.is_nan epsilon || epsilon <= 0.0 then
-    invalid_arg "Portfolio.solve: epsilon must be positive";
+  Improve.check_epsilon "Portfolio.solve" epsilon;
   Fsa_obs.Span.with_ ~name:"portfolio.solve" @@ fun () ->
   let est = estimate inst in
   Fsa_obs.Metric.Gauge.set
@@ -302,9 +301,7 @@ let solve ?deadline ?probes ?(epsilon = 0.05) inst =
                       | Error (`Budget_exceeded ((sol, _stats), r)) ->
                           Error (`Budget_exceeded (sol, r)))
                   in
-                  let sol = Option.map (Improve.rescore inst) sol in
-                  Cmatch.invalidate truncated;
-                  (sol, outcome)))
+                  (Option.map (Improve.rescore inst) sol, outcome)))
       | _ ->
           (* Unscaled: enough budget, or nothing positive to scale against. *)
           attempt_tier tier ~frac ~epsilon:None (fun b ->

@@ -106,8 +106,14 @@ let map_scores f t =
 let scale t factor = map_scores (fun v -> v *. factor) t
 
 let truncate_to_multiples t unit_ =
-  if unit_ <= 0.0 then invalid_arg "Scoring.truncate_to_multiples: unit must be positive";
-  map_scores (fun v -> Float.of_int (int_of_float (Float.floor (v /. unit_))) *. unit_) t
+  if not (unit_ > 0.0) then invalid_arg "Scoring.truncate_to_multiples: unit must be positive";
+  map_scores
+    (fun v ->
+      (* A quotient past float range leaves v, its own multiple at float
+         precision. *)
+      let q = Float.floor (v /. unit_) in
+      if Float.is_finite q then q *. unit_ else v)
+    t
 
 let random_bijective rng ~regions ~lo ~hi ~reversed_fraction =
   if lo > hi then invalid_arg "Scoring.random_bijective: lo > hi";

@@ -56,7 +56,9 @@ val scale : t -> float -> t
 
 val truncate_to_multiples : t -> float -> t
 (** [truncate_to_multiples t unit] rounds every score *down* to a multiple of
-    [unit] — the Chandra–Halldórsson scaling step of §4.1. *)
+    [unit] — the Chandra–Halldórsson scaling step of §4.1.  A score whose
+    quotient by [unit] is past float range stays as it is.
+    @raise Invalid_argument unless [unit > 0]. *)
 
 val random_bijective :
   Fsa_util.Rng.t ->

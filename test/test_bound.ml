@@ -1,14 +1,13 @@
 (* Tests for the admissible match-score bound (Bound), the pruning switch,
-   and the LRU-bounded caches behind Cmatch (PR 5).
+   and the per-instance memo behind Cmatch.
 
    The load-bearing properties: the bound dominates the MS of every site in
    both orientations on adversarial instances (admissibility), solver
-   outputs are bit-identical with pruning on and off, and one solve of a
-   budget-fitting instance never rebuilds the same site table twice. *)
+   outputs are bit-identical with pruning on and off, and one instance
+   never rebuilds the same site table twice. *)
 
 open Fsa_csr
 module Rng = Fsa_util.Rng
-module Lru = Fsa_util.Lru
 module Gen = Fsa_check.Gen
 module Site = Fsa_seq.Site
 
@@ -145,7 +144,6 @@ let test_prune_identical =
     ~count:60 seed_gen prune_identical_prop
 
 let test_prune_counters () =
-  Cmatch.clear_cache ();
   let inst =
     let rng = Rng.create 77 in
     Instance.random_sparse rng ~regions:32 ~h_fragments:8 ~m_fragments:8
@@ -192,8 +190,8 @@ let test_prune_counters () =
     (off "improve.evaluated")
 
 (* ------------------------------------------------------------------ *)
-(* LRU table cache: one solve never rebuilds the same table twice, and a
-   repeat solve is all hits (regression for the old whole-cache reset). *)
+(* Table memo: one solve never rebuilds the same table twice, and a repeat
+   solve of the same instance is all hits. *)
 
 let count_builds reg =
   match Fsa_obs.Registry.counter_value reg "cmatch.table_builds" with
@@ -201,7 +199,6 @@ let count_builds reg =
   | None -> 0
 
 let test_no_rebuild_within_solve () =
-  Cmatch.clear_cache ();
   let inst =
     let rng = Rng.create 42 in
     Instance.random_planted rng ~regions:48 ~h_fragments:8 ~m_fragments:8
@@ -222,187 +219,11 @@ let test_no_rebuild_within_solve () =
     (Printf.sprintf "no table built twice (%d builds <= %d pair tables)"
        builds distinct)
     true (builds <= distinct);
-  (* A second identical solve must be served entirely from the cache. *)
+  (* A second identical solve must be served entirely from the memo. *)
   let reg2 = Fsa_obs.Registry.create () in
   Fsa_obs.Runtime.with_observation ~registry:reg2 (fun () ->
       with_pruning false (fun () -> ignore (One_csr.four_approx inst)));
   check_int "repeat solve rebuilds nothing" 0 (count_builds reg2)
-
-let test_lru_keeps_working_set () =
-  (* Budget sized for two tables: the probe pattern A B A C A under LRU
-     keeps A resident (3 builds total); the old reset-the-world policy
-     rebuilt A after C's overflow.  Tables for this instance cost
-     2·len(host)² cells each; all hosts have equal length by construction. *)
-  Cmatch.clear_cache ();
-  let inst =
-    Instance.of_text
-      (String.concat "\n"
-         [
-           "H h1: a b"; "H h2: c d"; "H h3: e f"; "M m1: a b";
-           "S a a 2.0"; "S c a 1.0"; "S e b 1.0";
-         ])
-  in
-  let cells_per_table = 2 * 2 * 2 in
-  let old_budget = Cmatch.table_budget () in
-  Fun.protect
-    ~finally:(fun () -> Cmatch.set_table_budget old_budget)
-    (fun () ->
-      Cmatch.set_table_budget (2 * cells_per_table);
-      let reg = Fsa_obs.Registry.create () in
-      let probe idx =
-        ignore (Cmatch.full_table inst ~full_side:Species.H idx ~other_frag:0)
-      in
-      Fsa_obs.Runtime.with_observation ~registry:reg (fun () ->
-          probe 0; probe 1; probe 0; probe 2; probe 0);
-      check_int "A B A C A costs 3 builds under LRU" 3 (count_builds reg);
-      check_bool "evictions happened" true
-        (match Fsa_obs.Registry.counter_value reg "cmatch.evictions" with
-        | Some v -> v > 0.0
-        | None -> false))
-
-let test_invalidate_drops_instance () =
-  Cmatch.clear_cache ();
-  let inst =
-    let rng = Rng.create 5 in
-    Instance.random_planted rng ~regions:8 ~h_fragments:2 ~m_fragments:2
-      ~inversion_rate:0.2 ~noise_pairs:4
-  in
-  let reg = Fsa_obs.Registry.create () in
-  Fsa_obs.Runtime.with_observation ~registry:reg (fun () ->
-      ignore (Cmatch.full_table inst ~full_side:Species.H 0 ~other_frag:0);
-      Cmatch.invalidate inst;
-      ignore (Cmatch.full_table inst ~full_side:Species.H 0 ~other_frag:0));
-  check_int "rebuilt after invalidate" 2 (count_builds reg)
-
-(* ------------------------------------------------------------------ *)
-(* Lru (Fsa_util): unit behavior the caches rely on. *)
-
-let test_lru_basic () =
-  let t = Lru.create ~weight:(fun v -> v) () in
-  Lru.add t "a" 1;
-  Lru.add t "b" 2;
-  check_bool "find a" true (Lru.find t "a" = Some 1);
-  check_int "total weight" 3 (Lru.total_weight t);
-  Lru.remove t "a";
-  check_bool "a gone" true (Lru.find t "a" = None);
-  check_int "total weight after remove" 2 (Lru.total_weight t)
-
-let test_lru_evicts_lru_first () =
-  let evicted = ref [] in
-  let t =
-    Lru.create ~budget:10
-      ~on_evict:(fun k _ -> evicted := k :: !evicted)
-      ~weight:(fun _ -> 4) ()
-  in
-  Lru.add t "a" 0;
-  Lru.add t "b" 0;
-  ignore (Lru.find t "a");
-  (* recency now: a (MRU), b (LRU); inserting c evicts b, not a *)
-  Lru.add t "c" 0;
-  check_bool "b evicted" true (!evicted = [ "b" ]);
-  check_bool "a survives" true (Lru.mem t "a");
-  check_bool "c resident" true (Lru.mem t "c");
-  check_int "evictions counted" 1 (Lru.evictions t)
-
-(* [find] of the most recent key answers from the list head without a
-   relink; recency, evictions and their order must be what promoting it
-   again would give. *)
-let test_lru_mru_hit () =
-  let evicted = ref [] in
-  let t =
-    Lru.create ~budget:12
-      ~on_evict:(fun k _ -> evicted := k :: !evicted)
-      ~weight:(fun _ -> 4) ()
-  in
-  let recency () = Lru.fold (fun k _ acc -> k :: acc) t [] |> List.rev in
-  Lru.add t "a" 1;
-  Lru.add t "b" 2;
-  Lru.add t "c" 3;
-  for _ = 1 to 3 do
-    check_bool "head hit" true (Lru.find t "c" = Some 3)
-  done;
-  check_bool "head hits keep the order" true (recency () = [ "c"; "b"; "a" ]);
-  Lru.add t "d" 4;
-  Lru.add t "e" 5;
-  check_bool "LRU end evicted first" true (List.rev !evicted = [ "a"; "b" ]);
-  check_int "two evictions" 2 (Lru.evictions t);
-  (* A non-head key is still promoted: c moves ahead of e and d. *)
-  check_bool "non-head hit" true (Lru.find t "c" = Some 3);
-  check_bool "non-head hit promotes" true (recency () = [ "c"; "e"; "d" ]);
-  check_bool "new head hit" true (Lru.find t "c" = Some 3);
-  Lru.add t "f" 6;
-  check_bool "d is now the LRU entry" true
-    (List.rev !evicted = [ "a"; "b"; "d" ]);
-  check_int "three evictions" 3 (Lru.evictions t);
-  check_bool "final order" true (recency () = [ "f"; "c"; "e" ]);
-  check_bool "missing key" true (Lru.find t "a" = None)
-
-let test_lru_oversized_entry_kept () =
-  let t = Lru.create ~budget:3 ~weight:(fun v -> v) () in
-  Lru.add t "big" 100;
-  check_bool "oversized entry still cached" true (Lru.mem t "big");
-  Lru.add t "next" 1;
-  check_bool "displaced by next insertion" false (Lru.mem t "big");
-  check_bool "next resident" true (Lru.mem t "next")
-
-let test_lru_replace_same_key () =
-  let t = Lru.create ~weight:(fun v -> v) () in
-  Lru.add t "k" 5;
-  Lru.add t "k" 7;
-  check_int "weight replaced, not summed" 7 (Lru.total_weight t);
-  check_int "one entry" 1 (Lru.length t);
-  check_bool "new value" true (Lru.find t "k" = Some 7)
-
-let test_lru_filter_out () =
-  let t = Lru.create ~weight:(fun _ -> 1) () in
-  List.iter (fun k -> Lru.add t k k) [ 1; 2; 3; 4; 5 ];
-  Lru.filter_out t (fun k -> k mod 2 = 0);
-  check_int "odd entries left" 3 (Lru.length t);
-  check_bool "2 gone" false (Lru.mem t 2);
-  check_bool "3 kept" true (Lru.mem t 3);
-  check_int "weight tracks" 3 (Lru.total_weight t)
-
-let test_lru_set_budget_trims () =
-  let t = Lru.create ~weight:(fun _ -> 1) () in
-  List.iter (fun k -> Lru.add t k ()) [ 1; 2; 3; 4 ];
-  Lru.set_budget t 2;
-  check_int "trimmed to budget" 2 (Lru.length t);
-  check_bool "MRU survivors" true (Lru.mem t 4 && Lru.mem t 3)
-
-(* Differential check against a model: random ops vs an association-list
-   model of LRU semantics. *)
-let lru_model_prop seed =
-  let rng = Rng.create seed in
-  let t = Lru.create ~budget:6 ~weight:(fun _ -> 1) () in
-  (* model: MRU-first list of (key, value), capacity 6 *)
-  let model = ref [] in
-  let model_add k v =
-    model := (k, v) :: List.remove_assoc k !model;
-    if List.length !model > 6 then
-      model := List.filteri (fun i _ -> i < 6) !model
-  in
-  let model_find k =
-    match List.assoc_opt k !model with
-    | None -> None
-    | Some v ->
-        model := (k, v) :: List.remove_assoc k !model;
-        Some v
-  in
-  let ok = ref true in
-  for _ = 1 to 400 do
-    let k = Rng.int rng 10 in
-    if Rng.bool rng then begin
-      let v = Rng.int rng 100 in
-      Lru.add t k v;
-      model_add k v
-    end
-    else if Lru.find t k <> model_find k then ok := false
-  done;
-  !ok && Lru.length t = List.length !model
-
-let test_lru_model =
-  QCheck.Test.make ~name:"Lru matches a model under random ops" ~count:50
-    seed_gen lru_model_prop
 
 (* ------------------------------------------------------------------ *)
 (* Attempt bounds: the oracle property of Fsa_check, on instances above
@@ -525,21 +346,5 @@ let () =
         [
           Alcotest.test_case "no rebuild within one solve" `Quick
             test_no_rebuild_within_solve;
-          Alcotest.test_case "LRU keeps the working set" `Quick
-            test_lru_keeps_working_set;
-          Alcotest.test_case "invalidate drops instance" `Quick
-            test_invalidate_drops_instance;
-        ] );
-      ( "lru",
-        [
-          Alcotest.test_case "basic" `Quick test_lru_basic;
-          Alcotest.test_case "evicts LRU first" `Quick test_lru_evicts_lru_first;
-          Alcotest.test_case "most-recent hits" `Quick test_lru_mru_hit;
-          Alcotest.test_case "oversized entry kept" `Quick
-            test_lru_oversized_entry_kept;
-          Alcotest.test_case "replace same key" `Quick test_lru_replace_same_key;
-          Alcotest.test_case "filter_out" `Quick test_lru_filter_out;
-          Alcotest.test_case "set_budget trims" `Quick test_lru_set_budget_trims;
-          qtest test_lru_model;
         ] );
     ]

@@ -190,17 +190,53 @@ let test_cli_missing_file () =
   check_bool "prefixed error" true (contains ~needle:"csr_solve: error" text);
   check_bool "no raw backtrace" false (contains ~needle:"Fatal error" text)
 
-let test_cli_malformed_file () =
-  let bad = Filename.temp_file "csr_bad" ".txt" in
-  let oc = open_out bad in
-  output_string oc "this is not an instance\n%%%\n";
+let with_instance_file text f =
+  let path = Filename.temp_file "csr_bad" ".txt" in
+  let oc = open_out path in
+  output_string oc text;
   close_out oc;
-  let code, text = run_csr_solve (Filename.quote bad) in
-  Sys.remove bad;
-  check_int "exit code" 2 code;
-  check_bool "prefixed error" true (contains ~needle:"csr_solve: error" text);
-  check_bool "names the file" true (contains ~needle:"csr_bad" text);
-  check_bool "no raw backtrace" false (contains ~needle:"Fatal error" text)
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f (Filename.quote path))
+
+let paper_text = Instance.to_text (Instance.paper_example ())
+
+(* Each case is a user error, named by file and line: a σ value that is
+   not finite would print an infinite or silently zero score, and a name
+   repeated on one side would make solution text ambiguous. *)
+let test_cli_malformed_file () =
+  List.iter
+    (fun (case, text, needle) ->
+      let code, out = with_instance_file text run_csr_solve in
+      check_int (case ^ " exit code") 2 code;
+      check_bool (case ^ " prefixed error") true (contains ~needle:"csr_solve: error" out);
+      check_bool (case ^ " names the file") true (contains ~needle:"csr_bad" out);
+      check_bool (case ^ " says why") true (contains ~needle out);
+      check_bool (case ^ " no raw backtrace") false (contains ~needle:"Fatal error" out))
+    [
+      ("garbage", "this is not an instance\n%%%\n", "line 1");
+      ("infinite score", paper_text ^ "S a s inf\n", "not a finite number");
+      ("overflowing score", paper_text ^ "S a s 1e400\n", "not a finite number");
+      ("nan score", paper_text ^ "S a s nan\n", "not a finite number");
+      ("repeated name", paper_text ^ "H h1: a\n", "named twice");
+      ("empty name", "H : a\n" ^ paper_text, "line 1: empty fragment name");
+    ]
+
+(* --scaled checks --epsilon before solving; a tiny ε still scales (the
+   paper example's optimum is 11). *)
+let test_cli_scaled_epsilon () =
+  with_instance_file paper_text @@ fun file ->
+  let run eps =
+    run_csr_solve (Printf.sprintf "--algorithm csr-improve --scaled --epsilon=%s %s" eps file)
+  in
+  List.iter
+    (fun eps ->
+      let code, out = run eps in
+      check_int (eps ^ " exit code") 2 code;
+      check_bool (eps ^ " prefixed error") true (contains ~needle:"csr_solve: error" out);
+      check_bool (eps ^ " names the flag") true (contains ~needle:"--epsilon" out))
+    [ "0"; "nan" ];
+  let code, out = run "1e-300" in
+  check_int "1e-300 exit code" 0 code;
+  check_bool "1e-300 finds the optimum" true (contains ~needle:"solution (score 11.00)" out)
 
 (* An unwritable --flight-recorder path is a user error caught at setup,
    as --trace's is, even when a portfolio deadline trips and the dump
@@ -324,6 +360,7 @@ let () =
         [
           Alcotest.test_case "missing instance file" `Quick test_cli_missing_file;
           Alcotest.test_case "malformed instance file" `Quick test_cli_malformed_file;
+          Alcotest.test_case "scaled epsilon" `Quick test_cli_scaled_epsilon;
           Alcotest.test_case "unwritable flight recorder" `Quick
             test_cli_flight_unwritable;
           Alcotest.test_case "discover rejects bad flags" `Quick test_discover_bad_flags;

@@ -48,55 +48,6 @@ let test_interval_overlap_pointwise_qcheck =
       Interval.overlaps a b = !pointwise)
 
 (* ------------------------------------------------------------------ *)
-(* Interval.Set                                                         *)
-
-let test_set_add_merges () =
-  let s = Interval.Set.of_list [ Interval.make 0 2; Interval.make 3 5 ] in
-  check_int "touching inputs merge" 1 (Interval.Set.cardinal s);
-  check_int "total length" 6 (Interval.Set.total_length s)
-
-let test_set_add_disjoint () =
-  let s = Interval.Set.of_list [ Interval.make 0 2; Interval.make 10 12 ] in
-  check_int "two members" 2 (Interval.Set.cardinal s);
-  check_bool "mem point" true (Interval.Set.mem_point s 11);
-  check_bool "not mem" false (Interval.Set.mem_point s 5)
-
-let test_set_remove () =
-  let s = Interval.Set.of_list [ Interval.make 0 10 ] in
-  let s = Interval.Set.remove s (Interval.make 3 5) in
-  check_int "split into two" 2 (Interval.Set.cardinal s);
-  check_int "length" 8 (Interval.Set.total_length s);
-  check_bool "hole" false (Interval.Set.mem_point s 4)
-
-let test_set_semantics_qcheck =
-  (* Compare against a boolean-array model. *)
-  let op_gen = QCheck.(pair bool interval_gen) in
-  QCheck.Test.make ~name:"interval set tracks boolean-array model" ~count:200
-    QCheck.(list_of_size (Gen.int_range 0 15) op_gen)
-    (fun ops ->
-      let model = Array.make 32 false in
-      let s =
-        List.fold_left
-          (fun s (add, iv) ->
-            for p = iv.Interval.lo to min 31 iv.Interval.hi do
-              model.(p) <- add
-            done;
-            if add then Interval.Set.add s iv else Interval.Set.remove s iv)
-          Interval.Set.empty ops
-      in
-      let ok = ref true in
-      for p = 0 to 31 do
-        if Interval.Set.mem_point s p <> model.(p) then ok := false
-      done;
-      (* members must be sorted, disjoint and non-touching *)
-      let rec well_formed = function
-        | a :: (b :: _ as rest) ->
-            (a.Interval.hi + 1 < b.Interval.lo) && well_formed rest
-        | _ -> true
-      in
-      !ok && well_formed (Interval.Set.to_list s))
-
-(* ------------------------------------------------------------------ *)
 (* Wis                                                                  *)
 
 let exhaustive_wis items =
@@ -289,13 +240,6 @@ let () =
           Alcotest.test_case "intersect" `Quick test_interval_intersect;
           qtest test_interval_overlap_symmetric_qcheck;
           qtest test_interval_overlap_pointwise_qcheck;
-        ] );
-      ( "interval_set",
-        [
-          Alcotest.test_case "add merges" `Quick test_set_add_merges;
-          Alcotest.test_case "add disjoint" `Quick test_set_add_disjoint;
-          Alcotest.test_case "remove splits" `Quick test_set_remove;
-          qtest test_set_semantics_qcheck;
         ] );
       ( "wis",
         [

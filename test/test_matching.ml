@@ -65,28 +65,6 @@ let test_hungarian_ragged () =
   Alcotest.check_raises "ragged" (Invalid_argument "Hungarian.solve: ragged matrix")
     (fun () -> ignore (Hungarian.solve [| [| 1.0 |]; [| 1.0; 2.0 |] |]))
 
-let test_greedy_feasible_qcheck =
-  QCheck.Test.make ~name:"greedy matching is feasible and below optimum" ~count:200
-    matrix_gen (fun w ->
-      let pairs, total = Hungarian.greedy w in
-      let opt = Hungarian.solve_exactly_brute w in
-      is_matching pairs && total <= opt +. 1e-9)
-
-let test_greedy_half_qcheck =
-  QCheck.Test.make ~name:"greedy matching is a 2-approximation" ~count:200 matrix_gen
-    (fun w ->
-      let _, total = Hungarian.greedy w in
-      let opt = Hungarian.solve_exactly_brute w in
-      (2.0 *. total) +. 1e-9 >= opt)
-
-let test_greedy_suboptimal_example () =
-  (* Greedy takes 10 and blocks the 9+9 = 18 optimum. *)
-  let w = [| [| 10.0; 9.0 |]; [| 9.0; 0.0 |] |] in
-  let _, greedy = Hungarian.greedy w in
-  let _, opt = Hungarian.solve w in
-  check_float "greedy" 10.0 greedy;
-  check_float "optimal" 18.0 opt
-
 let () =
   Alcotest.run "fsa_matching"
     [
@@ -99,11 +77,5 @@ let () =
           Alcotest.test_case "rectangular" `Quick test_hungarian_rect;
           Alcotest.test_case "empty" `Quick test_hungarian_empty;
           Alcotest.test_case "ragged" `Quick test_hungarian_ragged;
-        ] );
-      ( "greedy",
-        [
-          qtest test_greedy_feasible_qcheck;
-          qtest test_greedy_half_qcheck;
-          Alcotest.test_case "suboptimal example" `Quick test_greedy_suboptimal_example;
         ] );
     ]

@@ -3,14 +3,13 @@
    the cross-domain determinism suite (every CSR solver's output and
    counters identical at FSA_DOMAINS ∈ {1, 2, 4}), the pinned fuzz corpus
    under parallelism, and the regression tests for the shared-mutable-state
-   bug class: budget isolation, Lru owner checks (a solve from another
-   domain fails loudly), knob validation, registry merge. *)
+   bug class: budget isolation, solves from other domains (alone and two
+   at once on one instance), knob validation, registry merge. *)
 
 open Fsa_csr
 module Pool = Fsa_parallel.Pool
 module Budget = Fsa_obs.Budget
 module Registry = Fsa_obs.Registry
-module Lru = Fsa_util.Lru
 module Rng = Fsa_util.Rng
 
 let check_int = Alcotest.(check int)
@@ -174,55 +173,7 @@ let test_budget_trip_stays_in_its_domain () =
   check_bool "no leak back" false (Budget.installed ())
 
 (* ------------------------------------------------------------------ *)
-(* Lru owner-domain check                                               *)
-
-let test_lru_cross_domain_use () =
-  let t : (int, int) Lru.t = Lru.create ~budget:10 ~weight:(fun _ -> 1) () in
-  Lru.add t 1 10;
-  check_bool "owner can use it" true (Lru.find t 1 = Some 10);
-  let d =
-    Domain.spawn (fun () ->
-        match Lru.find t 1 with
-        | _ -> `No_exception
-        | exception Lru.Cross_domain_use _ -> `Raised)
-  in
-  check_bool "foreign domain gets Cross_domain_use" true (Domain.join d = `Raised);
-  let d2 =
-    Domain.spawn (fun () ->
-        match Lru.add t 2 20 with
-        | () -> `No_exception
-        | exception Lru.Cross_domain_use { owner; caller } ->
-            if owner <> caller then `Raised else `Bad_ids)
-  in
-  check_bool "foreign add fails too" true (Domain.join d2 = `Raised);
-  (* A cache created inside a domain works there. *)
-  let d3 =
-    Domain.spawn (fun () ->
-        let t : (int, int) Lru.t =
-          Lru.create ~budget:10 ~weight:(fun _ -> 1) ()
-        in
-        Lru.add t 1 1;
-        Lru.find t 1 = Some 1)
-  in
-  check_bool "domain-local cache fine" true (Domain.join d3)
-
-(* ------------------------------------------------------------------ *)
-(* Knob validation (regression: malformed FSA_TABLE_BUDGET was silently
-   swallowed).                                                          *)
-
-let test_parse_table_budget () =
-  check_bool "ok" true (Cmatch.parse_table_budget "1000" = Ok 1000);
-  check_bool "zero ok" true (Cmatch.parse_table_budget "0" = Ok 0);
-  check_bool "trimmed" true (Cmatch.parse_table_budget " 42 " = Ok 42);
-  check_bool "negative rejected" true
-    (Result.is_error (Cmatch.parse_table_budget "-1"));
-  check_bool "garbage rejected" true
-    (Result.is_error (Cmatch.parse_table_budget "16M"));
-  check_bool "empty rejected" true
-    (Result.is_error (Cmatch.parse_table_budget ""));
-  match Cmatch.set_table_budget (-5) with
-  | () -> Alcotest.fail "negative set_table_budget accepted"
-  | exception Invalid_argument _ -> ()
+(* Knob validation                                                      *)
 
 (* Regression: any non-empty FSA_NO_PRUNE, 0 included, switched pruning
    off. *)
@@ -414,12 +365,13 @@ let test_improve_stats_determinism () =
   check_bool "stats identical at 4 domains" true (at 4 = r1)
 
 (* Solvers run on the calling domain, so every counter they record — the
-   cmatch.* cache and bound counters included — is the same at any domain
-   count; only the pool's own pool.* metrics may differ.  Each run starts
-   from empty caches, so the cache counters are comparable. *)
+   cmatch.* memo and bound counters included — is the same at any domain
+   count; only the pool's own pool.* metrics may differ.  Each run solves a
+   fresh instance, whose memo starts empty, so the memo counters are
+   comparable. *)
 let test_counter_determinism () =
-  let counters inst solve d =
-    Cmatch.clear_cache ();
+  let counters make solve d =
+    let inst = make () in
     let reg = Registry.create () in
     Pool.with_domains d (fun () ->
         Fsa_obs.Runtime.with_observation ~registry:reg (fun () ->
@@ -442,7 +394,7 @@ let test_counter_determinism () =
                 c1 (counters inst solve d))
             [ 2; 4 ])
         solvers)
-    [ ("planted", planted_instance ()); ("sparse", sparse_instance ()) ]
+    [ ("planted", planted_instance); ("sparse", sparse_instance) ]
 
 (* Discovery fans (H contig, strand) items across the pool.  Three H
    contigs make 6 items, split 1/2/1/2 at 4 domains; one H and one M contig
@@ -492,18 +444,34 @@ let test_discovery_determinism () =
       check_string (Printf.sprintf "counters at %d domains == 1" d) counters1 counters)
     [ 2; 3; 4 ]
 
-(* The solver caches belong to the domain that loaded Cmatch and Bound:
-   a solve started from any other domain must fail loudly, not race. *)
-let test_solve_from_other_domain_fails () =
+(* The solvers' memo lives on the instance, so any domain can solve: a
+   solve on a spawned domain returns what the calling domain's does, on a
+   fresh instance and on one whose memo the calling domain filled. *)
+let test_solve_from_other_domain () =
   let inst = planted_instance () in
-  let d =
-    Domain.spawn (fun () ->
-        match One_csr.four_approx inst with
-        | _ -> `No_exception
-        | exception Lru.Cross_domain_use _ -> `Raised)
+  let expected = fingerprint (Csr_improve.solve_best inst) in
+  let on_spawned inst =
+    Domain.join (Domain.spawn (fun () -> fingerprint (Csr_improve.solve_best inst)))
   in
-  check_bool "solve from a spawned domain raises Cross_domain_use" true
-    (Domain.join d = `Raised)
+  check_string "fresh instance" expected (on_spawned (planted_instance ()));
+  check_string "instance solved here" expected (on_spawned inst)
+
+(* Two domains solving one fresh instance at once race on every memo slot;
+   each must still return the calling domain's answer. *)
+let test_two_domains_one_instance () =
+  let expected = fingerprint (Csr_improve.solve_best (sparse_instance ())) in
+  let inst = sparse_instance () in
+  let started = Atomic.make 0 in
+  let solve () =
+    Atomic.incr started;
+    while Atomic.get started < 2 do
+      Domain.cpu_relax ()
+    done;
+    fingerprint (Csr_improve.solve_best inst)
+  in
+  let a = Domain.spawn solve and b = Domain.spawn solve in
+  check_string "first domain" expected (Domain.join a);
+  check_string "second domain" expected (Domain.join b)
 
 (* The pinned fuzz corpus, replayed with the pool active: every oracle
    property must still hold, and the runs must examine the same number of
@@ -528,10 +496,9 @@ let test_corpus_parallel () =
 (* Releasing a finished instance's memo                                 *)
 
 let test_solve_best_heap_flat () =
-  (* A finished instance's site tables, σ snapshot and bound summary stay
-     cached until released (keys are uids, never reused, so nothing hits
-     them again).  Csr_improve.solve_best releases them on exit: after
-     warm-up, live words stay put. *)
+  (* A finished instance's site tables, σ snapshot and bound summary live
+     in its memo, so the GC frees them with the instance: after warm-up,
+     live words stay put. *)
   let live () =
     Gc.full_major ();
     (Gc.stat ()).Gc.live_words
@@ -579,14 +546,13 @@ let () =
             test_budget_not_visible_across_domains;
           Alcotest.test_case "budget trips stay local" `Quick
             test_budget_trip_stays_in_its_domain;
-          Alcotest.test_case "Lru cross-domain use fails" `Quick
-            test_lru_cross_domain_use;
-          Alcotest.test_case "solve from another domain fails" `Quick
-            test_solve_from_other_domain_fails;
+          Alcotest.test_case "solve from another domain" `Quick
+            test_solve_from_other_domain;
+          Alcotest.test_case "two domains solve one instance" `Quick
+            test_two_domains_one_instance;
         ] );
       ( "knobs",
         [
-          Alcotest.test_case "parse_table_budget" `Quick test_parse_table_budget;
           Alcotest.test_case "parse_no_prune" `Quick test_parse_no_prune;
           Alcotest.test_case "registry merge" `Quick test_registry_merge;
         ] );

@@ -21,8 +21,9 @@
    --obs-overhead runs a separate in-process guard instead of the
    regression gate: it times a fixed solver workload with observability
    fully off and fully on (null sink + registry + unlimited budget
-   checkpoints) and fails if the median slowdown exceeds --obs-allowed
-   (default 0.30).
+   checkpoints) over interleaved pairs, prints the median slowdown with
+   its quartiles, and fails if the median exceeds --obs-allowed (default
+   0.30).
 
    --timing-table prints the baseline document as the Markdown rows of
    EXPERIMENTS.md's Timing table instead: bench, time/run, r², runs, and a
@@ -189,53 +190,70 @@ let run_bench ~quick ~bench_exe =
 (* ------------------------------------------------------------------ *)
 (* Observability overhead guard *)
 
-(* Median of [pairs] interleaved off/on wall-clock timings of one solver
-   workload.  Interleaving (rather than two blocks) cancels slow drift:
-   thermal throttling or a background task hits both sides equally. *)
+(* The median over [pairs] interleaved off/on pairs of the on/off time
+   ratio of one solver workload, with the quartiles of those ratios as its
+   spread.  Interleaving (rather than two blocks) cancels slow drift:
+   thermal throttling or a background task hits both sides of a pair
+   alike.  Each pair runs its sides in the other order from the last, so
+   the GC work one side leaves behind lands on both sides as often. *)
 let obs_overhead ~allowed =
   let rng = Fsa_util.Rng.create 23 in
   let inst =
     Fsa_csr.Instance.random_planted rng ~regions:12 ~h_fragments:3 ~m_fragments:3
       ~inversion_rate:0.2 ~noise_pairs:6
   in
+  (* About 10 ms a side: one solve of ~1 ms is too short to time alike
+     twice in a row. *)
   let workload () =
-    ignore (Fsa_csr.One_csr.four_approx inst);
-    ignore (Fsa_csr.Csr_improve.solve inst)
+    for _ = 1 to 10 do
+      ignore (Fsa_csr.One_csr.four_approx inst);
+      ignore (Fsa_csr.Csr_improve.solve inst)
+    done
   in
   let registry = Fsa_obs.Registry.create () in
   let budget = Fsa_obs.Budget.create () (* no limits: pure checkpoint cost *) in
-  let with_obs f =
+  let with_obs () =
     Fsa_obs.Runtime.with_observation ~sink:Fsa_obs.Sink.null ~registry (fun () ->
-        Fsa_obs.Budget.with_budget budget f)
+        Fsa_obs.Budget.with_budget budget workload)
   in
   let time f =
     let t0 = Fsa_obs.Clock.now () in
     f ();
     Fsa_obs.Clock.now () -. t0
   in
-  (* Warm the memoized cmatch tables and both code paths. *)
+  (* Warm the instance's memo and both code paths. *)
   workload ();
-  with_obs workload;
-  let pairs = 7 in
+  with_obs ();
+  let pairs = 41 in
   let off = Array.make pairs 0.0 and on_ = Array.make pairs 0.0 in
   for i = 0 to pairs - 1 do
-    off.(i) <- time workload;
-    on_.(i) <- time (fun () -> with_obs workload)
+    if i land 1 = 0 then begin
+      off.(i) <- time workload;
+      on_.(i) <- time with_obs
+    end
+    else begin
+      on_.(i) <- time with_obs;
+      off.(i) <- time workload
+    end
   done;
-  let median a =
+  let quantile a q =
     let a = Array.copy a in
     Array.sort compare a;
-    a.(Array.length a / 2)
+    a.(int_of_float (q *. float_of_int (Array.length a - 1)))
   in
-  let m_off = median off and m_on = median on_ in
-  let rel = (m_on -. m_off) /. m_off in
+  let rel = Array.init pairs (fun i -> (on_.(i) /. off.(i)) -. 1.0) in
+  let median = quantile rel 0.5 in
   Printf.printf
-    "obs overhead: off %s, on %s (%+.1f%%, allowed %.0f%%; %d budget probe(s))\n"
-    (Fsa_obs.Report.pretty_ns (m_off *. 1e9))
-    (Fsa_obs.Report.pretty_ns (m_on *. 1e9))
-    (100.0 *. rel) (100.0 *. allowed)
+    "obs overhead: off %s, on %s (%+.1f%%, quartiles %+.1f%% to %+.1f%% over %d pairs, \
+     allowed %.0f%%; %d budget probe(s))\n"
+    (Fsa_obs.Report.pretty_ns (quantile off 0.5 *. 1e9))
+    (Fsa_obs.Report.pretty_ns (quantile on_ 0.5 *. 1e9))
+    (100.0 *. median)
+    (100.0 *. quantile rel 0.25)
+    (100.0 *. quantile rel 0.75)
+    pairs (100.0 *. allowed)
     (Fsa_obs.Budget.probes budget);
-  if rel > allowed then begin
+  if median > allowed then begin
     print_endline "FAIL: observability overhead above the allowance";
     exit 1
   end

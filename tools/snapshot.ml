@@ -17,7 +17,6 @@ let dump name sol =
   print_string (Solution.to_text sol)
 
 let run_inst tag inst =
-  Cmatch.clear_cache ();
   dump (tag ^ " four_approx") (One_csr.four_approx inst);
   dump (tag ^ " four_approx_greedy") (One_csr.four_approx ~algorithm:One_csr.Greedy_isp inst);
   let sol, stats = Full_improve.solve inst in

@@ -47,6 +47,49 @@ let test_interval_overlap_pointwise_qcheck =
       done;
       Interval.overlaps a b = !pointwise)
 
+(* The remaining operations against a point-set model of [0, 31]. *)
+let points i = List.init (Interval.length i) (fun k -> i.Interval.lo + k)
+let mem p i = p >= i.Interval.lo && p <= i.Interval.hi
+
+let test_interval_intersect_model_qcheck =
+  QCheck.Test.make ~name:"intersect agrees with pointwise test" ~count:300
+    QCheck.(pair interval_gen interval_gen)
+    (fun (a, b) ->
+      let common = List.filter (fun p -> mem p b) (points a) in
+      match Interval.intersect a b with
+      | None -> common = []
+      | Some i -> points i = common)
+
+let test_interval_contains_model_qcheck =
+  QCheck.Test.make ~name:"contains agrees with pointwise test" ~count:300
+    QCheck.(pair interval_gen interval_gen)
+    (fun (a, b) -> Interval.contains a b = List.for_all (fun p -> mem p a) (points b))
+
+let test_interval_touches_model_qcheck =
+  QCheck.Test.make ~name:"touches agrees with pointwise test" ~count:300
+    QCheck.(pair interval_gen interval_gen)
+    (fun (a, b) ->
+      let near = List.exists (fun p -> mem (p - 1) b || mem p b || mem (p + 1) b) (points a) in
+      Interval.touches a b = near && Interval.disjoint a b = not (Interval.overlaps a b))
+
+let test_interval_hull_qcheck =
+  QCheck.Test.make ~name:"hull is the least cover" ~count:300
+    QCheck.(triple interval_gen interval_gen interval_gen)
+    (fun (a, b, c) ->
+      let h = Interval.hull a b in
+      Interval.contains h a && Interval.contains h b
+      && ((not (Interval.contains c a && Interval.contains c b)) || Interval.contains c h))
+
+let test_interval_orders_qcheck =
+  QCheck.Test.make ~name:"compare orders (lo, hi) pairs" ~count:300
+    QCheck.(pair interval_gen interval_gen)
+    (fun (a, b) ->
+      let sign x = Int.compare x 0 in
+      let lo_hi i = (i.Interval.lo, i.Interval.hi) and hi_lo i = (i.Interval.hi, i.Interval.lo) in
+      sign (Interval.compare a b) = sign (Stdlib.compare (lo_hi a) (lo_hi b))
+      && sign (Interval.compare_by_hi a b) = sign (Stdlib.compare (hi_lo a) (hi_lo b))
+      && Interval.equal a b = (Interval.compare a b = 0))
+
 (* ------------------------------------------------------------------ *)
 (* Wis                                                                  *)
 
@@ -231,6 +274,9 @@ let test_isp_node_limit_typed () =
   check_float "fallback value is TPA's" tv v;
   check_int "fallback selection is TPA's" (List.length tsel) (List.length sel)
 
+(* Alcotest cuts a test name to 80 columns less the longest group name
+   here ("interval_ops"), so renaming that group changes how the long
+   "isp" names print. *)
 let () =
   Alcotest.run "fsa_intervals"
     [
@@ -240,6 +286,14 @@ let () =
           Alcotest.test_case "intersect" `Quick test_interval_intersect;
           qtest test_interval_overlap_symmetric_qcheck;
           qtest test_interval_overlap_pointwise_qcheck;
+        ] );
+      ( "interval_ops",
+        [
+          qtest test_interval_intersect_model_qcheck;
+          qtest test_interval_contains_model_qcheck;
+          qtest test_interval_touches_model_qcheck;
+          qtest test_interval_hull_qcheck;
+          qtest test_interval_orders_qcheck;
         ] );
       ( "wis",
         [
